@@ -21,8 +21,8 @@ from . import claims, ecdiv, ellper, hecke, hyp3f2
 from .cyclo import parse_cyclo
 from .ecdiv import Divisor, FormalSum, RelationContext, beta_map, b3_reduce, \
     law, steinberg_relation, torsion_Ef
-from .ksym import (E36FF, E64FF, MAPS, Place, PolyFF, ff_parse, ord_at,
-                   pushforward_e36, rosset_tate, rosset_tate_chain,
+from .ksym import (E36FF, E64FF, MAPS, FieldError, Place, PolyFF, ff_parse,
+                   ord_at, pushforward_e36, rosset_tate, rosset_tate_chain,
                    tame_symbol, verify_annihilation, verify_divisor)
 from .mpnum import PrecisionContext
 
@@ -301,28 +301,61 @@ def cmd_hyp(args) -> list:
     ctx = _ctx(args)
     try:
         vals = [Fraction(t) for t in args.params.split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --params: {exc}") from None
     if len(vals) != 5:
         raise UsageError("--params needs a1,a2,a3,b1,b2")
-    p = hyp3f2.HypParams(*vals)
-    with ctx.workprec():
-        val = hyp3f2.f32_unit(p, ctx)
-        print(mpmath.nstr(val.val, ctx.digits))
+    try:
+        p = hyp3f2.HypParams(*vals)
+        with ctx.workprec():
+            val = hyp3f2.f32_unit(p, ctx)
+            print(mpmath.nstr(val.val, ctx.digits))
+    except hyp3f2.DivergenceError as exc:
+        raise UsageError(f"bad --params: {exc}") from None
     return []
+
+
+def _parse_place(text: str) -> ecdiv.CurvePoint:
+    """``inf``, or ``(u,v)``: one enclosing pair of parentheses around two
+    cyclo literals separated by the only top-level comma."""
+    text = text.strip()
+    if text == "inf":
+        return ecdiv.CurvePoint.infinity()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise UsageError(f"bad --place {text!r}: expected (u,v) or inf")
+    inner = text[1:-1]
+    depth = 0
+    commas = []
+    for pos, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "," and depth == 0:
+            commas.append(pos)
+    if depth != 0 or len(commas) != 1:
+        raise UsageError(f"bad --place {text!r}: expected (u,v) or inf")
+    try:
+        u = parse_cyclo(inner[:commas[0]])
+        v = parse_cyclo(inner[commas[0] + 1:])
+    except ValueError as exc:
+        raise UsageError(f"bad --place {text!r}: {exc}") from None
+    return ecdiv.CurvePoint(u, v)
 
 
 def cmd_tame(args) -> list:
     field = E36FF if (args.curve or 36) == 36 else E64FF
-    f = ff_parse(field, args.f)
-    g = ff_parse(field, args.g)
-    if args.place.strip() == "inf":
-        point = ecdiv.CurvePoint.infinity()
-    else:
-        text = args.place.strip().lstrip("(").rstrip(")")
-        us, vs = text.split(",")
-        point = ecdiv.CurvePoint(parse_cyclo(us), parse_cyclo(vs))
-    pl = Place(field, point)
+    try:
+        f = ff_parse(field, args.f)
+        g = ff_parse(field, args.g)
+    except ValueError as exc:
+        raise UsageError(f"bad function literal: {exc}") from None
+    try:
+        pl = Place(field, _parse_place(args.place))
+    except FieldError as exc:
+        raise UsageError(f"bad --place {args.place!r}: {exc}") from None
     val = tame_symbol(f, g, pl)
     print(f"ord(f) = {ord_at(f, pl)}, ord(g) = {ord_at(g, pl)}, "
           f"tame symbol = {val}")

@@ -23,9 +23,6 @@ class OffCurveError(CurveError):
     pass
 
 
-INF = None  # sentinel for the point at infinity
-
-
 class CurvePoint:
     """Projective point on y^2 = x^3 + a x + b with Q(zeta_24) coordinates."""
 

@@ -56,7 +56,6 @@ def ap_pointcount(c: CurveId, p: int) -> int:
         raise BadPrimeError(f"{p} is a bad prime for conductor {c.N}")
     a, b = c.weierstrass
     # chi(t) = t^((p-1)/2) mod p in {0, 1, p-1}
-    count = p + 1  # infinity plus one point baseline per x handled below
     npts = 1  # point at infinity
     for x in range(p):
         rhs = (x * x * x + a * x + b) % p

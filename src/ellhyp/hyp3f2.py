@@ -7,13 +7,17 @@ directly and the tail is expanded as
     t_n = scale * n^-(1+s) * (c_0 + c_1/n + c_2/n^2 + ...)
 
 with the c_i exact rationals obtained from the term-ratio recurrence; each
-tail piece sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value.
+tail piece sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value.  The expansion of
+the term ratio in 1/n is built one factor at a time (one O(K) pass per
+factor) and the c_i follow from a recurrence with integer binomial weights,
+so K coefficients cost O(K^2) exact rational operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import mpmath
 from mpmath import mpf
@@ -78,47 +82,40 @@ class FTildeArgs:
                     "alpha, beta, alpha+beta must avoid nonpositive integers")
 
 
-def _binom(q, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= (Fraction(q) - j) / (j + 1)
-    return out
-
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * order
-    for i, x in enumerate(a[:order]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order - i]):
-            out[i + j] += x * y
-    return out
-
-
 def tail_coefficients(p: HypParams, count: int) -> list:
     """Exact c_0..c_{count-1} with c_0 = 1, from the term-ratio recurrence.
 
     Writing u_n = t_n * n^(1+s) / scale, the recurrence u_{n+1} = R(n) u_n
     with R(n) = prod(1+a_j/n) (1+1/n)^(1+s) / prod(1+b/n) determines the
-    expansion u_n = sum c_i n^-i up to the overall scale.
+    expansion u_n = sum c_i n^-i up to the overall scale.  With x = 1/n and
+    R = sum rho_k x^k, the binomial row of (1+x)^q, q = 1+s, comes from
+    b_k = b_{k-1} (q-k+1) / k; each factor (1+a x) is then one
+    multiplication pass and each 1/(1+b x) one division pass
+    rho_k -= b rho_{k-1}.  Matching x^m in u_{n+1} = R(n) u_n, where
+    (1+x)^(-i) = sum_k (-1)^k C(i+k-1, k) x^k, gives for m >= 2
+
+        (m-1) c_{m-1} = sum_{i<m-1} c_i ((-1)^(m-i) C(m-1, m-i) - rho_{m-i}).
+
+    Every step is exact; the cost is O(count^2) rational operations.
     """
     order = count + 2
-    s = p.margin
-    num = [Fraction(1)]
+    q = 1 + p.margin
+    rho = [Fraction(1)]
+    for k in range(1, order):
+        rho.append(rho[-1] * (q - k + 1) / k)
     for a in (p.a1, p.a2, p.a3):
-        num = _series_mul(num, [Fraction(1), Fraction(a)], order)
-    num = _series_mul(num, [_binom(1 + s, k) for k in range(order)], order)
-    den = [Fraction(1)]
+        for k in range(order - 1, 0, -1):
+            rho[k] += a * rho[k - 1]
     for b in (p.b1, p.b2, Fraction(1)):
-        geom = [(-Fraction(b)) ** k for k in range(order)]
-        den = _series_mul(den, geom, order)
-    rho = _series_mul(num, den, order)
+        for k in range(1, order):
+            rho[k] -= b * rho[k - 1]
     assert rho[0] == 1 and rho[1] == 0
     c = [Fraction(1)]
     for m in range(2, count + 1):
         acc = Fraction(0)
         for i in range(m - 1):
-            acc += c[i] * (_binom(-i, m - i) - rho[m - i])
+            k = m - i
+            acc += c[i] * ((-1) ** k * comb(m - 1, k) - rho[k])
         c.append(acc / (m - 1))
     return c
 

@@ -116,3 +116,47 @@ def test_verify_torsion_labels_curve36(capsys):
     code, out, _ = run(capsys, "verify-torsion-labels", "--curve", "36")
     assert code == 0
     assert "label_P_E36" in out
+
+
+def test_tame_place_with_nested_parentheses(capsys):
+    # the claims.json point iS on E64: its v literal ends in its own ')'
+    code, out, err = run(capsys, "tame", "--curve", "64", "--f", "1-v",
+                         "--g", "1+u",
+                         "--place", "(-2-2*sqrt2,i*(4+4*sqrt2))")
+    assert code == 0, err
+    assert out.startswith("ord(f) = 0, ord(g) = 0,")
+
+
+@pytest.mark.parametrize("place", ["(0,1", "0,1", "((0,1))", "(0,1,2)",
+                                   "(0,1)(2,3)", "(0,)"])
+def test_tame_malformed_place_is_usage_error(capsys, place):
+    code, _, err = run(capsys, "tame", "--curve", "36", "--f", "1-v",
+                       "--g", "1+u", "--place", place)
+    assert code == 2
+    assert "--place" in err
+
+
+def test_tame_off_curve_place_is_usage_error(capsys):
+    code, _, err = run(capsys, "tame", "--curve", "36", "--f", "1-v",
+                       "--g", "1+u", "--place", "(1,1)")
+    assert code == 2
+    assert "not on the curve" in err
+
+
+@pytest.mark.parametrize("params", ["1,1,1,1/2,1/2", "1/2,1/3,1/5,0,2"],
+                         ids=["margin-2", "lower-0"])
+def test_hyp_divergent_params_is_usage_error(capsys, params):
+    code, out, err = run(capsys, "hyp", "--params", params)
+    assert code == 2
+    assert out == "" and "--params" in err
+
+
+def test_verify_identity_100_digits(capsys):
+    code, out, _ = run(capsys, "verify-identity", "--digits", "100",
+                       "--report", "json", "--deterministic")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["claim_id"] for r in reports] == ["identity_L36", "identity_L64"]
+    for r in reports:
+        assert r["status"] == "pass"
+        assert float(r["abs_err"]) <= 1e-90

@@ -132,3 +132,66 @@ def test_rhs_main_precision_consistency():
 def test_rhs_main_rejects_unknown_curve():
     with pytest.raises(Exception):
         hyp3f2.rhs_main(37, CTX)
+
+
+# The original O(K^3) construction of the tail coefficients, kept as an
+# independent reference: dense series products and a fresh Fraction binomial
+# for every term of the c_m recurrence.
+
+def _ref_binom(q, k):
+    out = Fraction(1)
+    for j in range(k):
+        out *= (Fraction(q) - j) / (j + 1)
+    return out
+
+
+def _ref_series_mul(a, b, order):
+    out = [Fraction(0)] * order
+    for i, x in enumerate(a[:order]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: order - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_tail_coefficients(p, count):
+    order = count + 2
+    s = p.margin
+    num = [Fraction(1)]
+    for a in (p.a1, p.a2, p.a3):
+        num = _ref_series_mul(num, [Fraction(1), Fraction(a)], order)
+    num = _ref_series_mul(num, [_ref_binom(1 + s, k) for k in range(order)],
+                          order)
+    den = [Fraction(1)]
+    for b in (p.b1, p.b2, Fraction(1)):
+        geom = [(-Fraction(b)) ** k for k in range(order)]
+        den = _ref_series_mul(den, geom, order)
+    rho = _ref_series_mul(num, den, order)
+    c = [Fraction(1)]
+    for m in range(2, count + 1):
+        acc = Fraction(0)
+        for i in range(m - 1):
+            acc += c[i] * (_ref_binom(-i, m - i) - rho[m - i])
+        c.append(acc / (m - 1))
+    return c
+
+
+def _ftilde_params(a, b):
+    return HypParams(a, b, a + b - 1, a + b, a + b)
+
+
+@pytest.mark.parametrize("count", [2, 3, 20, 60])
+@pytest.mark.parametrize("p", [
+    _ftilde_params(Fraction(1, 2), Fraction(1, 3)),
+    _ftilde_params(Fraction(1, 2), Fraction(2, 3)),
+    _ftilde_params(Fraction(1, 4), Fraction(1, 4)),
+    _ftilde_params(Fraction(3, 4), Fraction(3, 4)),
+    # Dixon form 3F2(a, b, c; 1+a-b, 1+a-c; 1), margin 2 + a - 2b - 2c = 67/30
+    HypParams(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5),
+              Fraction(7, 6), Fraction(17, 10)),
+], ids=["F(1/2,1/3)", "F(1/2,2/3)", "F(1/4,1/4)", "F(3/4,3/4)", "dixon"])
+def test_tail_coefficients_match_reference(p, count):
+    got = hyp3f2.tail_coefficients(p, count)
+    assert len(got) == count
+    assert got == _ref_tail_coefficients(p, count)
