@@ -94,8 +94,7 @@ def cmd_verify_identity(args) -> list:
         c = hecke.curve(N)
         tbl = None
         if getattr(args, "an_file", None):
-            tbl = hecke.build_coeffs(c, hecke.afe_n_max(c, ctx), "file",
-                                     an_file=args.an_file)
+            tbl = _file_coeffs(c, hecke.afe_n_max(c, ctx), args.an_file)
         with ctx.workprec():
             lhs = hecke.lstar_zero(c, ctx, tbl)
             rhs = hyp3f2.rhs_main(N, ctx)
@@ -286,12 +285,25 @@ def cmd_verify_torsion_labels(args) -> list:
     return out
 
 
+def _file_coeffs(c, n_max: int, path: str):
+    """Coefficients read from --an-file; an unreadable path is a usage error."""
+    try:
+        return hecke.build_coeffs(c, n_max, "file", an_file=path)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read --an-file {path!r}: {exc.strerror}") from None
+
+
 def cmd_coeffs(args) -> list:
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     c = hecke.curve(args.curve or 36)
-    tbl = hecke.build_coeffs(c, args.n_max, args.source,
-                             an_file=getattr(args, "an_file", None))
+    if args.source == "file":
+        if args.an_file is None:
+            raise UsageError("--source file requires --an-file")
+        tbl = _file_coeffs(c, args.n_max, args.an_file)
+    else:
+        tbl = hecke.build_coeffs(c, args.n_max, args.source)
     for n in range(1, args.n_max + 1):
         print(f"{n},{tbl[n]}")
     return []

@@ -194,32 +194,23 @@ class FFElem:
             n >>= 1
         return result
 
-    def ext_twist(self, zeta: CycloNum) -> "FFElem":
-        """The conjugate under ext |-> zeta * ext."""
-        out = []
-        zk = CycloNum.from_rational(1)
-        for c in self.coeffs:
-            out.append(c * RatFunc(Poly.const(zk)))
-            zk = zk * zeta
-        return FFElem(self.field, out)
-
     def base_twist(self, zeta: CycloNum) -> "FFElem":
         """Substitute base |-> zeta * base in every coefficient."""
         return FFElem(self.field, [c.scale_var(zeta) for c in self.coeffs])
 
     def norm_to_rational_subfield(self) -> RatFunc:
-        """Product of all ext-conjugates; lands in Q(zeta_24)(base)."""
-        d = self.field.degree
-        zeta = CycloNum.zeta_pow(24 // d)
-        acc = self
-        z = zeta
-        for _ in range(d - 1):
-            acc = acc * self.ext_twist(z)
-            z = z * zeta
-        for c in acc.coeffs[1:]:
-            if not c.is_zero():
-                raise FieldError("norm did not land in the rational subfield")
-        return acc.coeffs[0]
+        """N(a + b*ext) = (a + b*ext)(a - b*ext) = a^2 - b^2*m in Q(zeta_24)(base).
+
+        Quadratic fields only (the elliptic curves and interC).  The
+        numerator and denominator are formed over one common denominator and
+        reduced once."""
+        if self.field.degree != 2:
+            raise FieldError(f"norm to the rational subfield is implemented "
+                             f"for quadratic fields, not {self.field.name}")
+        a, b = self.coeffs
+        num = a.num * a.num * b.den * b.den \
+            - b.num * b.num * a.den * a.den * self.field.m
+        return RatFunc(num, a.den * a.den * b.den * b.den)
 
 
 def _fftrim(p):

@@ -7,6 +7,9 @@ from fractions import Fraction
 from ..cyclo import CycloNum, one as cy_one, zero as cy_zero
 
 
+_ONE = cy_one()
+
+
 def _cy(x) -> CycloNum:
     if isinstance(x, CycloNum):
         return x
@@ -102,7 +105,8 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         q = [cy_zero()] * max(0, self.degree - other.degree + 1)
         r = list(self.coeffs)
-        inv_lead = other.leading().inv()
+        lead = other.leading()
+        inv_lead = lead if lead == _ONE else lead.inv()
         while len(r) >= len(other.coeffs):
             while r and not r[-1]:
                 r.pop()
@@ -116,15 +120,21 @@ class Poly:
         return Poly(q), Poly(r)
 
     def gcd(self, other) -> "Poly":
+        """Monic gcd (zero only for gcd(0, 0)).
+
+        Euclid with every divisor made monic: the monic gcd is unique, and
+        rescaling keeps the coefficients from swelling.  A nonzero constant
+        remainder means the inputs are coprime."""
         a, b = self, other
         while not b.is_zero():
+            if b.degree == 0:
+                return Poly.const(1)
+            b = b.monic()
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * a.leading().inv()  # monic
+        return a.monic()
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == _ONE:
             return self
         return self * self.leading().inv()
 
@@ -180,9 +190,13 @@ class RatFunc:
         if not g.is_zero() and g.degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-        lead = den.leading().inv()
-        self.num = num * lead
-        self.den = den * lead
+        lead = den.leading()
+        if lead != _ONE:
+            lead = lead.inv()
+            num = num * lead
+            den = den * lead
+        self.num = num
+        self.den = den
 
     @staticmethod
     def var() -> "RatFunc":

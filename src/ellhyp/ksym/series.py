@@ -1,8 +1,22 @@
-"""Local expansions, valuations, tame symbols, and divisor verification.
+"""Valuations, local expansions, tame symbols, and divisor verification.
 
 Places on the elliptic curves carry the standard uniformizers: u - u0 at
 finite points with v != 0, v at the finite 2-torsion points, and t = u/v at
 infinity where u = t^-2 (1 + O(t)), v = t^-3 (1 + O(t)).
+
+Valuations (`ord_at`) are closed forms in f = a + b*v with a, b rational
+functions of u, where ord_u0 is a root multiplicity found by synthetic
+division:
+
+  * at infinity, ord u = -2 and ord v = -3;
+  * at a 2-torsion point (u0, 0), ord(u - u0) = 2 and ord v = 1;
+    in both cases ord a and ord b*v differ in parity, so ord f is their min;
+  * at a finite point (u0, v0) with v0 != 0, ord f = k = min(ord_u0 a,
+    ord_u0 b) unless the unit part vanishes there, and then ord f comes from
+    the norm a^2 - b^2 m, because the unit part does not vanish at -P.
+
+Laurent expansions (`LaurentSeries`, `_expand`) remain for the leading
+coefficients of the tame symbol.
 """
 
 from __future__ import annotations
@@ -227,20 +241,68 @@ def _expand(f: FFElem, pl: Place, depth: int) -> LaurentSeries:
     return acc
 
 
-def ord_at(f: FFElem, pl: Place, depth: int = 12, max_depth: int = 400) -> int:
-    """Order of vanishing of f at the place, by local series expansion."""
+def _root_split(p: Poly, u0: CycloNum):
+    """(k, q(u0)) with p = (u - u0)^k q and q(u0) != 0, for p != 0.
+
+    Each synthetic division by u - u0 gives the quotient and the remainder
+    p(u0); division continues while the remainder is zero."""
+    cs = p.coeffs
+    k = 0
+    while True:
+        acc = cs[-1]
+        quo = [acc]
+        for c in reversed(cs[:-1]):
+            acc = acc * u0 + c
+            quo.append(acc)
+        if acc:
+            return k, acc
+        cs = quo[-2::-1]
+        k += 1
+
+
+def _ord_u0(r: RatFunc, u0: CycloNum) -> int:
+    """Root multiplicity of u0 in the numerator minus that in the denominator."""
+    return _root_split(r.num, u0)[0] - _root_split(r.den, u0)[0]
+
+
+def ord_at(f: FFElem, pl: Place) -> int:
+    """Order of vanishing of f = a + b*v (a, b in Q(zeta_24)(u)) at the place.
+
+    Closed forms on v^2 = m(u) (Silverman, AEC II.1-2):
+      * at infinity ord u = -2 and ord v = -3, and at a 2-torsion point
+        (u0, 0) ord(u - u0) = 2 and ord v = 1.  ord a and ord b*v then have
+        different parity, so they cannot cancel: ord f = min(ord a, ord b*v);
+      * at a finite point P = (u0, v0) with v0 != 0, u - u0 is a uniformizer
+        and v is a unit.  With k = min(ord_u0 a, ord_u0 b), f = (u - u0)^k g
+        and g = a' + b'*v is regular at P.  If g(P) != 0 the order is k;
+        otherwise g(-P) = -2 b'(u0) v0 != 0, so ord_P g = ord_u0 N(g) with
+        N(g) = N(f) / (u - u0)^(2k) the norm a^2 - b^2 m.
+    """
     if f.field is not pl.field:
         raise FieldError("element and place live on different curves")
     if f.is_zero():
         raise ZeroDivisionError("valuation of the zero function")
-    d = depth
-    while d <= max_depth:
-        try:
-            return _expand(f, pl, d).order()
-        except ExpansionDepthError:
-            d *= 2
-    raise ExpansionDepthError(
-        f"expansion depth {max_depth} exceeded at {pl.point!r}")
+    terms = [(j, c) for j, c in enumerate(f.coeffs) if not c.is_zero()]
+    if pl.kind == "infinity":
+        return min(2 * (c.den.degree - c.num.degree) - 3 * j for j, c in terms)
+    u0 = pl.point.u
+    if pl.kind == "two_torsion":
+        return min(2 * _ord_u0(c, u0) + j for j, c in terms)
+    v0 = pl.point.v
+    parts = []  # (j, ord_u0 c, value at u0 of c / (u - u0)^ord)
+    for j, c in terms:
+        kn, vn = _root_split(c.num, u0)
+        kd, vd = _root_split(c.den, u0)
+        parts.append((j, kn - kd, vn * vd.inv()))
+    k = min(o for _, o, _ in parts)
+    g_at_p = _ZERO
+    for j, o, val in parts:
+        if o == k:
+            g_at_p = g_at_p + (val * v0 if j else val)
+    if g_at_p:
+        return k
+    # k + ord_u0 N(g), with ord_u0 N(g) = ord_u0 N(f) - 2k
+    return _ord_u0(f.norm_to_rational_subfield(), u0) - k
 
 
 def _leading(f: FFElem, pl: Place, depth: int = 12, max_depth: int = 400):

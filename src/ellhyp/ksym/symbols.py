@@ -241,34 +241,28 @@ def rosset_tate(g0: PolyFF, g1: PolyFF, max_steps: int = 64) -> SymbolSum:
         raise SymbolError("g0 must be monic of degree >= 1")
     if g1.degree >= g0.degree:
         raise SymbolError("g1 must have degree smaller than g0")
+    chain = rosset_tate_chain(g0, g1, max_steps)
+    return SymbolSum([(-1, Symbol(chain[i - 1].star().content_sign(),
+                                  chain[i].content_sign()))
+                      for i in range(1, len(chain))])
+
+
+def rosset_tate_chain(g0: PolyFF, g1: PolyFF, max_steps: int = 64):
+    """The nonzero g_i sequence g_0, g_1, ..., g_m, ending in a constant.
+
+    Raises NonterminationError if the degree fails to decrease, a remainder
+    vanishes before degree 0 is reached, or the chain exceeds max_steps."""
     chain = [g0, g1]
     while not chain[-1].is_zero() and chain[-1].degree >= 1:
         if len(chain) > max_steps:
             raise NonterminationError("Rosset-Tate chain exceeded step bound")
         nxt = chain[-2].star().divmod(chain[-1])[1]
-        if not nxt.is_zero() and nxt.degree >= chain[-1].degree:
-            raise NonterminationError("Rosset-Tate degree failed to decrease")
-        if nxt.is_zero() and chain[-1].degree >= 1:
+        if nxt.is_zero():
             raise NonterminationError(
                 "degenerate Rosset-Tate step: zero remainder below degree 1")
+        if nxt.degree >= chain[-1].degree:
+            raise NonterminationError("Rosset-Tate degree failed to decrease")
         chain.append(nxt)
-    if chain[-1].is_zero():
-        chain.pop()
-    m = len(chain) - 1  # chain = g_0 .. g_m, all nonzero
-    terms = []
-    for i in range(1, m + 1):
-        terms.append((-1, Symbol(chain[i - 1].star().content_sign(),
-                                 chain[i].content_sign())))
-    return SymbolSum(terms)
-
-
-def rosset_tate_chain(g0: PolyFF, g1: PolyFF, max_steps: int = 64):
-    """The nonzero g_i sequence, for inspection of the degree profile."""
-    chain = [g0, g1]
-    while not chain[-1].is_zero() and chain[-1].degree >= 1:
-        if len(chain) > max_steps:
-            raise NonterminationError("Rosset-Tate chain exceeded step bound")
-        chain.append(chain[-2].star().divmod(chain[-1])[1])
     if chain[-1].is_zero():
         chain.pop()
     return chain

@@ -93,6 +93,24 @@ def test_coeffs_file_source_round_trip(capsys, tmp_path):
     assert code2 == 0 and out2 == out
 
 
+def test_coeffs_file_source_without_path_is_usage_error(capsys):
+    code, out, err = run(capsys, "coeffs", "--curve", "36", "--n-max", "5",
+                         "--source", "file")
+    assert code == 2 and out == ""
+    assert "--an-file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--curve", "36", "--n-max", "5", "--source", "file"],
+    ["verify-identity", "--curve", "36"],
+])
+def test_missing_an_file_is_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such.csv"
+    code, out, err = run(capsys, *argv, "--an-file", str(missing))
+    assert code == 2 and out == ""
+    assert "cannot read --an-file" in err and "no-such.csv" in err
+
+
 def test_hyp_command(capsys):
     code, out, _ = run(capsys, "hyp", "--params", "1/2,1/3,-1/6,5/6,5/6")
     assert code == 0

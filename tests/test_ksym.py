@@ -50,6 +50,59 @@ def test_poly_gcd_divides(a, b):
             assert r.degree < 0
 
 
+def _euclid_gcd(a, b):
+    """Plain Euclid, made monic at the end: the reference for Poly.gcd."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+@given(polys, polys)
+@settings(max_examples=50, deadline=None)
+def test_poly_gcd_matches_plain_euclid(a, b):
+    assert a.gcd(b) == _euclid_gcd(a, b)
+
+
+def test_poly_gcd_planted_constant_and_zero():
+    x = Poly.var()
+    c = lambda q: Poly.const(parse_cyclo(q))
+    common = (x - c("z")) * (x * x + c("1/2")) * (x - c("sqrt2"))
+    coprime = [(x ** 3 + c("2") * x + c("i"), x ** 2 - c("3")),
+               (c("5") * x ** 4 - x, c("-2/3") * x ** 5 + c("zeta3"))]
+    for p, q in coprime:
+        for a, b in ((p, q), (q, p)):
+            assert a.gcd(b) == _euclid_gcd(a, b) == Poly.const(1)
+            g = (common * a).gcd(common * b)
+            assert g == _euclid_gcd(common * a, common * b) == common.monic()
+    three, zero = c("3"), Poly()
+    for p in (common, c("1/7") * common):
+        assert p.gcd(three) == three.gcd(p) == _euclid_gcd(p, three) \
+            == Poly.const(1)
+        assert p.gcd(zero) == zero.gcd(p) == _euclid_gcd(p, zero) \
+            == common.monic()
+    assert three.gcd(zero) == zero.gcd(three) == Poly.const(1)
+    assert zero.gcd(zero) == zero
+
+
+def test_norm_is_product_with_the_conjugate():
+    for N in (36, 64):
+        for claim in claims.divisor_claims(N):
+            f = claim.function
+            a, b = f.coeffs
+            prod = f * FFElem(f.field, [a, -b])
+            assert prod.coeffs[1].is_zero()
+            assert f.norm_to_rational_subfield() == prod.coeffs[0], claim.name
+
+
+def test_norm_needs_a_quadratic_field():
+    from ellhyp.ksym import FieldError
+    assert ff_parse(INTERC, "1-v").norm_to_rational_subfield() == \
+        RatFunc(Poly([0, 0, 0, 0, 0, 0, 1]))  # (1-v)(1+v) = y^6
+    for field, text in ((FERMAT4, "1-y"), (FERMAT6, "x+y")):
+        with pytest.raises(FieldError):
+            ff_parse(field, text).norm_to_rational_subfield()
+
+
 def test_ratfunc_reduction_and_inverse():
     x = Poly.var()
     f = RatFunc(x * x - Poly.const(one()), x - Poly.const(one()))
@@ -202,3 +255,15 @@ def test_single_step_rosset_tate():
     assert len(out.terms) == 1
     coef, sym = out.terms[0]
     assert coef == -1
+
+
+def test_degenerate_rosset_tate_step_is_rejected_by_both_callers():
+    from ellhyp.ksym import NonterminationError
+    # g1 = T - u divides g0* = -(T^2 - u^2)/u^2, so the first remainder is
+    # zero while g1 still has degree 1
+    g0 = PolyFF(E64FF, [ff_parse(E64FF, "-u^2"), ff_parse(E64FF, "0"),
+                        ff_parse(E64FF, "1")])
+    g1 = PolyFF(E64FF, [ff_parse(E64FF, "-u"), ff_parse(E64FF, "1")])
+    for build in (rosset_tate_chain, rosset_tate):
+        with pytest.raises(NonterminationError, match="degenerate"):
+            build(g0, g1)

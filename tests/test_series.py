@@ -5,8 +5,9 @@ import pytest
 from ellhyp import claims
 from ellhyp.cyclo import CycloNum, ZETA3, one, parse_cyclo, zero
 from ellhyp.ecdiv import CurvePoint
-from ellhyp.ksym import (E36FF, E64FF, LaurentSeries, Place, ff_parse, ord_at,
-                         tame_symbol, verify_divisor)
+from ellhyp.ksym import (E36FF, E64FF, ExpansionDepthError, LaurentSeries,
+                         Place, ff_parse, ord_at, tame_symbol, verify_divisor)
+from ellhyp.ksym.series import _expand
 from ellhyp.ecdiv import Divisor
 
 
@@ -44,6 +45,58 @@ def test_ord_at_two_torsion_and_infinity_e64():
     assert ord_at(f2, Place(E64FF, _pt("P0", 64))) == 4
     assert ord_at(f2, Place(E64FF, CurvePoint.infinity())) == 0
     assert ord_at(f2, Place(E64FF, _pt("Q0", 64))) == -1
+
+
+def _series_order(f, pl):
+    """Reference valuation: expand at doubling depth until a term survives."""
+    depth = 12
+    while True:
+        try:
+            return _expand(f, pl, depth).order()
+        except ExpansionDepthError:
+            depth *= 2
+
+
+# functions with poles in both a and b of f = a + b*v; "(1-v)/u^3" and the
+# E64 function vanish in their unit part at P and S, where ord_at uses the norm
+_POLES_IN_BOTH = {
+    36: ["(1+v)/(u*(u-2))", "(1-v)/u^3", "(u+v)/(u+1)^2 + v/(u-2)"],
+    64: ["(u+v)/(u^2+4)", "(v-2*u)/(u*(u-2-2*sqrt2))", "v/(u-2)^3 + 1/u"],
+}
+
+
+def _oracle_cases():
+    for N, field in ((36, E36FF), (64, E64FF)):
+        texts = [e["function"] for e in claims.raw()["divisors"][str(N)]
+                 if e["name"] != "f_alpha"]
+        texts += [t for t in ("v-2*u", "1-v", "1+u") if t not in texts]
+        texts += _POLES_IN_BOTH[N]
+        for text in texts:
+            f = ff_parse(field, text)
+            for name, point in claims.points(N).items():
+                yield N, text, name, f, Place(field, point)
+
+
+def test_ord_at_matches_series_oracle():
+    cases = list(_oracle_cases())
+    assert len(cases) == 7 * 4 + 10 * 11  # functions x named points
+    for N, text, name, f, pl in cases:
+        assert ord_at(f, pl) == _series_order(f, pl), (N, text, name)
+
+
+@pytest.mark.parametrize("N,text,name,order", [
+    (36, "1-v", "P", 3),               # unit part 1-v vanishes at P
+    (64, "v-2*u", "S", 1),             # v = 2u at S and T
+    (64, "v-2*u", "T", 1),
+    (36, "(1-v)/u^3", "P", 0),         # poles in a and b, unit part zero
+    (64, "(v-2*u)/(u*(u-2-2*sqrt2))", "S", 0),
+])
+def test_ord_at_through_the_norm(N, text, name, order):
+    field = E36FF if N == 36 else E64FF
+    f = ff_parse(field, text)
+    pl = Place(field, claims.point(N, name))
+    assert pl.kind == "finite"
+    assert ord_at(f, pl) == order == _series_order(f, pl)
 
 
 def test_ord_additivity():
