@@ -120,22 +120,16 @@ def cmd_verify_bloch(args) -> list:
         if N == 36:
             div_fa = Divisor([(x, 1) for x in tor] + [(origin, -12)])
             div_fb = Divisor([(pts["P"], 1), (origin, -1)])
-            push_f = Divisor([(pts["P"], 3), (pts["Q"], -3)])     # div(1-v)
-            push_g = Divisor([(origin, 2), (pts["Q"], -2)])       # div(1+u)
+            push_f, push_g = dc["1-v"].divisor, dc["1+u"].divisor
         else:
             div_fa = Divisor([(x, 1) for x in tor] + [(origin, -16)])
             div_fb = Divisor([(pts["S"], 1), (pts["T"], 1), (origin, -2)])
-            push_f = Divisor([(pts["S"], 1), (pts["T"], 1),
-                              (pts["P0"], -1), (pts["P1"], -1)])  # div(f1)
-            push_g = Divisor([(pts["R"], 2), (origin, 6),
-                              (pts["P0"], -6), (pts["P1"], -2)])  # div(g1)
+            push_f, push_g = dc["f1"].divisor, dc["g1"].divisor
         relctx = RelationContext(lw)
         if N == 36:
-            neg_p = lw.neg(pts["P"])
             steinberg = steinberg_relation(
-                relctx,
-                Divisor([(pts["P"], 3), (pts["Q"], -3)]),
-                Divisor([(neg_p, 3), (pts["Q"], -3)]))
+                relctx, dc["1-v"].divisor,
+                Divisor([(lw.neg(pts["P"]), 3), (pts["Q"], -3)]))
             expected_st = FormalSum(lw, [(pts["R"], -27)])
             out.append(_exact(
                 "steinberg_E36_R", repr(steinberg), repr(expected_st),
@@ -155,13 +149,13 @@ def cmd_verify_bloch(args) -> list:
                           f"2 * {beta_push!r}", factor2,
                           notes="the Bloch element is twice the pushforward"))
         if N == 64:
+            # the literal divisor of f2: its display regroups 2-torsion, so
+            # read the orders at the claimed support and every 2-torsion point
             f2 = dc["f2"]
-            g2 = dc["g2"]
-            # the literal divisor of f2 (the display regroups 2-torsion)
-            div_f2 = Divisor([(pts["P0"], 4), (pts["Q0"], -1),
-                              (pts["mQ0"], -1), (pts["Q3"], -1),
-                              (pts["mQ3"], -1)])
-            bf2 = b3_reduce(beta_map(lw, div_f2, g2.divisor), relctx)
+            support = {x for x, _ in f2.divisor} | {x for x in tor if not x.v}
+            div_f2 = Divisor([(x, ord_at(f2.function, Place(E64FF, x)))
+                              for x in support])
+            bf2 = b3_reduce(beta_map(lw, div_f2, dc["g2"].divisor), relctx)
             out.append(_exact("beta_f2_g2_E64", repr(bf2), "FormalSum(0)",
                               bf2.is_zero()))
         if out:
@@ -286,12 +280,15 @@ def cmd_verify_torsion_labels(args) -> list:
 
 
 def _file_coeffs(c, n_max: int, path: str):
-    """Coefficients read from --an-file; an unreadable path is a usage error."""
+    """Coefficients read from --an-file; a file that cannot be read or is
+    malformed is a usage error."""
     try:
         return hecke.build_coeffs(c, n_max, "file", an_file=path)
     except OSError as exc:
         raise UsageError(
             f"cannot read --an-file {path!r}: {exc.strerror}") from None
+    except hecke.CoefficientFileError as exc:
+        raise UsageError(f"bad --an-file: {exc}") from None
 
 
 def cmd_coeffs(args) -> list:

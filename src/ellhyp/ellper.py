@@ -9,6 +9,7 @@ factor h with Omega_R = h Omega.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath
@@ -17,7 +18,7 @@ from mpmath import mpc, mpf
 from . import hecke, mpnum
 from .cyclo import CycloNum, ZETA3, I
 from .ecdiv import CurvePoint, law
-from .mpnum import ArbComplex, ArbReal, PrecisionContext, PrecisionError
+from .mpnum import ArbComplex, ArbReal, PrecisionContext
 
 
 class PeriodError(Exception):
@@ -27,8 +28,6 @@ class PeriodError(Exception):
 class LabelError(PeriodError):
     pass
 
-
-_LOW = PrecisionContext(digits=30, guard=12)
 
 _ONE = CycloNum.from_rational(1)
 
@@ -76,8 +75,12 @@ def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
     return x.embed(ctx).val
 
 
+@functools.lru_cache(maxsize=None)
 def raw_real_period(N: int, ctx: PrecisionContext) -> ArbReal:
-    """Period of du/(2v) over the real component: pi / agm of root gaps."""
+    """Period of du/(2v) over the real component: pi / agm of root gaps.
+
+    Every other period quantity is derived from this value, so the AGM runs
+    once per curve and precision."""
     info = _info(N)
     with ctx.workprec():
         e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
@@ -148,106 +151,58 @@ def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
 
 # elliptic logarithms ---------------------------------------------------------
 
-def _roots_numeric(info: CurvePeriodInfo, ctx: PrecisionContext):
-    return [_embed(r, ctx) for r in info.roots]
+_BOX = 8   # the p' lattice sum runs over |a|, |b| <= _BOX
 
 
-def _rf(x, y, z):
-    return mpmath.elliprf(x, y, z)
+def _tau_coords(w: mpc, tau: mpc):
+    """Real coordinates (a, b) of w = a + b tau in the basis (1, tau)."""
+    b = mpmath.im(w) / mpmath.im(tau)
+    return mpmath.re(w) - b * mpmath.re(tau), b
 
 
-def _branch_tracked_log(info: CurvePeriodInfo, u0: mpc, v0: mpc) -> mpc:
-    """Low-precision int_{u0}^{inf} du/(2v) with the branch fixed by v0.
-
-    The path rises off the real axis, runs out to a large real abscissa, and
-    descends; the square-root branch is continued step by step.  The tail is
-    a Carlson integral with the tracked sign.
-    """
-    with mpmath.workdps(16):
-        roots = [mpc(r) for r in _roots_numeric(info, _LOW)]
-
-        def m_at(u):
-            return (u - roots[0]) * (u - roots[1]) * (u - roots[2])
-
-        big = mpf(64)
-        for shift in (mpf(1) / 3, mpf(-1) / 2, mpf(1), mpf(-1), mpf(2)):
-            nodes = [u0, u0 + shift + 4j, big + 4j, big]
-            if _path_clearance(nodes, roots) > mpf("0.25"):
-                break
-        else:
-            raise PeriodError("could not route an integration path")
-        total = mpc(0)
-        v_prev = mpc(v0)
-        for a, b in zip(nodes, nodes[1:]):
-            steps = 400
-            h = (b - a) / steps
-            for k in range(1, steps + 1):
-                u_mid = a + (k - mpf(1) / 2) * h
-                u_next = a + k * h
-                v_mid = _continue_sqrt(m_at(u_mid), v_prev)
-                v_prev = _continue_sqrt(m_at(u_next), v_mid)
-                total += h / (2 * v_mid)
-        # tail from `big` to infinity, with the tracked branch sign
-        tail = _rf(big - roots[0], big - roots[1], big - roots[2])
-        v_big_principal = mpmath.sqrt(m_at(big))
-        sign = 1 if abs(v_prev - v_big_principal) < abs(v_prev + v_big_principal) \
-            else -1
-        return total + sign * tail
+def _reduce_mod_lattice(z: mpc, omega: mpc, tau: mpc) -> mpc:
+    a, b = _tau_coords(z / omega, tau)
+    return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
 
 
-def _continue_sqrt(target, previous):
-    r = mpmath.sqrt(target)
-    return r if abs(r - previous) <= abs(r + previous) else -r
-
-
-def _path_clearance(nodes, roots) -> mpf:
-    best = mpf("inf")
-    for a, b in zip(nodes, nodes[1:]):
-        d = b - a
-        dd = abs(d) ** 2
-        for r in roots:
-            t = mpmath.re(mpmath.conj(d) * (r - a)) / dd
-            t = min(max(t, mpf(0)), mpf(1))
-            best = min(best, abs(a + t * d - r))
-    return best
+def _wp_prime(z: mpc, omega: mpc, tau: mpc) -> mpc:
+    """Weierstrass p'(z) = -2 sum_w (z - w)^-3 over the lattice points
+    w = (a + b tau) omega with |a|, |b| <= _BOX.  The box is symmetric, so the
+    truncated sum is odd in z, like p' itself."""
+    box = range(-_BOX, _BOX + 1)
+    return -2 * mpmath.fsum((z - (a + b * tau) * omega) ** -3
+                            for a in box for b in box)
 
 
 def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc:
-    """int_P^inf du/(2v) modulo the du/(2v)-period lattice."""
+    """int_P^inf du/(2v) modulo the du/(2v)-period lattice.
+
+    Carlson's R_F gives the magnitude m up to sign.  Under u = p(z) the
+    differential du/(2v) is dz, so the point at z has v = p'(z)/2 and the
+    integral from P to infinity is -z (Silverman, AEC VI.3).  The sign s is
+    the one with p'(-s m) = 2 v0, decided by one 15-digit lattice sum.
+    """
     if p.infinite:
         return mpc(0)
     with ctx.workprec():
         u0 = _embed(p.u, ctx)
-        e1, e2, e3 = _roots_numeric(info, ctx)
-        magnitude = _rf(u0 - e1, u0 - e2, u0 - e3)
+        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
+        magnitude = mpmath.elliprf(u0 - e1, u0 - e2, u0 - e3)
         if not p.v:
             return magnitude  # half-period: sign immaterial mod the lattice
         v0 = _embed(p.v, ctx)
-        estimate = _branch_tracked_log(info, mpc(u0), mpc(v0))
-        omega1 = raw_real_period(info.N, ctx).val
+        omega_u = raw_real_period(info.N, ctx).val / _embed(info.h_unit, ctx)
         tau = _embed(info.tau, ctx)
-        h = _embed(info.h_unit, ctx)
-        omega_u = omega1 / h  # unnormalized lattice generator
-        best = None
-        for sign in (1, -1):
-            d = _lattice_distance(sign * magnitude - estimate, omega_u, tau)
-            if best is None or d < best[0]:
-                best = (d, sign)
-        if best[0] > mpf("0.1"):
-            raise PeriodError("branch resolution failed: neither sign of the "
-                              "Carlson value matches the tracked integral")
-        return best[1] * magnitude
-
-
-def _lattice_distance(z: mpc, omega: mpc, tau: mpc) -> mpf:
-    """Distance from z to the lattice Z omega + Z tau omega."""
-    w = z / omega
-    # coordinates in basis (1, tau)
-    b = mpmath.im(w) / mpmath.im(tau)
-    a = mpmath.re(w) - b * mpmath.re(tau)
-    frac_a = a - mpmath.nint(a)
-    frac_b = b - mpmath.nint(b)
-    return abs((frac_a + frac_b * tau) * omega)
+        with mpmath.workdps(15):
+            omega_u, tau = mpc(omega_u), mpc(tau)
+            wp = _wp_prime(_reduce_mod_lattice(magnitude, omega_u, tau),
+                           omega_u, tau)
+            # p' is odd, so p'(-s m) = -s p'(m)
+            residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))
+        if residual > abs(v0):
+            raise PeriodError(f"neither sign of the Carlson value has "
+                              f"p'(z) = 2 v0 (residual {residual})")
+        return sign * magnitude
 
 
 def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
@@ -263,13 +218,6 @@ def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
         tau = _embed(info.tau, ctx)
         z = _reduce_mod_lattice(z, data.Omega.val, tau)
         return ArbComplex(z, abs(data.Omega.val) * ctx.eps * 10 ** 6)
-
-
-def _reduce_mod_lattice(z: mpc, omega: mpc, tau: mpc) -> mpc:
-    w = z / omega
-    b = mpmath.im(w) / mpmath.im(tau)
-    a = mpmath.re(w) - b * mpmath.re(tau)
-    return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
 
 
 @dataclass(frozen=True)
@@ -320,8 +268,7 @@ def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
         data = lattice(N, ctx)
         w = z.val * mpmath.conj(_embed(info.nu, ctx)) / data.Omega.val
         tau = _embed(info.tau, ctx)
-        b = mpmath.im(w) / mpmath.im(tau)
-        a = mpmath.re(w) - b * mpmath.re(tau)
+        a, b = _tau_coords(w, tau)
         ai, bi = int(mpmath.nint(a)), int(mpmath.nint(b))
         dist = abs(w - (ai + bi * tau))
         if dist > mpf("1e-5"):

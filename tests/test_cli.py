@@ -111,6 +111,20 @@ def test_missing_an_file_is_usage_error(capsys, tmp_path, argv):
     assert "cannot read --an-file" in err and "no-such.csv" in err
 
 
+@pytest.mark.parametrize("text", ["1,1\nx,y\n", "1,1\n3,0\n", "1,1\n2,0\n"],
+                         ids=["not-integers", "gap-in-n", "too-few-rows"])
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--curve", "36", "--n-max", "5", "--source", "file"],
+    ["verify-identity", "--curve", "36"],
+])
+def test_malformed_an_file_is_usage_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--an-file", str(path))
+    assert code == 2 and out == ""
+    assert "bad --an-file" in err and "bad.csv" in err
+
+
 def test_hyp_command(capsys):
     code, out, _ = run(capsys, "hyp", "--params", "1/2,1/3,-1/6,5/6,5/6")
     assert code == 0

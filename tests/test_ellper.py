@@ -5,7 +5,7 @@ import pytest
 
 from ellhyp import claims, ellper
 from ellhyp.cyclo import CycloNum, I, ZETA3, parse_cyclo
-from ellhyp.ecdiv import law, torsion_Ef
+from ellhyp.ecdiv import CurvePoint, law, torsion_Ef
 from ellhyp.ellper import (LabelError, PeriodError, chi_f_check, elliptic_log,
                            lattice, raw_real_period, real_period,
                            torsion_label)
@@ -68,6 +68,84 @@ def test_elliptic_log_additive_mod_lattice():
                 a = mpmath.re(w) - b * mpmath.re(tau)
                 assert abs(a - mpmath.nint(a)) < 1e-15
                 assert abs(b - mpmath.nint(b)) < 1e-15
+
+
+def _tracked_log(info, u0, v0, steps=100):
+    """Reference: int_{u0}^{inf} du/(2v) at 16 digits with the square-root
+    branch continued step by step from v0 along a path that rises off the
+    real axis, runs out to a large real abscissa and descends; the tail is a
+    Carlson integral with the tracked sign."""
+    with mpmath.workdps(16):
+        roots = [mpmath.mpc(ellper._embed(r, CTX)) for r in info.roots]
+
+        def m_at(u):
+            return (u - roots[0]) * (u - roots[1]) * (u - roots[2])
+
+        def clearance(nodes):
+            best = mpmath.inf
+            for a, b in zip(nodes, nodes[1:]):
+                d = b - a
+                for r in roots:
+                    t = mpmath.re(mpmath.conj(d) * (r - a)) / abs(d) ** 2
+                    t = min(max(t, 0), 1)
+                    best = min(best, abs(a + t * d - r))
+            return best
+
+        def continue_sqrt(target, previous):
+            r = mpmath.sqrt(target)
+            return r if abs(r - previous) <= abs(r + previous) else -r
+
+        big = mpmath.mpf(64)
+        for shift in (mpmath.mpf(1) / 3, mpmath.mpf(-1) / 2, 1, -1, 2):
+            nodes = [u0, u0 + shift + 4j, big + 4j, big]
+            if clearance(nodes) > 0.25:
+                break
+        else:
+            raise AssertionError("could not route an integration path")
+        total = mpmath.mpc(0)
+        v_prev = mpmath.mpc(v0)
+        for a, b in zip(nodes, nodes[1:]):
+            h = (b - a) / steps
+            for k in range(1, steps + 1):
+                v_mid = continue_sqrt(m_at(a + (k - 0.5) * h), v_prev)
+                v_prev = continue_sqrt(m_at(a + k * h), v_mid)
+                total += h / (2 * v_mid)
+        tail = mpmath.elliprf(big - roots[0], big - roots[1], big - roots[2])
+        v_big = mpmath.sqrt(m_at(big))
+        sign = 1 if abs(v_prev - v_big) < abs(v_prev + v_big) else -1
+        return total + sign * tail
+
+
+def test_wp_prime_sign_matches_tracked_path():
+    # the sign chosen from p'(z) = 2v agrees with the branch-tracked path
+    # integral at every point of E_f off the 2-torsion
+    seen = 0
+    for N in (36, 64):
+        info = ellper._info(N)
+        with CTX.workprec():
+            omega_u = raw_real_period(N, CTX).val / ellper._embed(info.h_unit,
+                                                                  CTX)
+            tau = ellper._embed(info.tau, CTX)
+        for p in torsion_Ef(N):
+            if not p.v:  # 2-torsion, including the point at infinity
+                continue
+            seen += 1
+            with CTX.workprec():
+                z = ellper._std_log(info, p, CTX)
+                want = _tracked_log(info, ellper._embed(p.u, CTX),
+                                    ellper._embed(p.v, CTX))
+                near = abs(ellper._reduce_mod_lattice(z - want, omega_u, tau))
+                far = abs(ellper._reduce_mod_lattice(-z - want, omega_u, tau))
+            assert near < 0.1 < far, (N, p, near, far)
+    assert seen == 20
+
+
+def test_wp_prime_rejects_a_wrong_v():
+    # (u, 3v) is off the curve: neither sign gives p'(z) = 2 * (3v)
+    info = ellper._info(36)
+    p = claims.point(36, "P")
+    with pytest.raises(PeriodError):
+        ellper._std_log(info, CurvePoint(p.u, 3 * p.v), CTX)
 
 
 def test_published_torsion_labels():
