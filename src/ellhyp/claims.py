@@ -2,8 +2,8 @@
 
 Every published value the package verifies (point coordinates, divisor
 displays, the Rosset-Tate data, expected symbols, torsion labels, closed-form
-periods) is read from that single file, so tests and the CLI cite one source
-of truth.
+periods, the divisors and results of the Bloch-map checks) is read from that
+single file, so tests and the CLI cite one source of truth.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cyclo import CycloNum, parse_cyclo
-from .ecdiv import CurvePoint, Divisor, torsion_Ef
+from .cyclo import parse_cyclo
+from .ecdiv import CurvePoint, Divisor, law, torsion_Ef
 from .ksym.ffield import E36FF, E64FF, FFElem, ff_parse
 from .ksym.symbols import PolyFF
 
@@ -38,10 +38,11 @@ def _field(N: int):
 
 
 def point(N: int, name: str) -> CurvePoint:
+    """The named point; OffCurveError if its coordinates miss the curve."""
     entry = raw()["points"][str(N)][name]
     if entry == "inf":
         return CurvePoint.infinity()
-    return CurvePoint(parse_cyclo(entry[0]), parse_cyclo(entry[1]))
+    return law(N).curve.point(parse_cyclo(entry[0]), parse_cyclo(entry[1]))
 
 
 def points(N: int) -> dict:
@@ -57,18 +58,29 @@ class DivisorClaim:
     note: str
 
 
+def _formal(terms: list, pts: dict) -> list:
+    """[(point, mult)] from [[mult, point name], ...]."""
+    return [(pts[name], mult) for mult, name in terms]
+
+
+def _divisor(N: int, entry: dict, pts: dict) -> Divisor:
+    """The terms [mult, point name] of entry["divisor"], plus
+    entry["torsion_mult"] times every point of E_f when that key is set."""
+    terms = _formal(entry["divisor"], pts)
+    if "torsion_mult" in entry:
+        terms += [(x, entry["torsion_mult"]) for x in torsion_Ef(N)]
+    return Divisor(terms)
+
+
 def divisor_claims(N: int) -> list:
     field = _field(N)
     pts = points(N)
     out = []
     for entry in raw()["divisors"][str(N)]:
-        terms = [(pts[pname], mult) for mult, pname in entry["divisor"]]
-        if "torsion_mult" in entry:
-            terms += [(x, entry["torsion_mult"]) for x in torsion_Ef(N)]
         out.append(DivisorClaim(
             name=entry["name"],
             function=ff_parse(field, entry["function"]),
-            divisor=Divisor(terms),
+            divisor=_divisor(N, entry, pts),
             up_to_two_torsion=bool(entry.get("up_to_two_torsion", False)),
             note=entry.get("note", "")))
     return out
@@ -102,8 +114,43 @@ def period_expression(N: int) -> str:
     return raw()["periods"][str(N)]
 
 
-def bloch_expectations(N: int) -> dict:
+@dataclass(frozen=True)
+class SteinbergClaim:
+    f: DivisorClaim
+    one_minus_f: Divisor
+    beta: list                # [(point, coefficient)]
+    kills: str                # name of the point whose class becomes 0
+    note: str
+
+
+@dataclass(frozen=True)
+class BlochClaim:
+    """Inputs and published results of the Bloch-map checks on one curve."""
+    f_alpha: Divisor
+    f_beta: Divisor
+    pushforward: tuple        # two DivisorClaims
+    beta_e0: list             # [(point, coefficient)]
+    beta_pushforward: list
+    steinberg: SteinbergClaim | None
+    beta_vanishes: tuple | None   # two DivisorClaims with beta = 0
+
+
+def bloch_claim(N: int) -> BlochClaim:
     pts = points(N)
     data = raw()["bloch"][str(N)]
-    return {key: [(pts[name], mult) for mult, name in val]
-            for key, val in data.items()}
+    dc = {c.name: c for c in divisor_claims(N)}
+    steinberg = None
+    if "steinberg" in data:
+        st = data["steinberg"]
+        steinberg = SteinbergClaim(
+            f=dc[st["f"]], one_minus_f=_divisor(N, st["one_minus_f"], pts),
+            beta=_formal(st["beta"], pts), kills=st["kills"], note=st["note"])
+    vanishes = data.get("beta_vanishes")
+    return BlochClaim(
+        f_alpha=_divisor(N, data["f_alpha"], pts),
+        f_beta=_divisor(N, data["f_beta"], pts),
+        pushforward=tuple(dc[name] for name in data["pushforward"]),
+        beta_e0=_formal(data["beta_e0"], pts),
+        beta_pushforward=_formal(data["beta_pushforward"], pts),
+        steinberg=steinberg,
+        beta_vanishes=tuple(dc[name] for name in vanishes) if vanishes else None)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -21,9 +21,10 @@ from . import claims, ecdiv, ellper, hecke, hyp3f2
 from .cyclo import parse_cyclo
 from .ecdiv import Divisor, FormalSum, RelationContext, beta_map, b3_reduce, \
     law, steinberg_relation, torsion_Ef
-from .ksym import (E36FF, E64FF, MAPS, FieldError, Place, PolyFF, ff_parse,
-                   ord_at, pushforward_e36, rosset_tate, rosset_tate_chain,
-                   tame_symbol, verify_annihilation, verify_divisor)
+from .ksym import (E36FF, E64FF, MAPS, FieldError, Place, evaluate_pullback,
+                   ff_parse, ord_at, pushforward_e36, rosset_tate,
+                   rosset_tate_chain, tame_symbol, verify_annihilation,
+                   verify_divisor)
 from .mpnum import PrecisionContext
 
 MIN_DIGITS = 30
@@ -112,52 +113,42 @@ def cmd_verify_bloch(args) -> list:
     for N in _curves(args):
         t0 = time.monotonic()
         lw = law(N)
-        pts = claims.points(N)
-        tor = torsion_Ef(N)
-        expect = claims.bloch_expectations(N)
-        origin = pts["O"]
-        dc = {c.name: c for c in claims.divisor_claims(N)}
-        if N == 36:
-            div_fa = Divisor([(x, 1) for x in tor] + [(origin, -12)])
-            div_fb = Divisor([(pts["P"], 1), (origin, -1)])
-            push_f, push_g = dc["1-v"].divisor, dc["1+u"].divisor
-        else:
-            div_fa = Divisor([(x, 1) for x in tor] + [(origin, -16)])
-            div_fb = Divisor([(pts["S"], 1), (pts["T"], 1), (origin, -2)])
-            push_f, push_g = dc["f1"].divisor, dc["g1"].divisor
+        claim = claims.bloch_claim(N)
         relctx = RelationContext(lw)
-        if N == 36:
-            steinberg = steinberg_relation(
-                relctx, dc["1-v"].divisor,
-                Divisor([(lw.neg(pts["P"]), 3), (pts["Q"], -3)]))
-            expected_st = FormalSum(lw, [(pts["R"], -27)])
+        st = claim.steinberg
+        if st is not None:
+            steinberg = steinberg_relation(relctx, st.f.divisor, st.one_minus_f)
+            expected_st = FormalSum(lw, st.beta)
+            killed = relctx.reduce(
+                FormalSum(lw, [(claims.point(N, st.kills), 1)])).is_zero()
             out.append(_exact(
-                "steinberg_E36_R", repr(steinberg), repr(expected_st),
-                steinberg == expected_st,
-                notes="beta of the Steinberg pair ((1-v)/2, (1+v)/2); "
-                      "registering it kills [R]"))
-        beta0 = b3_reduce(beta_map(lw, div_fa, div_fb), relctx)
-        want0 = FormalSum(lw, expect["beta_e0"])
+                f"steinberg_E{N}_{st.kills}", repr(steinberg),
+                repr(expected_st), steinberg == expected_st and killed,
+                notes=st.note))
+        beta0 = b3_reduce(beta_map(lw, claim.f_alpha, claim.f_beta), relctx)
+        want0 = FormalSum(lw, claim.beta_e0)
         out.append(_exact(f"beta_e0_E{N}", repr(beta0), repr(want0),
                           beta0 == want0))
-        beta_push = b3_reduce(beta_map(lw, push_f, push_g), relctx)
-        want1 = FormalSum(lw, expect["beta_pushforward"])
+        push_f, push_g = claim.pushforward
+        beta_push = b3_reduce(beta_map(lw, push_f.divisor, push_g.divisor),
+                              relctx)
+        want1 = FormalSum(lw, claim.beta_pushforward)
         out.append(_exact(f"beta_pushforward_E{N}", repr(beta_push),
                           repr(want1), beta_push == want1))
         factor2 = beta0 == 2 * beta_push
         out.append(_exact(f"bloch_factor2_E{N}", repr(beta0),
                           f"2 * {beta_push!r}", factor2,
                           notes="the Bloch element is twice the pushforward"))
-        if N == 64:
-            # the literal divisor of f2: its display regroups 2-torsion, so
+        if claim.beta_vanishes is not None:
+            # the literal divisor of f: its display may regroup 2-torsion, so
             # read the orders at the claimed support and every 2-torsion point
-            f2 = dc["f2"]
-            support = {x for x, _ in f2.divisor} | {x for x in tor if not x.v}
-            div_f2 = Divisor([(x, ord_at(f2.function, Place(E64FF, x)))
-                              for x in support])
-            bf2 = b3_reduce(beta_map(lw, div_f2, dc["g2"].divisor), relctx)
-            out.append(_exact("beta_f2_g2_E64", repr(bf2), "FormalSum(0)",
-                              bf2.is_zero()))
+            f, g = claim.beta_vanishes
+            support = {x for x, _ in f.divisor} | set(lw.curve.two_torsion())
+            div_f = Divisor([(x, ord_at(f.function, Place(f.function.field, x)))
+                             for x in support])
+            bfg = b3_reduce(beta_map(lw, div_f, g.divisor), relctx)
+            out.append(_exact(f"beta_{f.name}_{g.name}_E{N}", repr(bfg),
+                              "FormalSum(0)", bfg.is_zero()))
         if out:
             out[-1].timing = time.monotonic() - t0
     return out
@@ -176,12 +167,8 @@ def cmd_rosset_tate(args) -> list:
                       chain[2].degree == 0 and g2 == g2_expected))
     trace = rosset_tate(g0, g1)
     # rewrite each -{a, b} as {a^-1, b} and compare with the published pair
-    rewritten = []
-    for coef, sym in trace.terms:
-        if coef == -1:
-            rewritten.append(sym.inv_first().terms[0][1])
-        else:
-            rewritten.append(sym)
+    rewritten = [sym.inv_first().terms[0][1] if coef == -1 else sym
+                 for coef, sym in trace.terms]
     ok = (len(rewritten) == len(expected_symbols)
           and all(s.f == f and s.g == g
                   for s, (f, g) in zip(rewritten, expected_symbols)))
@@ -191,7 +178,6 @@ def cmd_rosset_tate(args) -> list:
     gen = ff_parse(MAPS["p64"].cover, "1-x")
     out.append(_exact("annihilation_g0", "g0(1-x) on the quartic", "0",
                       verify_annihilation(g0, MAPS["p64"], gen)))
-    from .ksym.symbols import evaluate_pullback
     val = evaluate_pullback(g1, MAPS["p64"], gen)
     out.append(_exact("evaluation_g1", "g1(1-x) on the quartic", "1-y",
                       val == ff_parse(MAPS["p64"].cover, "1-y")))
@@ -354,13 +340,21 @@ def _parse_place(text: str) -> ecdiv.CurvePoint:
     return ecdiv.CurvePoint(u, v)
 
 
+def _function(field, option: str, text: str):
+    """A nonzero function of the field, else a usage error."""
+    try:
+        h = ff_parse(field, text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {option} {text!r}: {exc}") from None
+    if h.is_zero():
+        raise UsageError(f"bad {option} {text!r}: zero has no valuation")
+    return h
+
+
 def cmd_tame(args) -> list:
     field = E36FF if (args.curve or 36) == 36 else E64FF
-    try:
-        f = ff_parse(field, args.f)
-        g = ff_parse(field, args.g)
-    except ValueError as exc:
-        raise UsageError(f"bad function literal: {exc}") from None
+    f = _function(field, "--f", args.f)
+    g = _function(field, "--g", args.g)
     try:
         pl = Place(field, _parse_place(args.place))
     except FieldError as exc:
@@ -371,14 +365,22 @@ def cmd_tame(args) -> list:
     return []
 
 
+# The verification commands as (name, checker, build_parser options);
+# verify-all runs the checkers in this order.
+CHECKS = (
+    ("verify-identity", cmd_verify_identity, {"an_file": True}),
+    ("verify-bloch", cmd_verify_bloch, {"digits": False}),
+    ("rosset-tate", cmd_rosset_tate, {"curve": False, "digits": False}),
+    ("verify-divisors", cmd_verify_divisors, {"digits": False}),
+    ("verify-periods", cmd_verify_periods, {}),
+    ("verify-torsion-labels", cmd_verify_torsion_labels, {}),
+)
+
+
 def cmd_verify_all(args) -> list:
     out = []
-    out += cmd_verify_identity(args)
-    out += cmd_verify_bloch(args)
-    out += cmd_rosset_tate(args)
-    out += cmd_verify_divisors(args)
-    out += cmd_verify_periods(args)
-    out += cmd_verify_torsion_labels(args)
+    for _, checker, _ in CHECKS:
+        out += checker(args)
     return out
 
 
@@ -428,12 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--an-file")
         return p
 
-    add("verify-identity", cmd_verify_identity, an_file=True)
-    add("verify-bloch", cmd_verify_bloch, digits=False)
-    add("rosset-tate", cmd_rosset_tate, curve=False, digits=False)
-    add("verify-divisors", cmd_verify_divisors, digits=False)
-    add("verify-periods", cmd_verify_periods)
-    add("verify-torsion-labels", cmd_verify_torsion_labels)
+    for name, checker, options in CHECKS:
+        add(name, checker, **options)
     p = add("coeffs", cmd_coeffs, digits=False, an_file=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--source", choices=("cm", "pointcount", "file"),

@@ -72,14 +72,6 @@ class CycloNum:
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def __add__(self, other):
         o = _coerce(other)
         if o is NotImplemented:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import CycloNum, ZETA3, SQRT2, I, one, zero
+from .cyclo import CycloNum, ZETA3, one, zero
 
 
 class CurveError(Exception):
@@ -75,6 +75,7 @@ class Curve:
     N: int
     a: CycloNum
     b: CycloNum
+    roots: tuple          # exact roots of the cubic, largest real first
 
     def rhs(self, u: CycloNum) -> CycloNum:
         return u * u * u + self.a * u + self.b
@@ -89,6 +90,10 @@ class Curve:
         if not self.contains(p):
             raise OffCurveError(f"({p.u}, {p.v}) is not on curve {self.N}")
         return p
+
+    def two_torsion(self) -> list:
+        """Infinity and the points (r, 0), r a root of the cubic."""
+        return [CurvePoint.infinity()] + [CurvePoint(r, 0) for r in self.roots]
 
     def std_neg(self, p: CurvePoint) -> CurvePoint:
         if p.infinite:
@@ -112,21 +117,10 @@ class Curve:
         y3 = lam * (p.u - x3) - p.v
         return CurvePoint(x3, y3)
 
-    def std_mul(self, n: int, p: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.std_mul(-n, self.std_neg(p))
-        r = CurvePoint.infinity()
-        q = p
-        while n:
-            if n & 1:
-                r = self.std_add(r, q)
-            q = self.std_add(q, q)
-            n >>= 1
-        return r
 
-
-CURVE36 = Curve(36, zero(), one())
-CURVE64 = Curve(64, _cy(-4), zero())
+# u^3 + 1 = (u+1)(u+zeta3)(u+zeta3^2) and u^3 - 4u = (u-2) u (u+2)
+CURVE36 = Curve(36, zero(), one(), (_cy(-1), -ZETA3, -(ZETA3 * ZETA3)))
+CURVE64 = Curve(64, _cy(-4), zero(), (_cy(2), _cy(0), _cy(-2)))
 
 
 @dataclass(frozen=True)
@@ -187,51 +181,22 @@ class GroupLaw:
 
 def law(N: int) -> GroupLaw:
     if N == 36:
-        return GroupLaw(CURVE36, CURVE36.point(-1, 0))
+        return GroupLaw(CURVE36, CurvePoint(CURVE36.roots[0], 0))
     if N == 64:
         return GroupLaw(CURVE64, CurvePoint.infinity())
     raise ValueError("conductor must be 36 or 64")
 
 
-# named points -------------------------------------------------------------
-
-def named_points(N: int) -> dict:
-    """The labelled points used in the conductor-36/64 computations."""
-    if N == 36:
-        c = CURVE36
-        return {
-            "O": c.point(-1, 0),
-            "P": c.point(0, 1),
-            "Q": CurvePoint.infinity(),
-            "R": c.point(2, -3),
-        }
-    if N == 64:
-        c = CURVE64
-        s_u = 2 + 2 * SQRT2
-        s_v = 4 + 4 * SQRT2
-        return {
-            "O": CurvePoint.infinity(),
-            "R": c.point(0, 0),
-            "S": c.point(s_u, s_v),
-            "T": c.point(2 - 2 * SQRT2, 4 - 4 * SQRT2),
-            "P0": c.point(2, 0),
-            "P1": c.point(-2, 0),
-            "iS": c.point(-s_u, I * s_v),
-        }
-    raise ValueError("conductor must be 36 or 64")
-
-
 def torsion_Ef(N: int) -> list:
     """The f-torsion subgroup: 12 points for N=36, 16 points for N=64."""
+    from . import claims  # claims imports this module; read its points late
     lw = law(N)
-    pts = named_points(N)
     if N == 36:
-        # generated by the three finite 2-torsion points and P = (0, 1)
-        gens = [CURVE36.point(-1, 0), CURVE36.point(-ZETA3, 0),
-                CURVE36.point(-(ZETA3 * ZETA3), 0), pts["P"]]
+        # generated by the 2-torsion points and P
+        gens = CURVE36.two_torsion() + [claims.point(36, "P")]
         expected = 12
     else:
-        gens = [pts["S"], pts["iS"]]
+        gens = [claims.point(64, "S"), claims.point(64, "iS")]
         expected = 16
     group = {lw.base}
     frontier = [lw.base]

@@ -17,7 +17,7 @@ from mpmath import mpc, mpf
 
 from . import hecke, mpnum
 from .cyclo import CycloNum, ZETA3, I
-from .ecdiv import CurvePoint, law
+from .ecdiv import CURVE36, CURVE64, CurvePoint, law
 from .mpnum import ArbComplex, ArbReal, PrecisionContext
 
 
@@ -35,7 +35,7 @@ _ONE = CycloNum.from_rational(1)
 @dataclass(frozen=True)
 class CurvePeriodInfo:
     N: int
-    roots: tuple          # exact roots of the cubic, largest real first
+    roots: tuple          # the curve's exact roots, largest real first
     tau: CycloNum         # O_K = Z + Z tau (tau = zeta_3 or i)
     covol: str            # "sqrt3/2" or "1"
     h_unit: CycloNum      # Omega_R = h * Omega
@@ -49,11 +49,10 @@ class CurvePeriodInfo:
 # curve (P = (0,1) -> 1 on conductor 36, S -> 1 on conductor 64); all other
 # labels are then forced and independently checkable.
 INFO36 = CurvePeriodInfo(
-    36, (-_ONE, -ZETA3, -(ZETA3 * ZETA3)), ZETA3, "sqrt3/2",
+    36, CURVE36.roots, ZETA3, "sqrt3/2",
     _ONE - ZETA3 * ZETA3, 2 * (_ONE - ZETA3 * ZETA3), -1)
 INFO64 = CurvePeriodInfo(
-    64, (CycloNum.from_rational(2), CycloNum.from_rational(0),
-         CycloNum.from_rational(-2)), I, "1",
+    64, CURVE64.roots, I, "1",
     _ONE, CycloNum.from_rational(4), +1)
 
 

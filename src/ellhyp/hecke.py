@@ -134,10 +134,6 @@ def _gauss_conj(x):
     return (x[0], -x[1])
 
 
-def _gauss_norm(x):
-    return x[0] * x[0] + x[1] * x[1]
-
-
 _GAUSS_UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 _GAUSS_NU = (4, 0)  # conductor generator for E64

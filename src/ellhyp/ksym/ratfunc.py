@@ -208,11 +208,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def constant_value(self) -> CycloNum:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        return self.num.coeffs[0] if self.num.coeffs else cy_zero()
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented

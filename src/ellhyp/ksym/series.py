@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cyclo import CycloNum
-from ..ecdiv import CurvePoint, Divisor
+from ..ecdiv import CURVE36, CURVE64, CurvePoint, Divisor
 from .ffield import E36FF, E64FF, FFElem, FieldError
 from .ratfunc import Poly, RatFunc
 
@@ -354,7 +354,8 @@ def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
     pos_computed = 0
     support = {point: mult for point, mult in claimed}
     if up_to_two_torsion:
-        for point in _two_torsion_points(f.field):
+        curve = CURVE36 if f.field is E36FF else CURVE64
+        for point in curve.two_torsion():
             support.setdefault(point, 0)
     for point, mult in support.items():
         pl = Place(f.field, point)
@@ -382,18 +383,3 @@ def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
 
 def _is_two_torsion(field, point: CurvePoint) -> bool:
     return point.infinite or not point.v
-
-
-def _two_torsion_points(field):
-    pts = [CurvePoint.infinity()]
-    m = field.m
-    # roots of m among the curve's finite 2-torsion: both curves split over
-    # Q(zeta_24): u^3 + 1 = (u+1)(u+zeta3)(u+zeta3^2), u^3 - 4u = u(u-2)(u+2)
-    zeta3 = CycloNum.zeta_pow(8)
-    candidates36 = [-CycloNum.from_rational(1), -zeta3, -(zeta3 * zeta3)]
-    candidates64 = [CycloNum.from_rational(0), CycloNum.from_rational(2),
-                    CycloNum.from_rational(-2)]
-    for u0 in candidates36 + candidates64:
-        if not m.eval(u0):
-            pts.append(CurvePoint(u0, 0))
-    return pts

@@ -47,20 +47,11 @@ class Symbol:
         """{f, g} = -{f^-1, g}."""
         return SymbolSum([(-1, Symbol(self.f.inv(), self.g))])
 
-    def inv_second(self) -> "SymbolSum":
-        """{f, g} = -{f, g^-1}."""
-        return SymbolSum([(-1, Symbol(self.f, self.g.inv()))])
-
     def split_first(self, a: FFElem, b: FFElem) -> "SymbolSum":
         """{ab, g} = {a, g} + {b, g}, checking f = ab exactly."""
         if a * b != self.f:
             raise SymbolError("split factors do not multiply to the first slot")
         return SymbolSum([(1, Symbol(a, self.g)), (1, Symbol(b, self.g))])
-
-    def split_second(self, a: FFElem, b: FFElem) -> "SymbolSum":
-        if a * b != self.g:
-            raise SymbolError("split factors do not multiply to the second slot")
-        return SymbolSum([(1, Symbol(self.f, a)), (1, Symbol(self.f, b))])
 
 
 class SymbolSum:

@@ -191,9 +191,6 @@ class ArbComplex:
     def imag(self):
         return ArbReal(self.val.imag, self.err)
 
-    def conjugate(self):
-        return ArbComplex(mpmath.conj(self.val), self.err)
-
     def _coerce(self, other):
         if isinstance(other, ArbComplex):
             return other

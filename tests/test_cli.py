@@ -138,10 +138,23 @@ def test_tame_command(capsys):
     assert "tame symbol = 1" in out
 
 
-def test_failure_exit_code(capsys):
-    # a coefficient file that fails consistency checks is a runtime failure
+def test_coeffs_zero_n_max_is_usage_error(capsys):
     code, _, err = run(capsys, "coeffs", "--curve", "36", "--n-max", "0")
     assert code == 2
+    assert "--n-max" in err
+
+
+def test_failed_verification_exit_code(capsys, tmp_path):
+    # E64's coefficients are well formed and multiplicative, so the file is
+    # accepted; the identity for E36 then fails
+    code, out, _ = run(capsys, "coeffs", "--curve", "64", "--n-max", "200")
+    assert code == 0
+    path = tmp_path / "a64.csv"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify-identity", "--curve", "36",
+                       "--an-file", str(path))
+    assert code == 1
+    assert out.startswith("[FAIL] identity_L36:")
 
 
 def test_verify_torsion_labels_curve36(capsys):
@@ -166,6 +179,18 @@ def test_tame_malformed_place_is_usage_error(capsys, place):
                        "--g", "1+u", "--place", place)
     assert code == 2
     assert "--place" in err
+
+
+@pytest.mark.parametrize("option", ["--f", "--g"])
+@pytest.mark.parametrize("text", ["1+", "0", "1/(1-1)"],
+                         ids=["malformed", "zero", "divides-by-zero"])
+def test_tame_bad_function_is_usage_error(capsys, option, text):
+    funcs = {"--f": "1-v", "--g": "1+u", option: text}
+    code, out, err = run(capsys, "tame", "--curve", "36",
+                         f"--f={funcs['--f']}", f"--g={funcs['--g']}",
+                         "--place", "(0,1)")
+    assert code == 2 and out == ""
+    assert option in err
 
 
 def test_tame_off_curve_place_is_usage_error(capsys):

@@ -1,15 +1,14 @@
 """Group law, torsion sets, formal sums, and the Bloch map (all exact)."""
 
+import copy
 import random
 
 import pytest
 
 from ellhyp import claims
-from ellhyp.cyclo import CycloNum, I, SQRT2, ZETA3, one, parse_cyclo
-from ellhyp.ecdiv import (CURVE36, CURVE64, CurveError, CurvePoint, Divisor,
-                          FormalSum, OffCurveError, RelationContext, b3_reduce,
-                          beta_map, law, named_points, steinberg_relation,
-                          torsion_Ef)
+from ellhyp.ecdiv import (CURVE36, CURVE64, CurveError, Divisor, FormalSum,
+                          OffCurveError, RelationContext, b3_reduce, beta_map,
+                          law, steinberg_relation, torsion_Ef)
 
 
 def test_point_validation():
@@ -18,6 +17,20 @@ def test_point_validation():
         CURVE36.point(0, 2)
     with pytest.raises(OffCurveError):
         CURVE64.point(1, 1)
+
+
+def test_off_curve_claims_point_raises(monkeypatch):
+    data = copy.deepcopy(claims.raw())
+    data["points"]["36"]["P"] = ["0", "2"]
+    monkeypatch.setattr(claims, "_CACHE", data)
+    with pytest.raises(OffCurveError):
+        claims.points(36)
+
+
+def test_two_torsion_roots():
+    for curve in (CURVE36, CURVE64):
+        assert len(set(curve.roots)) == 3
+        assert all(not curve.rhs(r) for r in curve.roots)
 
 
 def test_group_law_identity_and_inverse():
@@ -59,7 +72,7 @@ def test_torsion_cardinalities_and_closure():
 
 def test_point_orders():
     lw = law(36)
-    pts = named_points(36)
+    pts = claims.points(36)
     assert lw.order(pts["P"]) == 6
     assert lw.order(lw.base) == 1
     assert lw.is_two_torsion(pts["Q"])
@@ -123,33 +136,22 @@ def test_beta_map_bilinearity():
 
 
 def test_bloch_reductions_exact():
+    # beta(e0) reduces as published without any registered relation
     for N in (36, 64):
         lw = law(N)
-        p = claims.points(N)
-        tor = torsion_Ef(N)
-        expect = claims.bloch_expectations(N)
-        origin = p["O"]
-        if N == 36:
-            fa = Divisor([(x, 1) for x in tor] + [(origin, -12)])
-            fb = Divisor([(p["P"], 1), (origin, -1)])
-        else:
-            fa = Divisor([(x, 1) for x in tor] + [(origin, -16)])
-            fb = Divisor([(p["S"], 1), (p["T"], 1), (origin, -2)])
-        got = b3_reduce(beta_map(lw, fa, fb))
-        assert got == FormalSum(lw, expect["beta_e0"]), N
+        claim = claims.bloch_claim(N)
+        got = b3_reduce(beta_map(lw, claim.f_alpha, claim.f_beta))
+        assert got == FormalSum(lw, claim.beta_e0), N
 
 
 def test_steinberg_relation_kills_R():
     lw = law(36)
     p = claims.points(36)
+    st = claims.bloch_claim(36).steinberg
     relctx = RelationContext(lw)
-    neg_p = lw.neg(p["P"])
-    s = steinberg_relation(
-        relctx,
-        Divisor([(p["P"], 3), (p["Q"], -3)]),      # div(1-v)
-        Divisor([(neg_p, 3), (p["Q"], -3)]))       # div(1+v)
-    assert s == FormalSum(lw, [(p["R"], -27)])
-    reduced = relctx.reduce(FormalSum(lw, [(p["R"], 5), (p["P"], 1)]))
+    s = steinberg_relation(relctx, st.f.divisor, st.one_minus_f)
+    assert s == FormalSum(lw, st.beta)
+    reduced = relctx.reduce(FormalSum(lw, [(p[st.kills], 5), (p["P"], 1)]))
     assert reduced == FormalSum(lw, [(p["P"], 1)])
 
 
@@ -161,11 +163,3 @@ def test_relation_context_linear_algebra():
     got = relctx.reduce(FormalSum(lw, [(p["S"], 2), (p["T"], 2), (p["R"], 1)]))
     # R is 2-torsion so vanishes; the registered relation kills the rest
     assert got.is_zero()
-
-
-def test_named_point_coordinates_match_claims():
-    for N in (36, 64):
-        named = named_points(N)
-        for name, pt in claims.points(N).items():
-            if name in named:
-                assert named[name] == pt

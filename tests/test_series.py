@@ -79,7 +79,7 @@ def _oracle_cases():
 
 def test_ord_at_matches_series_oracle():
     cases = list(_oracle_cases())
-    assert len(cases) == 7 * 4 + 10 * 11  # functions x named points
+    assert len(cases) == 7 * 5 + 10 * 11  # functions x named points
     for N, text, name, f, pl in cases:
         assert ord_at(f, pl) == _series_order(f, pl), (N, text, name)
 
