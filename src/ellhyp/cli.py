@@ -100,7 +100,9 @@ def cmd_verify_identity(args) -> list:
             lhs = hecke.lstar_zero(c, ctx, tbl)
             rhs = hyp3f2.rhs_main(N, ctx)
             diff = abs(lhs.val - rhs.val)
-            tol = mpmath.mpf(10) ** (-(ctx.digits - 10))
+            # each side's err bounds its own error, so the sides must
+            # agree within the sum of the two
+            tol = lhs.err + rhs.err
             out.append(_numeric(
                 f"identity_L{N}", lhs.val, rhs.val, diff, tol,
                 notes="L*(E,0) from the Hecke L-series vs the "

@@ -8,7 +8,7 @@ incomplete-gamma approximate functional equation with root number +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import mpmath
 from mpmath import mpf
@@ -339,6 +339,8 @@ def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
         sqrtN = mpmath.sqrt(c.N)
         two_pi = 2 * mpmath.pi
         acc = mpf(0)
+        g0_err = mpf(0)   # sum |a_n| err(E1(x_n))
+        ln10 = math.log(10)
         w = c.root_number
         for n in range(1, needed + 1):
             an = tbl[n]
@@ -346,13 +348,28 @@ def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
                 continue
             x = two_pi * n / sqrtN
             g2 = mpmath.exp(-x) * (1 + x)
-            g0 = mpnum.upper_incomplete_gamma(0, x, ctx).val
-            acc += an * ((sqrtN / (two_pi * n)) ** 2 * g2 + w * g0)
-        val = (two_pi / sqrtN) ** 2 * acc
-        # truncation: the summand decays like e^{-x_n}
-        x_tail = two_pi * (needed + 1) / sqrtN
-        trunc = 4 * needed * mpmath.exp(-x_tail)
-        err = abs(val) * ctx.eps * 8 * needed + trunc
+            # E1(x) < e^{-x}/x, so x/ln 10 fewer digits give it the same
+            # absolute error.  Rounding x to them moves E1 by under (x+1)
+            # ulps relative, since |E1'(x)/E1(x)| < 1 + 1/x.
+            ctx_n = replace(ctx, digits=max(ctx.digits - int(x / ln10), 10))
+            g0 = mpnum.upper_incomplete_gamma(0, x, ctx_n)
+            acc += an * ((sqrtN / (two_pi * n)) ** 2 * g2 + w * g0.val)
+            x_ulps = (x + 1) * mpmath.ldexp(1, 1 - ctx_n.prec_bits)
+            g0_err += abs(an) * (g0.err + g0.val * x_ulps)
+        scale = (two_pi / sqrtN) ** 2
+        val = scale * acc
+        # truncation: |a_n| <= d(n) sqrt(n) <= 2n (Dokchitser, math/0207280),
+        # and for x >= 1 the summand is below 3|a_n| e^{-x}/x with
+        # n/x_n = sqrt(N)/(2 pi), so the tail is at most
+        # 6 sqrt(N)/(2 pi) sum_{n>needed} e^{-x_n}, a geometric series
+        kappa = two_pi / sqrtN
+        x_tail = kappa * (needed + 1)
+        trunc = 6 / kappa * mpmath.exp(-x_tail) / (1 - mpmath.exp(-kappa))
+        err = abs(val) * ctx.eps * 8 * needed + scale * (trunc + g0_err)
+        if err > ctx.target_eps * max(abs(val), 1):
+            raise mpnum.PrecisionError(
+                "the approximate functional equation did not reach the "
+                "requested precision")
         return ArbReal(val, err)
 
 

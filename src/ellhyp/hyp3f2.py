@@ -7,7 +7,8 @@ directly and the tail is expanded as
     t_n = scale * n^-(1+s) * (c_0 + c_1/n + c_2/n^2 + ...)
 
 with the c_i exact rationals obtained from the term-ratio recurrence; each
-tail piece sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value.  The expansion of
+tail piece sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one
+`mpnum.hurwitz_zeta` call returns all of them.  The expansion of
 the term ratio in 1/n is built one factor at a time (one O(K) pass per
 factor) and the c_i follow from a recurrence with integer binomial weights,
 so K coefficients cost O(K^2) exact rational operations.
@@ -120,8 +121,11 @@ def tail_coefficients(p: HypParams, count: int) -> list:
     return c
 
 
-def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
-    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters."""
+def f32_unit(p: HypParams, ctx: PrecisionContext,
+             scale: ArbReal | None = None) -> ArbReal:
+    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters.
+
+    `scale` is `term_scale(p, ctx)` when the caller already has it."""
     if p.terminates:
         return _sum_terminating(p, ctx)
     if p.margin <= 0:
@@ -130,8 +134,10 @@ def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
         P = ctx.digits + ctx.guard
         M = max(60, 2 * P)
         K = P
+        if scale is None:
+            scale = term_scale(p, ctx)
         head, t_next = _partial_sum(p, M, ctx)
-        tail, tail_err = accelerated_tail(p, M, K, ctx)
+        tail, tail_err = accelerated_tail(p, M, K, ctx, scale)
         val = head + tail
         err = tail_err + abs(val) * ctx.eps * (M + 10)
         res = ArbReal(val, err)
@@ -172,44 +178,62 @@ def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
         return ArbReal(v, mpnum._ulp(v))
 
 
+def _gammas(qs, ctx: PrecisionContext) -> dict:
+    """{q: Gamma(q)} for the distinct rationals in qs, one evaluation each."""
+    return {q: mpnum.gamma_real(q, ctx) for q in set(qs)}
+
+
 def term_scale(p: HypParams, ctx: PrecisionContext) -> ArbReal:
     """scale = Gamma(b1) Gamma(b2) / (Gamma(a1) Gamma(a2) Gamma(a3))."""
-    num = mpnum.gamma_real(Fraction(p.b1), ctx) * mpnum.gamma_real(Fraction(p.b2), ctx)
-    den = (mpnum.gamma_real(Fraction(p.a1), ctx)
-           * mpnum.gamma_real(Fraction(p.a2), ctx)
-           * mpnum.gamma_real(Fraction(p.a3), ctx))
-    return num / den
+    g = _gammas((p.a1, p.a2, p.a3, p.b1, p.b2), ctx)
+    return g[p.b1] * g[p.b2] / (g[p.a1] * g[p.a2] * g[p.a3])
 
 
-def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext):
-    """(tail value, error estimate) for sum_{n > M} t_n."""
-    s = p.margin
+def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
+                     scale: ArbReal):
+    """(tail value, error estimate) for sum_{n > M} t_n; scale is
+    `term_scale(p, ctx)`.
+
+    One `hurwitz_zeta` call gives zeta(1+s+i, M+1) for i <= K+1.  The error
+    adds sum |c_i| err(zeta_i), the rounding of the sum and the truncation
+    after c_K (four times the first omitted term) to the error of `scale`.
+    """
     cs = tail_coefficients(p, K + 2)
-    scale = term_scale(p, ctx)
-    a = mpf(M + 1)
-    exp0 = mpf((1 + s).numerator) / (1 + s).denominator
+    zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, count=K + 2)
     acc = mpf(0)
-    for i, ci in enumerate(cs[: K + 1]):
+    mag = mpf(0)       # sum |c_i| zeta_i, the size the rounding scales with
+    zeta_err = mpf(0)  # sum |c_i| err(zeta_i)
+    for ci, z in zip(cs[: K + 1], zetas):
         if ci == 0:
             continue
-        z = mpnum.hurwitz_zeta(exp0 + i, a, ctx)
-        acc += (mpf(ci.numerator) / ci.denominator) * z.val
+        c = mpf(ci.numerator) / ci.denominator
+        acc += c * z.val
+        mag += abs(c) * z.val
+        zeta_err += abs(c) * z.err
     c_last = cs[K + 1]
-    z_last = mpnum.hurwitz_zeta(exp0 + K + 1, a, ctx)
-    trunc = abs(mpf(c_last.numerator) / c_last.denominator) * z_last.val
+    z_last = zetas[K + 1]
+    trunc = (abs(mpf(c_last.numerator) / c_last.denominator)
+             * (z_last.val + z_last.err))
     val = scale.val * acc
-    err = abs(scale.val) * trunc * 4 + abs(val) * ctx.eps * (K + 10) + scale.err * abs(acc)
+    err = (abs(scale.val) * (trunc * 4 + zeta_err + mag * ctx.eps * (K + 10))
+           + scale.err * abs(acc))
     return val, err
 
 
 def ftilde(args: FTildeArgs, ctx: PrecisionContext) -> ArbReal:
-    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1)."""
+    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1).
+
+    Gamma(a+b-1) = Gamma(a+b) / (a+b-1), so the prefactor's Gamma values
+    also give the tail's scale."""
     a, b = args.alpha, args.beta
     p = HypParams(a, b, a + b - 1, a + b, a + b)
     with ctx.workprec():
-        g = (mpnum.gamma_real(a, ctx) * mpnum.gamma_real(b, ctx)
-             / mpnum.gamma_real(a + b, ctx))
-        return g * g * f32_unit(p, ctx)
+        g = _gammas((a, b, a + b), ctx)
+        pre = g[a] * g[b] / g[a + b]
+        # term_scale(p) = Gamma(a+b)^2 / (Gamma(a) Gamma(b) Gamma(a+b-1))
+        # = (a+b-1) / pre; a+b = 1 makes a3 = 0, a terminating series
+        scale = None if p.terminates else (a + b - 1) / pre
+        return pre * pre * f32_unit(p, ctx, scale)
 
 
 def rhs_main(curve_id: int, ctx: PrecisionContext) -> ArbReal:

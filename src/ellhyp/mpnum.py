@@ -8,6 +8,7 @@ independent oracles in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -374,11 +375,60 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> ArbReal:
 
 
 def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
-    """E1(x) = Gamma(0, x): power series for x < 1, continued fraction else."""
+    """E1(x) = Gamma(0, x) for x > 0, with an error relative to its value.
+
+    Below x_c = L/(4e), L = (digits+guard) ln 10, the power series (DLMF
+    6.6.2); above it a continued fraction (DLMF 6.9.1) by modified Lentz.  The
+    fraction needs about (L/4)^2/x terms, because its error after k terms is
+    near exp(-4 sqrt(k x)); the series about e^2 x, because it must reach
+    x^k/k! < exp(-2x) 10^-(digits+guard).  The counts meet at x_c.
+    """
     eps = ctx.eps
-    if x < 1:
-        # E1(x) = -euler - log x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)
+    L = (ctx.digits + ctx.guard) * math.log(10)
+    if x < L / (4 * math.e):
+        return _e1_series(x, ctx)
+    # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...)))
+    tiny = mpf(10) ** (-2 * (ctx.digits + ctx.guard) - 30)
+    f = x + 1
+    C = f
+    D = mpf(0)
+    k = 0
+    while True:
+        k += 1
+        a = -mpf(k) ** 2
+        b = x + 2 * k + 1
+        D = b + a * D
+        if D == 0:
+            D = tiny
+        C = b + a / C
+        if C == 0:
+            C = tiny
+        D = 1 / D
+        delta = C * D
+        f *= delta
+        if abs(delta - 1) < eps:
+            break
+        if k > ctx.max_terms:
+            raise PrecisionError("max_terms exceeded in E1 continued fraction")
+    v = mpmath.exp(-x) / f
+    return ArbReal(v, abs(v) * eps * 20)
+
+
+def _e1_series(x: mpf, ctx: PrecisionContext) -> ArbReal:
+    """E1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!), x > 0.
+
+    The terms reach about e^x/x while E1(x) < e^{-x}/x, so the sum runs with
+    2x/ln 2 extra bits.  Past k = x the terms alternate and shrink, so the
+    last term added bounds the remainder; it stops once that term is below
+    2^-prec e^{-x}/(x+1) < 2^-prec E1(x).
+    """
+    prec = ctx.prec_bits
+    wp = prec + int(2 * x / math.log(2)) + 16
+    with mpmath.workprec(wp):
+        x = mpf(x)
         acc = -mpmath.euler - mpmath.log(x)
+        big = mpmath.exp(x) + abs(acc)     # bounds every partial sum
+        tol = mpmath.ldexp(mpmath.exp(-x) / (x + 1), -prec)
         t = mpf(1)
         k = 0
         while True:
@@ -386,83 +436,122 @@ def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
             t = t * (-x) / k
             term = -t / k
             acc += term
-            if abs(term) < eps * max(abs(acc), mpf(1)):
+            if k > x and abs(term) < tol:
                 break
             if k > ctx.max_terms:
                 raise PrecisionError("max_terms exceeded in E1 series")
-        v = acc
-    else:
-        # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...)))
-        tiny = mpf(10) ** (-2 * (ctx.digits + ctx.guard) - 30)
-        f = x + 1
-        if f == 0:
-            f = tiny
-        C = f
-        D = mpf(0)
-        k = 0
-        while True:
-            k += 1
-            a = -mpf(k) ** 2
-            b = x + 2 * k + 1
-            D = b + a * D
-            if D == 0:
-                D = tiny
-            C = b + a / C
-            if C == 0:
-                C = tiny
-            D = 1 / D
-            delta = C * D
-            f *= delta
-            if abs(delta - 1) < eps:
-                break
-            if k > ctx.max_terms:
-                raise PrecisionError("max_terms exceeded in E1 continued fraction")
-        v = mpmath.exp(-x) / f
-    return ArbReal(v, abs(v) * eps * 20 + _ulp(v))
-
-
-def hurwitz_zeta(s, a, ctx: PrecisionContext) -> ArbReal:
-    """Hurwitz zeta sum_{n>=0} (n+a)^{-s} for real s > 1, a > 0.
-
-    Euler-Maclaurin with a precision-scaled cutoff; the summation order is
-    fixed (ascending n) for determinism.
-    """
+        # each term and each partial sum rounds by at most (k+2) ulps of big
+        err = abs(term) + 2 * (k + 3) * mpmath.ldexp(big, -wp)
     with ctx.workprec():
-        sv = mpf(_val_of(s))
-        av = mpf(_val_of(a))
-        if sv <= 1:
-            raise DomainError("hurwitz_zeta requires s > 1")
-        if av <= 0:
-            raise DomainError("hurwitz_zeta requires a > 0")
-        P = ctx.digits + ctx.guard
-        M = max(20, int(0.8 * P) + 10)
-        acc = mpf(0)
-        for n in range(M):
-            acc += mpmath.power(n + av, -sv)
-        x = M + av
-        acc += mpmath.power(x, 1 - sv) / (sv - 1)
-        acc += mpmath.power(x, -sv) / 2
-        # correction terms: B_2j/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
-        poch = sv  # (s)_1
-        xpow = mpmath.power(x, -sv - 1)
-        eps = ctx.eps
-        j = 1
-        prev = mpf("inf")
-        while True:
-            term = (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)) * poch * xpow
-            t = abs(term)
-            if t > prev:
-                raise PrecisionError("Euler-Maclaurin tail diverging; increase cutoff")
-            acc += term
-            if t < eps * max(abs(acc), mpf(1)):
-                break
-            prev = t
-            poch *= (sv + 2 * j - 1) * (sv + 2 * j)
-            xpow *= mpmath.power(x, -2)
-            j += 1
-            if 2 * j > ctx.max_terms:
-                raise PrecisionError("max_terms exceeded in hurwitz_zeta")
-        return ArbReal(acc, abs(acc) * eps * 20 + _ulp(acc))
+        v = +acc
+        return ArbReal(v, err + abs(v) * mpmath.ldexp(1, 1 - prec))
+
+
+@functools.lru_cache(maxsize=None)
+def _em_ratio(bits: int, j: int) -> int:
+    """rho_j = B_{2j+2} (2j)! / (B_{2j} (2j+2)!) with `bits` fraction bits.
+
+    The Bernoulli part of the ratio of consecutive Euler-Maclaurin
+    corrections; each entry is computed on first use."""
+    n1, d1 = mpmath.bernfrac(2 * j)
+    n2, d2 = mpmath.bernfrac(2 * j + 2)
+    return ((int(n2) * int(d1) << bits)
+            // (int(d2) * int(n1) * (2 * j + 1) * (2 * j + 2)))
+
+
+def _em_start(s_max: float, digits: int) -> float:
+    """Least x at which the corrections for exponents up to s_max reach a
+    relative 10^-digits while they still decrease.
+
+    The correction ratio is about ((s+2j)/(2 pi x))^2, so with U = 2 pi x the
+    corrections shrink by exp(-(U - s - s log(U/s))) in all before turning;
+    U solves U - s - s log(U/s) = digits ln 10."""
+    L = digits * math.log(10)
+    U = s_max + L
+    for _ in range(16):
+        U = s_max + L + s_max * math.log(U / s_max)
+    return U / (2 * math.pi) + 1
+
+
+def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
+    """[zeta(s+i, a) for i < count], zeta(s, a) = sum_{n>=0} (n+a)^{-s},
+    for rational s > 1 and a > 0.
+
+    Euler-Maclaurin at x = a + N, with a direct head of N terms only while a
+    is below `_em_start` (N = 0 for the large shifts of the 3F2 tail):
+
+        zeta(s, a) = sum_{n<N} (n+a)^{-s} + x^{1-s} S(s, x),
+        S = 1/(s-1) + 1/(2x) + sum_{j>=1} t_j,
+        t_j = B_{2j}/(2j)! (s)_{2j-1} x^{-2j}.
+
+    For rational s and x every t_j is rational, and t_{j+1} = t_j rho_j
+    (s+2j-1)(s+2j) / x^2, so each S runs in fixed point on ints.  It stops at
+    the first t_j below 2^-prec S; because x^{-s} is completely monotone,
+    that first omitted term bounds the remainder (Johansson, "Rigorous
+    high-precision computation of the Hurwitz zeta function and its
+    derivatives", arXiv:1309.2877), and it goes into err.  The exponents
+    s+i share x^{1-s-i} = x^{1-s} x^{-i}, so outside the head x^{1-s} is the
+    only mpf power.  Every err is relative to its value, with no absolute
+    floor: the 3F2 tail multiplies values far below 10^-digits by large
+    coefficients.
+    """
+    s0, a0 = Fraction(s), Fraction(a)
+    if s0 <= 1:
+        raise DomainError("hurwitz_zeta requires s > 1")
+    if a0 <= 0:
+        raise DomainError("hurwitz_zeta requires a > 0")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    with ctx.workprec():
+        prec = ctx.prec_bits
+        W = prec + 64
+        N = max(0, math.ceil(_em_start(float(s0) + count - 1,
+                                       ctx.digits + ctx.guard) - a0))
+        x = a0 + N
+        xn, xd = x.numerator, x.denominator
+        xv = mpf(xn) / xd
+        # head: (n+a)^{-s-i}, one power per n and a division per exponent
+        heads = [mpf(0)] * count
+        if N:
+            sv = mpf(s0.numerator) / s0.denominator
+            for n in range(N):
+                b = mpf((a0 + n).numerator) / (a0 + n).denominator
+                p = mpmath.power(b, -sv)
+                for i in range(count):
+                    heads[i] += p
+                    p /= b
+        pw = mpmath.power(xv, 1 - mpf(s0.numerator) / s0.denominator)
+        ulp = mpf(2) ** (1 - prec)
+        out = []
+        for i in range(count):
+            si = s0 + i
+            p, q = si.numerator, si.denominator
+            S = (q << W) // (p - q) + (xd << W) // (2 * xn)
+            t = (p * xd * xd << W) // (12 * q * xn * xn)
+            den = q * q * xn * xn
+            j = 1
+            while abs(t) > S >> prec:
+                S += t
+                r = (p + (2 * j - 1) * q) * (p + 2 * j * q) * xd * xd
+                nxt = ((t * _em_ratio(W, j)) >> W) * r // den
+                if abs(nxt) >= abs(t):
+                    raise PrecisionError("Euler-Maclaurin corrections stopped "
+                                         "decreasing before the target")
+                t = nxt
+                j += 1
+                if 2 * j > ctx.max_terms:
+                    raise PrecisionError("max_terms exceeded in hurwitz_zeta")
+            # remainder below |t|; each recurrence step rounds by a few dozen
+            # units of 2^-W (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the
+            # terms decrease), and earlier errors shrink with the terms
+            tail_err = abs(t) + 128 * (j + 1) ** 2
+            tail = pw * mpmath.ldexp(mpf(S), -W)
+            val = heads[i] + tail
+            err = (pw * mpmath.ldexp(mpf(tail_err), -W)
+                   + abs(val) * (i + N + 8) * ulp)
+            out.append(ArbReal(val, err))
+            pw /= xv
+        return out
 
 
 def agm(a, b, ctx: PrecisionContext) -> ArbComplex:

@@ -217,3 +217,17 @@ def test_verify_identity_100_digits(capsys):
     for r in reports:
         assert r["status"] == "pass"
         assert float(r["abs_err"]) <= 1e-90
+
+
+def test_verify_identity_150_digits(capsys):
+    # at 150 digits the tail's Hurwitz zeta values fall far below 10^-150,
+    # where a stop relative to 1 rather than to the value loses them
+    code, out, _ = run(capsys, "verify-identity", "--digits", "150",
+                       "--report", "json", "--deterministic")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["claim_id"] for r in reports] == ["identity_L36", "identity_L64"]
+    for r in reports:
+        assert r["status"] == "pass"
+        # the tolerance is err(L) + err(R), and both meet the target
+        assert float(r["abs_err"]) <= float(r["tolerance"]) <= 1e-150

@@ -138,3 +138,21 @@ def test_lstar_zero_values():
         v64 = lstar_zero(curve(64), CTX)
         assert abs(v36.val - mpmath.mpf("0.857189074929917730716851")) < 1e-20
         assert abs(v64.val - mpmath.mpf("1.658664498381914089049496")) < 1e-20
+
+
+@pytest.mark.parametrize("N", [36, 64])
+def test_l_two_err_bounds_the_error(N):
+    # the same sum at 120 digits is the reference for the 40- and 80-digit
+    # sums; their err must cover the difference and meet the target
+    c = curve(N)
+    ref_ctx = PrecisionContext(digits=120)
+    with ref_ctx.workprec():
+        ref = l_two(c, build_coeffs(c, afe_n_max(c, ref_ctx), "cm"), ref_ctx)
+    for digits in (40, 80):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            got = l_two(c, build_coeffs(c, afe_n_max(c, ctx), "cm"), ctx)
+        with ref_ctx.workprec():
+            actual = abs(got.val - ref.val)
+            assert actual <= got.err
+            assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val)

@@ -195,3 +195,50 @@ def test_tail_coefficients_match_reference(p, count):
     got = hyp3f2.tail_coefficients(p, count)
     assert len(got) == count
     assert got == _ref_tail_coefficients(p, count)
+
+
+def _dixon(a, b, c, dps):
+    """Dixon's sum 3F2(a, b, c; 1+a-b, 1+a-c; 1) in closed form, by mpmath."""
+    with mpmath.workdps(dps):
+        g = lambda q: mpmath.gamma(_mp(q))
+        h = a / 2
+        return (g(1 + h) * g(1 + a - b) * g(1 + a - c) * g(1 + h - b - c)
+                / (g(1 + a) * g(1 + h - b) * g(1 + h - c) * g(1 + a - b - c)))
+
+
+# (a, b, c, digits) in Dixon's form with margin 2 + a - 2b - 2c in [1/6, 2].
+# The first two are the cases the absolute stop in Hurwitz zeta made
+# understated by four to six orders of magnitude; the fixed-seed list after
+# them had 22 of its 32 understated by that stop.
+DIXON_CASES = [
+    ("11/3", "5/6", "13/12", 53), ("10/3", "5/4", "1/2", 41),
+    ("13/4", "9/5", "1/4", 73), ("11/3", "3/2", "5/6", 33),
+    ("23/6", "3/4", "7/5", 41), ("3/4", "1/6", "9/8", 43),
+    ("15/4", "5/6", "7/6", 69), ("7/2", "4/3", "13/12", 85),
+    ("5/3", "3/4", "1/2", 49), ("17/5", "4/3", "7/6", 34),
+    ("11/4", "7/4", "1/2", 30), ("5/2", "6/5", "5/8", 87),
+    ("10/3", "2/3", "6/5", 88), ("1/3", "4/5", "1/5", 46),
+    ("8/3", "2/5", "3/2", 65), ("7/12", "7/12", "1/3", 41),
+    ("11/3", "3/2", "1/3", 65), ("3/2", "9/8", "1/3", 63),
+    ("11/6", "5/4", "1/4", 67), ("3/4", "3/4", "1/2", 82),
+    ("7/2", "1/4", "3/2", 85), ("29/8", "13/12", "3/4", 59),
+    ("18/5", "11/6", "3/8", 95), ("3/2", "4/3", "1/3", 91),
+    ("27/8", "6/5", "1/2", 41), ("13/5", "1/2", "4/3", 58),
+    ("19/5", "4/5", "4/3", 46), ("7/2", "5/4", "1/2", 99),
+    ("18/5", "2/3", "6/5", 72), ("1/4", "1/2", "1/4", 64),
+    ("17/5", "5/4", "1/2", 43), ("9/4", "13/12", "1/2", 36),
+    ("9/4", "1/4", "3/2", 95), ("9/4", "5/6", "2/5", 95),
+]
+
+
+@pytest.mark.parametrize("a, b, c, digits", DIXON_CASES,
+                         ids=[f"{a},{b},{c}@{d}" for a, b, c, d in DIXON_CASES])
+def test_f32_unit_err_bounds_dixon(a, b, c, digits):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    ctx = PrecisionContext(digits=digits)
+    with ctx.workprec():
+        got = hyp3f2.f32_unit(HypParams(a, b, c, 1 + a - b, 1 + a - c), ctx)
+    with mpmath.workdps(digits + 20):
+        actual = abs(got.val - _dixon(a, b, c, digits + 20))
+    assert actual <= got.err
+    assert got.err <= mpmath.mpf(10) ** -digits * max(1, abs(got.val))

@@ -1,5 +1,6 @@
 """Numerics kernel against independent mpmath oracles."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -63,9 +64,76 @@ def test_hurwitz_zeta_oracle():
         for s, a in ((2, Fraction(1, 3)), (3, Fraction(5, 6)),
                      (5, Fraction(7, 12)), (2, 1)):
             fa = Fraction(a)
-            got = mpnum.hurwitz_zeta(s, a, CTX)
+            (got,) = mpnum.hurwitz_zeta(s, a, CTX)
             want = mpmath.zeta(s, mpmath.mpf(fa.numerator) / fa.denominator)
             _close(got.val, want)
+
+
+def _mp(q):
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _check_hurwitz(s, a, digits, count, stride=1):
+    """zeta(s+i, a) within 10^-digits relative, and err >= the error, for
+    every stride-th i (mpmath.zeta is slow at a rational s of about 100).
+
+    mpmath.zeta also stops on an absolute test, so the reference runs with
+    s log10(a) more digits for the values far below 1."""
+    ctx = PrecisionContext(digits=digits)
+    got = mpnum.hurwitz_zeta(s, a, ctx, count=count)
+    assert len(got) == count
+    for i in range(0, count, stride):
+        z = got[i]
+        si = Fraction(s) + i
+        extra = max(0, math.ceil(float(si) * math.log10(float(a))))
+        with mpmath.workdps(digits + extra + 20):
+            want = mpmath.zeta(_mp(si), _mp(a))
+            actual = abs(z.val - want)
+            assert actual <= want * mpmath.mpf(10) ** -digits, (si, a)
+            assert z.err >= actual, (si, a)
+            assert z.err <= want * mpmath.mpf(10) ** -digits, (si, a)
+
+
+def test_hurwitz_zeta_tail_batch_200_digits():
+    # the 3F2 tail at 200 digits: zeta(2+i, M+1) for i <= 212, M = 2P = 424
+    _check_hurwitz(2, 425, 200, 213)
+
+
+@pytest.mark.parametrize("s, a, digits, count, stride", [
+    (2, Fraction(1, 3), 30, 4, 1),         # direct head before Euler-Maclaurin
+    (Fraction(11, 5), Fraction(1, 7), 60, 40, 1),
+    (Fraction(7, 3), 329, 152, 170, 13),   # a ~152-digit tail, margin 4/3
+    (Fraction(13, 12), 61, 30, 3, 1),      # exponent just above 1
+])
+def test_hurwitz_zeta_batch_oracle(s, a, digits, count, stride):
+    _check_hurwitz(s, a, digits, count, stride)
+
+
+def test_hurwitz_zeta_rejects_bad_arguments():
+    with pytest.raises(DomainError):
+        mpnum.hurwitz_zeta(1, 2, CTX)
+    with pytest.raises(DomainError):
+        mpnum.hurwitz_zeta(2, 0, CTX)
+    with pytest.raises(ValueError):
+        mpnum.hurwitz_zeta(2, 1, CTX, count=0)
+
+
+@pytest.mark.parametrize("digits", [30, 152])
+def test_e1_both_sides_of_the_crossover(digits):
+    # the series serves x below (digits+guard) ln 10 / (4e): 8.9 at 30
+    # digits and 34.7 at 152; the continued fraction serves the rest
+    ctx = PrecisionContext(digits=digits)
+    for x in ("0.001", "0.5", "1", "1.0471975511965976", "5", "8.8", "9",
+              "20", "34.6", "34.8", "60", "200", "400"):
+        with ctx.workprec():
+            xv = mpmath.mpf(x)
+            got = mpnum.upper_incomplete_gamma(0, xv, ctx)
+        with mpmath.workdps(digits + 40):
+            want = mpmath.e1(xv)
+            actual = abs(got.val - want)
+            assert actual <= want * mpmath.mpf(10) ** -digits, x
+            assert got.err >= actual, x
 
 
 def test_agm_real_oracle():
