@@ -521,7 +521,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
                     heads[i] += p
                     p /= b
         pw = mpmath.power(xv, 1 - mpf(s0.numerator) / s0.denominator)
-        ulp = mpf(2) ** (1 - prec)
+        ulp = mpmath.ldexp(1, 1 - prec)
         out = []
         for i in range(count):
             si = s0 + i
