@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 from .cyclo import parse_cyclo
@@ -72,18 +73,19 @@ def _divisor(N: int, entry: dict, pts: dict) -> Divisor:
     return Divisor(terms)
 
 
+def _divisor_claim(N: int, entry: dict, pts: dict) -> DivisorClaim:
+    return DivisorClaim(
+        name=entry["name"],
+        function=ff_parse(_field(N), entry["function"]),
+        divisor=_divisor(N, entry, pts),
+        up_to_two_torsion=bool(entry.get("up_to_two_torsion", False)),
+        note=entry.get("note", ""))
+
+
 def divisor_claims(N: int) -> list:
-    field = _field(N)
     pts = points(N)
-    out = []
-    for entry in raw()["divisors"][str(N)]:
-        out.append(DivisorClaim(
-            name=entry["name"],
-            function=ff_parse(field, entry["function"]),
-            divisor=_divisor(N, entry, pts),
-            up_to_two_torsion=bool(entry.get("up_to_two_torsion", False)),
-            note=entry.get("note", "")))
-    return out
+    return [_divisor_claim(N, entry, pts)
+            for entry in raw()["divisors"][str(N)]]
 
 
 def rosset_tate_input():
@@ -110,8 +112,10 @@ def anchor_label_point(N: int) -> str:
     return raw()["anchor_labels"][str(N)]
 
 
-def period_expression(N: int) -> str:
-    return raw()["periods"][str(N)]
+def period_exponents(N: int) -> dict:
+    """{base: exponent} of the closed-form real period, a product of powers
+    of the bases "2", "3" and "pi"."""
+    return {base: Fraction(e) for base, e in raw()["periods"][str(N)].items()}
 
 
 @dataclass(frozen=True)
@@ -138,19 +142,24 @@ class BlochClaim:
 def bloch_claim(N: int) -> BlochClaim:
     pts = points(N)
     data = raw()["bloch"][str(N)]
-    dc = {c.name: c for c in divisor_claims(N)}
+    entries = {e["name"]: e for e in raw()["divisors"][str(N)]}
+
+    def dc(name):
+        # parse only the divisor claims named here, not f_alpha's literal
+        return _divisor_claim(N, entries[name], pts)
+
     steinberg = None
     if "steinberg" in data:
         st = data["steinberg"]
         steinberg = SteinbergClaim(
-            f=dc[st["f"]], one_minus_f=_divisor(N, st["one_minus_f"], pts),
+            f=dc(st["f"]), one_minus_f=_divisor(N, st["one_minus_f"], pts),
             beta=_formal(st["beta"], pts), kills=st["kills"], note=st["note"])
     vanishes = data.get("beta_vanishes")
     return BlochClaim(
         f_alpha=_divisor(N, data["f_alpha"], pts),
         f_beta=_divisor(N, data["f_beta"], pts),
-        pushforward=tuple(dc[name] for name in data["pushforward"]),
+        pushforward=tuple(dc(name) for name in data["pushforward"]),
         beta_e0=_formal(data["beta_e0"], pts),
         beta_pushforward=_formal(data["beta_pushforward"], pts),
         steinberg=steinberg,
-        beta_vanishes=tuple(dc[name] for name in vanishes) if vanishes else None)
+        beta_vanishes=tuple(dc(name) for name in vanishes) if vanishes else None)

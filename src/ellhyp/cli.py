@@ -206,6 +206,18 @@ def cmd_verify_divisors(args) -> list:
     return out
 
 
+def _closed_form(exponents: dict):
+    """(value at working precision, display) of prod base^e over the
+    bases "2", "3" and "pi"."""
+    bases = {"2": mpmath.mpf(2), "3": mpmath.mpf(3), "pi": mpmath.pi}
+    value = mpmath.mpf(1)
+    for base, e in exponents.items():
+        value *= mpmath.power(bases[base],
+                              mpmath.mpf(e.numerator) / e.denominator)
+    form = " * ".join(f"{base}^({e})" for base, e in exponents.items() if e)
+    return value, form
+
+
 def cmd_verify_periods(args) -> list:
     ctx = _ctx(args)
     out = []
@@ -213,15 +225,11 @@ def cmd_verify_periods(args) -> list:
         t0 = time.monotonic()
         with ctx.workprec():
             got = ellper.real_period(N, ctx)
-            if N == 36:
-                want = mpmath.sqrt(6 * mpmath.pi / mpmath.sqrt(3))
-            else:
-                want = mpmath.sqrt(mpmath.pi)
+            want, form = _closed_form(claims.period_exponents(N))
             tol = mpmath.mpf(10) ** (-(ctx.digits - 5))
             out.append(_numeric(
                 f"real_period_E{N}", got.val, want, abs(got.val - want), tol,
-                notes=f"closed form {claims.period_expression(N)}",
-                t=time.monotonic() - t0))
+                notes=f"closed form {form}", t=time.monotonic() - t0))
             data = ellper.lattice(N, ctx)
             ratio = data.Omega.val / mpmath.conj(
                 ellper._embed(ellper._info(N).nu, ctx))

@@ -114,7 +114,7 @@ def real_period(N: int, ctx: PrecisionContext) -> ArbReal:
         return ArbReal(v, abs(v) * ctx.eps * 200)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodData:
     N: int
     Omega: ArbComplex     # generator with Gamma = O_K * Omega
@@ -136,7 +136,10 @@ class PeriodData:
                 raise PeriodError("Omega_R must be positive")
 
 
+@functools.lru_cache(maxsize=None)
 def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
+    """The checked period data of curve N, built once per curve and
+    precision like `raw_real_period`."""
     info = _info(N)
     with ctx.workprec():
         omega_r = real_period(N, ctx)

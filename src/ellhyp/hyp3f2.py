@@ -6,19 +6,25 @@ directly and the tail is expanded as
 
     t_n = scale * n^-(1+s) * (c_0 + c_1/n + c_2/n^2 + ...)
 
-with the c_i exact rationals obtained from the term-ratio recurrence; each
-tail piece sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one
-`mpnum.hurwitz_zeta` call returns all of them.  The expansion of
-the term ratio in 1/n is built one factor at a time (one O(K) pass per
-factor) and the c_i follow from a recurrence with integer binomial weights,
-so K coefficients cost O(K^2) exact rational operations.
+with the c_i obtained from the term-ratio recurrence; each tail piece
+sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one `mpnum.hurwitz_zeta`
+call returns all of them.  The expansion of the term ratio in 1/n is exact:
+its k-th coefficient times k! D^k, D the lcm of the parameter denominators,
+is an integer built one factor at a time.  The c_i run in fixed point on
+Python ints as midpoint-radius balls (Johansson, "Arb: efficient
+arbitrary-precision midpoint-radius interval arithmetic", arXiv:1611.02831):
+each midpoint is one exact integer dot product and one rounded division,
+and a second integer recurrence carries a radius that bounds every rounding.
+K coefficients cost O(K^2) integer multiplications, and the tail's error
+adds the radii times the zeta values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import lcm
+from operator import mul
 
 import mpmath
 from mpmath import mpf
@@ -83,42 +89,84 @@ class FTildeArgs:
                     "alpha, beta, alpha+beta must avoid nonpositive integers")
 
 
-def tail_coefficients(p: HypParams, count: int) -> list:
-    """Exact c_0..c_{count-1} with c_0 = 1, from the term-ratio recurrence.
+def _ratio_series(p: HypParams, order: int):
+    """(R, D) with R_k = rho_k k! D^k for k < order, D the lcm of the
+    parameter denominators and R(n) = sum rho_k n^-k the ratio u_{n+1}/u_n.
+
+    Every R_k is an integer, by induction over the passes that build rho:
+    the binomial row of (1+x)^q, q = 1+s, has R_k = R_{k-1} (qD - (k-1)D);
+    a factor (1+a x) maps R_k to R_k + (aD) k R_{k-1}; a factor 1/(1+b x)
+    maps R_k to R_k - (bD) k R'_{k-1}.  The multipliers qD, aD, bD are
+    integers and k! D^k / ((k-1)! D^(k-1)) = k D, so each pass keeps every
+    R_k integral."""
+    D = 1
+    for x in (p.a1, p.a2, p.a3, p.b1, p.b2):
+        D = lcm(D, x.denominator)
+    qD = int((1 + p.margin) * D)
+    R = [1]
+    for k in range(1, order):
+        R.append(R[-1] * (qD - (k - 1) * D))
+    for a in (p.a1, p.a2, p.a3):
+        aD = int(a * D)
+        for k in range(order - 1, 0, -1):
+            R[k] += aD * k * R[k - 1]
+    for b in (p.b1, p.b2, Fraction(1)):
+        bD = int(b * D)
+        for k in range(1, order):
+            R[k] -= bD * k * R[k - 1]
+    return R, D
+
+
+def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
+    """Balls around c_0..c_{count-1}, c_0 = 1, in fixed point with `bits`
+    fractional bits: (mids, rads), integers with |mids[i] - c_i 2^bits| <=
+    rads[i].
 
     Writing u_n = t_n * n^(1+s) / scale, the recurrence u_{n+1} = R(n) u_n
     with R(n) = prod(1+a_j/n) (1+1/n)^(1+s) / prod(1+b/n) determines the
     expansion u_n = sum c_i n^-i up to the overall scale.  With x = 1/n and
-    R = sum rho_k x^k, the binomial row of (1+x)^q, q = 1+s, comes from
-    b_k = b_{k-1} (q-k+1) / k; each factor (1+a x) is then one
-    multiplication pass and each 1/(1+b x) one division pass
-    rho_k -= b rho_{k-1}.  Matching x^m in u_{n+1} = R(n) u_n, where
+    R = sum rho_k x^k, matching x^m in u_{n+1} = R(n) u_n, where
     (1+x)^(-i) = sum_k (-1)^k C(i+k-1, k) x^k, gives for m >= 2
 
-        (m-1) c_{m-1} = sum_{i<m-1} c_i ((-1)^(m-i) C(m-1, m-i) - rho_{m-i}).
+        (m-1) c_{m-1} = sum_{i<m-1} c_i w_k,  w_k = (-1)^k C(m-1, k) - rho_k,
 
-    Every step is exact; the cost is O(count^2) rational operations.
+    with k = m-i.  The rho_k are exact (`_ratio_series`) and rounded once
+    to P_k = round(rho_k 2^bits); the binomials come from Pascal's rule,
+    one row per m.  Each midpoint is then one exact integer dot product
+    S = sum_i C_i ((-1)^k C(m-1, k) 2^bits - P_k) and one rounded division
+    by (m-1) 2^bits.  Its error is at most
+
+        (sum_i E_i (C(m-1, k) + ceil|rho_k|) + sum_i |C_i| 2^-(bits+1))
+        / (m-1) + 1/2,
+
+    the propagated radii, the weight roundings (|P_k - rho_k 2^bits| <=
+    1/2) and the division; the radius recurrence rounds this up on ints.
+    The cost is O(count^2) integer multiplications of about bits + log2|c_i|
+    bits each.
     """
-    order = count + 2
-    q = 1 + p.margin
-    rho = [Fraction(1)]
-    for k in range(1, order):
-        rho.append(rho[-1] * (q - k + 1) / k)
-    for a in (p.a1, p.a2, p.a3):
-        for k in range(order - 1, 0, -1):
-            rho[k] += a * rho[k - 1]
-    for b in (p.b1, p.b2, Fraction(1)):
-        for k in range(1, order):
-            rho[k] -= b * rho[k - 1]
-    assert rho[0] == 1 and rho[1] == 0
-    c = [Fraction(1)]
+    R, D = _ratio_series(p, count + 1)
+    rho_fix, rho_ceil = [], []
+    den = 1
+    for k, r in enumerate(R):
+        if k:
+            den *= k * D
+        rho_fix.append(((r << (bits + 1)) + den) // (2 * den))
+        rho_ceil.append(-(-abs(r) // den))
+    mids, rads = [1 << bits], [0]
+    mid_abs = 1 << bits        # sum |C_i| so far
+    row = [1, 0]               # C(m-1, k) for k <= m
     for m in range(2, count + 1):
-        acc = Fraction(0)
-        for i in range(m - 1):
-            k = m - i
-            acc += c[i] * ((-1) ** k * comb(m - 1, k) - rho[k])
-        c.append(acc / (m - 1))
-    return c
+        row = [1] + [row[k - 1] + row[k] for k in range(1, m)] + [0]
+        ks = range(m, 1, -1)   # k = m - i for i = 0 .. m-2
+        S = sum(map(mul, mids, [((-row[k] if k & 1 else row[k]) << bits)
+                                - rho_fix[k] for k in ks]))
+        d = (m - 1) << bits
+        mids.append((2 * S + d) // (2 * d))
+        prop = (sum(map(mul, rads, [row[k] + rho_ceil[k] for k in ks]))
+                + (mid_abs >> (bits + 1)) + 1)
+        rads.append(-(-prop // (m - 1)) + 1)
+        mid_abs += abs(mids[-1])
+    return mids, rads
 
 
 def f32_unit(p: HypParams, ctx: PrecisionContext,
@@ -194,28 +242,32 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     """(tail value, error estimate) for sum_{n > M} t_n; scale is
     `term_scale(p, ctx)`.
 
-    One `hurwitz_zeta` call gives zeta(1+s+i, M+1) for i <= K+1.  The error
-    adds sum |c_i| err(zeta_i), the rounding of the sum and the truncation
-    after c_K (four times the first omitted term) to the error of `scale`.
+    One `hurwitz_zeta` call gives zeta(1+s+i, M+1) for i <= K+1, and
+    `tail_coefficients` gives each c_i as a ball (C_i, E_i) in units of
+    2^-W, W = prec + 16, which scales to mpf exactly.  The error adds
+    sum |c_i| err(zeta_i), the coefficient radii sum E_i 2^-W (zeta_i +
+    err(zeta_i)), the rounding of the sum and the truncation after c_K (four
+    times the first omitted term) to the error of `scale`.
     """
-    cs = tail_coefficients(p, K + 2)
+    W = ctx.prec_bits + 16
+    mids, rads = tail_coefficients(p, K + 2, W)
     zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, count=K + 2)
     acc = mpf(0)
     mag = mpf(0)       # sum |c_i| zeta_i, the size the rounding scales with
     zeta_err = mpf(0)  # sum |c_i| err(zeta_i)
-    for ci, z in zip(cs[: K + 1], zetas):
-        if ci == 0:
-            continue
-        c = mpf(ci.numerator) / ci.denominator
+    rad_err = mpf(0)   # sum E_i (zeta_i + err(zeta_i)), in units of 2^-W
+    for C, E, z in zip(mids[: K + 1], rads, zetas):
+        c = mpmath.ldexp(C, -W)
         acc += c * z.val
         mag += abs(c) * z.val
         zeta_err += abs(c) * z.err
-    c_last = cs[K + 1]
+        rad_err += E * (z.val + z.err)
     z_last = zetas[K + 1]
-    trunc = (abs(mpf(c_last.numerator) / c_last.denominator)
+    trunc = (mpmath.ldexp(abs(mids[K + 1]) + rads[K + 1], -W)
              * (z_last.val + z_last.err))
     val = scale.val * acc
-    err = (abs(scale.val) * (trunc * 4 + zeta_err + mag * ctx.eps * (K + 10))
+    err = (abs(scale.val) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
+                             + mag * ctx.eps * (K + 10))
            + scale.err * abs(acc))
     return val, err
 

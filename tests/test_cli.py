@@ -1,9 +1,11 @@
 """CLI harness: exit codes, report formats, determinism."""
 
+import copy
 import json
 
 import pytest
 
+from ellhyp import claims
 from ellhyp.cli import main, reports_to_json, VerificationReport
 
 
@@ -155,6 +157,33 @@ def test_failed_verification_exit_code(capsys, tmp_path):
                        "--an-file", str(path))
     assert code == 1
     assert out.startswith("[FAIL] identity_L36:")
+
+
+def _period_status(capsys):
+    code, out, _ = run(capsys, "verify-periods", "--report", "json",
+                       "--deterministic")
+    reps = {r["claim_id"]: r for r in json.loads(out)["reports"]}
+    return code, reps["real_period_E36"], reps["real_period_E64"]
+
+
+def test_verify_periods_reads_claimed_exponents(capsys):
+    code, e36, e64 = _period_status(capsys)
+    assert code == 0 and e36["status"] == e64["status"] == "pass"
+    assert e36["notes"] == "closed form 2^(1/2) * 3^(1/4) * pi^(1/2)"
+    assert e64["notes"] == "closed form pi^(1/2)"
+
+
+@pytest.mark.parametrize("N, base, exponent", [
+    ("36", "3", "1/3"), ("36", "pi", "1/4"), ("64", "2", "1/2")])
+def test_verify_periods_fails_on_changed_exponent(capsys, monkeypatch, N,
+                                                  base, exponent):
+    data = copy.deepcopy(claims.raw())
+    data["periods"][N][base] = exponent
+    monkeypatch.setattr(claims, "_CACHE", data)
+    code, e36, e64 = _period_status(capsys)
+    changed, kept = (e36, e64) if N == "36" else (e64, e36)
+    assert code == 1
+    assert changed["status"] == "fail" and kept["status"] == "pass"
 
 
 def test_verify_torsion_labels_curve36(capsys):

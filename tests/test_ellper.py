@@ -1,5 +1,7 @@
 """Periods, elliptic logarithms, torsion labels, character consistency."""
 
+import dataclasses
+
 import mpmath
 import pytest
 
@@ -41,6 +43,15 @@ def test_lattice_consistency():
         data.check(CTX)  # h*Omega = Omega_R, Omega/conj(nu) real, Omega_R > 0
         with CTX.workprec():
             assert data.OmegaR.val > 0
+
+
+def test_lattice_is_cached_and_frozen():
+    for N in (36, 64):
+        data = lattice(N, CTX)
+        assert lattice(N, CTX) is data
+        assert lattice(N, PrecisionContext(digits=CTX.digits)) is data
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.N = 0
 
 
 def test_elliptic_log_of_origin_is_zero():

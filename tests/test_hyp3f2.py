@@ -1,5 +1,7 @@
 """Hypergeometric engine against the mpmath.hyp3f2 oracle and closed forms."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -134,15 +136,16 @@ def test_rhs_main_rejects_unknown_curve():
         hyp3f2.rhs_main(37, CTX)
 
 
-# The original O(K^3) construction of the tail coefficients, kept as an
-# independent reference: dense series products and a fresh Fraction binomial
-# for every term of the c_m recurrence.
+# The original construction of the tail coefficients, kept as an independent
+# exact reference: dense series products and a generalised binomial product
+# for every term of the c_m recurrence (memoised on k, so that count 214 stays
+# affordable).
 
+@functools.lru_cache(maxsize=None)
 def _ref_binom(q, k):
-    out = Fraction(1)
-    for j in range(k):
-        out *= (Fraction(q) - j) / (j + 1)
-    return out
+    if k == 0:
+        return Fraction(1)
+    return _ref_binom(q, k - 1) * (Fraction(q) - (k - 1)) / k
 
 
 def _ref_series_mul(a, b, order):
@@ -155,19 +158,21 @@ def _ref_series_mul(a, b, order):
     return out
 
 
-def _ref_tail_coefficients(p, count):
-    order = count + 2
-    s = p.margin
+def _ref_rho(p, order):
     num = [Fraction(1)]
     for a in (p.a1, p.a2, p.a3):
         num = _ref_series_mul(num, [Fraction(1), Fraction(a)], order)
-    num = _ref_series_mul(num, [_ref_binom(1 + s, k) for k in range(order)],
-                          order)
+    num = _ref_series_mul(
+        num, [_ref_binom(1 + p.margin, k) for k in range(order)], order)
     den = [Fraction(1)]
     for b in (p.b1, p.b2, Fraction(1)):
         geom = [(-Fraction(b)) ** k for k in range(order)]
         den = _ref_series_mul(den, geom, order)
-    rho = _ref_series_mul(num, den, order)
+    return _ref_series_mul(num, den, order)
+
+
+def _ref_tail_coefficients(p, count):
+    rho = _ref_rho(p, count + 2)
     c = [Fraction(1)]
     for m in range(2, count + 1):
         acc = Fraction(0)
@@ -177,12 +182,30 @@ def _ref_tail_coefficients(p, count):
     return c
 
 
+def _ball_misses(mids, rads, ref, bits):
+    """Indices i with |mids[i] - ref[i] 2^bits| > rads[i], exactly."""
+    return [i for i, (C, E, c) in enumerate(zip(mids, rads, ref))
+            if abs(C * c.denominator - (c.numerator << bits))
+            > E * c.denominator]
+
+
+def _check_balls(p, count, ctx):
+    """Every exact c_i lies in its ball, and the radius weighted by the
+    tail's (M+1)^-i stays within 2 units of 2^-bits."""
+    bits = ctx.prec_bits + 16
+    M = max(60, 2 * (ctx.digits + ctx.guard))   # f32_unit's head length
+    mids, rads = hyp3f2.tail_coefficients(p, count, bits)
+    assert len(mids) == len(rads) == count
+    assert _ball_misses(mids, rads, _ref_tail_coefficients(p, count),
+                        bits) == []
+    assert all(E <= 2 * (M + 1) ** i for i, E in enumerate(rads))
+
+
 def _ftilde_params(a, b):
     return HypParams(a, b, a + b - 1, a + b, a + b)
 
 
-@pytest.mark.parametrize("count", [2, 3, 20, 60])
-@pytest.mark.parametrize("p", [
+TAIL_PARAMS = [
     _ftilde_params(Fraction(1, 2), Fraction(1, 3)),
     _ftilde_params(Fraction(1, 2), Fraction(2, 3)),
     _ftilde_params(Fraction(1, 4), Fraction(1, 4)),
@@ -190,11 +213,41 @@ def _ftilde_params(a, b):
     # Dixon form 3F2(a, b, c; 1+a-b, 1+a-c; 1), margin 2 + a - 2b - 2c = 67/30
     HypParams(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5),
               Fraction(7, 6), Fraction(17, 10)),
-], ids=["F(1/2,1/3)", "F(1/2,2/3)", "F(1/4,1/4)", "F(3/4,3/4)", "dixon"])
+]
+TAIL_IDS = ["F(1/2,1/3)", "F(1/2,2/3)", "F(1/4,1/4)", "F(3/4,3/4)", "dixon"]
+
+
+@pytest.mark.parametrize("count", [2, 3, 20, 60])
+@pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
 def test_tail_coefficients_match_reference(p, count):
-    got = hyp3f2.tail_coefficients(p, count)
-    assert len(got) == count
-    assert got == _ref_tail_coefficients(p, count)
+    _check_balls(p, count, CTX)
+
+
+def test_tail_coefficients_match_reference_200_digits():
+    # count K+2 = 214 is what f32_unit asks for at 200 digits
+    _check_balls(TAIL_PARAMS[0], 214, PrecisionContext(digits=200))
+
+
+@pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
+def test_ratio_series_is_integral(p):
+    # R_k = rho_k k! D^k, exactly the reference's rho times k! D^k
+    R, D = hyp3f2._ratio_series(p, 40)
+    assert all(isinstance(r, int) for r in R)
+    assert [Fraction(r, math.factorial(k) * D ** k)
+            for k, r in enumerate(R)] == _ref_rho(p, 40)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_ball_check_catches_planted_midpoint(delta):
+    p, count = TAIL_PARAMS[0], 20
+    bits = CTX.prec_bits + 16
+    mids, rads = hyp3f2.tail_coefficients(p, count, bits)
+    ref = _ref_tail_coefficients(p, count)
+    assert _ball_misses(mids, rads, ref, bits) == []
+    # c_0 = 1 is exact, so its radius is 0 and any change leaves the ball
+    planted = list(mids)
+    planted[0] += delta
+    assert _ball_misses(planted, rads, ref, bits) == [0]
 
 
 def _dixon(a, b, c, dps):
