@@ -1,9 +1,21 @@
 """Exact arithmetic in Q(zeta_24), the common coefficient field.
 
-Elements are rational-coefficient vectors of length 8 reduced modulo the
-24th cyclotomic polynomial x^8 - x^4 + 1.  The field contains zeta_3, i,
-zeta_8 and hence sqrt(2), sqrt(3), sqrt(-3), which covers every algebraic
-coordinate appearing downstream.
+An element is stored as ``(num, den)``: ``num`` is a tuple of 8 Python ints,
+the coefficients of 1, z, ..., z^7 modulo the 24th cyclotomic polynomial
+x^8 - x^4 + 1, and ``den`` is a positive int with
+``gcd(num[0], ..., num[7], den) = 1``.  This is the usual number-field
+representation (Cohen, GTM 138, Sec. 4.2).  The form is canonical, so
+equality is tuple equality; each operation works on integers and ends in
+one gcd normalisation.
+
+The power basis is an integral basis of Z[zeta_24], so each automorphism
+zeta |-> zeta^k maps an integer vector to one of the same content, and
+``galois`` is a table-driven linear map that needs no normalisation.  The
+inverse uses the Galois norm: with p the product of the seven non-trivial
+conjugates of x, N(x) = x p is rational and 1/x = p / N(x).
+
+The field contains zeta_3, i, zeta_8 and hence sqrt(2), sqrt(3), sqrt(-3),
+which covers every algebraic coordinate appearing downstream.
 """
 
 from __future__ import annotations
@@ -18,42 +30,87 @@ from .mpnum import ArbComplex, PrecisionContext, _ulp
 
 DEGREE = 8
 ORDER = 24
+_ZEROS = (0,) * DEGREE
+
+
+def _zeta_vectors():
+    """The integer vectors of zeta^m, m = 0 .. 23, using z^8 = z^4 - 1."""
+    vec = (1,) + _ZEROS[1:]
+    out = []
+    for _ in range(ORDER):
+        out.append(vec)
+        top = vec[-1]
+        vec = (-top,) + vec[:3] + (vec[3] + top,) + vec[4:7]
+    return tuple(out)
+
+
+_ZETA_VEC = _zeta_vectors()
+# _GALOIS[k][j] is the vector of sigma_k(zeta^j) = zeta^(j k), gcd(k, 24) = 1
+_GALOIS = {k: tuple(_ZETA_VEC[j * k % ORDER] for j in range(DEGREE))
+           for k in range(ORDER) if math.gcd(k, ORDER) == 1}
 
 
 class CycloNum:
-    """An element of Q(zeta_24) in canonical reduced form."""
+    """An element num / den of Q(zeta_24) in canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > DEGREE:
             raise ValueError("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (DEGREE - len(cs))
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        self.num, self.den = _normal(num + [0] * (DEGREE - len(num)), den)
+
+    @staticmethod
+    def _make(num, den: int) -> "CycloNum":
+        """num / den from 8 ints and a nonzero int, normalised."""
+        x = object.__new__(CycloNum)
+        x.num, x.den = _normal(num, den)
+        return x
+
+    @staticmethod
+    def _raw(num: tuple, den: int) -> "CycloNum":
+        """Wrap a pair that is already in canonical form."""
+        x = object.__new__(CycloNum)
+        x.num, x.den = num, den
+        return x
 
     @staticmethod
     def from_rational(q) -> "CycloNum":
-        return CycloNum([Fraction(q)])
+        q = Fraction(q)
+        return CycloNum._raw((q.numerator,) + _ZEROS[1:], q.denominator)
 
     @staticmethod
     def zeta_pow(k: int) -> "CycloNum":
         """zeta_24^k for any integer k."""
-        k %= ORDER
-        poly = [Fraction(0)] * (k + 1)
-        poly[k] = Fraction(1)
-        return CycloNum(_reduce(poly))
+        return CycloNum._raw(_ZETA_VEC[k % ORDER], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The 8 coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    def _reduced(self) -> tuple:
+        """Each coefficient as (numerator, denominator) in lowest terms."""
+        out = []
+        for n in self.num:
+            g = math.gcd(n, self.den)
+            out.append((n // g, self.den // g))
+        return tuple(out)
 
     def __repr__(self):
         return f"CycloNum({list(self.coeffs)})"
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, (n, d) in enumerate(self._reduced()):
+            if n == 0:
                 continue
+            c = str(n) if d == 1 else f"{n}/{d}"
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif i == 1:
                 parts.append(f"{c}*z")
             else:
@@ -61,27 +118,31 @@ class CycloNum:
         return " + ".join(parts) if parts else "0"
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.num)
 
     def __add__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloNum([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return CycloNum._make([a + b for a, b in zip(self.num, o.num)], da)
+        return CycloNum._make([a * db + b * da
+                               for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum([-a for a in self.coeffs])
+        return CycloNum._raw(tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -96,33 +157,28 @@ class CycloNum:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * DEGREE - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        return CycloNum(_reduce(prod))
+        return CycloNum._make(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNum":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
-        # extended Euclid in Q[x] against Phi_24
-        r0, r1 = list(_PHI), list(self.coeffs)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _polysub(t0, _polymul(q, t1))
-        # r0 = gcd, a nonzero constant (Phi_24 is irreducible)
-        c = _polytrim(r0)
-        if len(c) != 1:
-            raise ArithmeticError("gcd with Phi_24 not constant")
-        inv_c = 1 / c[0]
-        return CycloNum(_reduce([ti * inv_c for ti in t0]))
+        num = self.num
+        if not any(num[1:]):
+            return CycloNum._make((self.den,) + _ZEROS[1:], num[0])
+        # Gal = <5, 7, 13>.  Along the tower of fixed fields,
+        # y <- y sigma_k(y) ends at N(x) and p collects sigma_k(y), so p is
+        # the product of the seven conjugates sigma_k(x), k != 1.
+        y, p = num, None
+        for k in (5, 7, 13):
+            s = _galois(y, k)
+            p = s if p is None else _convolve(p, s)
+            y = _convolve(y, s)
+        if any(y[1:]):
+            raise ArithmeticError("Galois norm in Q(zeta_24) not rational")
+        # num * p = y[0], so 1 / (num / den) = p * den / y[0]
+        return CycloNum._make([c * self.den for c in p], y[0])
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -150,11 +206,9 @@ class CycloNum:
         """The automorphism zeta |-> zeta^k, gcd(k, 24) = 1."""
         if math.gcd(k, ORDER) != 1:
             raise ValueError(f"k={k} is not coprime to {ORDER}")
-        out = zero()
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + CycloNum.from_rational(c) * CycloNum.zeta_pow(i * k)
-        return out
+        # sigma_k preserves the content of an integer vector, so the
+        # result is canonical without a gcd
+        return CycloNum._raw(tuple(_galois(self.num, k % ORDER)), self.den)
 
     def conj(self) -> "CycloNum":
         """Complex conjugation (the automorphism zeta |-> zeta^-1)."""
@@ -166,16 +220,49 @@ class CycloNum:
             z = mpmath.expjpi(mpmath.mpf(2) / ORDER)
             acc = mpmath.mpc(0)
             # Horner, fixed order
-            for c in reversed(self.coeffs):
-                acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
+            for n, d in reversed(self._reduced()):
+                acc = acc * z + mpmath.mpf(n) / d
             return ArbComplex(acc, _ulp(abs(acc)) * 64)
 
     def sort_key(self):
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        return self._reduced()
 
 
-_PHI = tuple([Fraction(1), 0, 0, 0, Fraction(-1), 0, 0, 0, Fraction(1)][::-1])
-# Phi_24(x) = x^8 - x^4 + 1, stored little-endian: index = exponent.
+def _normal(num, den: int):
+    """The canonical pair for num / den: content coprime to den, den > 0."""
+    g = math.gcd(*num, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple(n // g for n in num), den // g
+
+
+def _convolve(a, b) -> list:
+    """The product of two integer vectors, reduced by z^8 = z^4 - 1."""
+    prod = [0] * (2 * DEGREE - 1)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                prod[i + j] += x * y
+    for i in range(2 * DEGREE - 2, DEGREE - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i - 4] += c
+            prod[i - 8] -= c
+    return prod[:DEGREE]
+
+
+def _galois(num, k: int) -> list:
+    """sigma_k applied to an integer vector, 0 <= k < 24."""
+    out = [0] * DEGREE
+    for c, vec in zip(num, _GALOIS[k]):
+        if c:
+            for i, v in enumerate(vec):
+                if v:
+                    out[i] += c * v
+    return out
 
 
 def _coerce(x):
@@ -184,61 +271,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CycloNum.from_rational(x)
     return NotImplemented
-
-
-def _reduce(poly):
-    """Reduce a little-endian coefficient list modulo x^8 = x^4 - 1."""
-    poly = list(poly)
-    for i in range(len(poly) - 1, DEGREE - 1, -1):
-        c = poly[i]
-        if c != 0:
-            poly[i - 4] += c
-            poly[i - 8] -= c
-        poly[i] = Fraction(0)
-    return poly[:DEGREE]
-
-
-def _polytrim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _polymul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polydivmod(a, b):
-    a = _polytrim(a)
-    b = _polytrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(_polytrim(r)) >= len(b):
-        r = _polytrim(r)
-        d = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[d + i] -= c * bc
-    return q, _polytrim(r)
 
 
 def zero() -> CycloNum:

@@ -67,7 +67,7 @@ class CurvePoint:
 def _cy(x) -> CycloNum:
     if isinstance(x, CycloNum):
         return x
-    return CycloNum.from_rational(Fraction(x))
+    return CycloNum.from_rational(x)
 
 
 @dataclass(frozen=True)
@@ -187,17 +187,23 @@ def law(N: int) -> GroupLaw:
     raise ValueError("conductor must be 36 or 64")
 
 
-def torsion_Ef(N: int) -> list:
-    """The f-torsion subgroup: 12 points for N=36, 16 points for N=64."""
+def torsion_generators(N: int) -> list:
+    """Generators of the f-torsion subgroup, the group-law origin excluded:
+    the other 2-torsion points and P for N=36, S and iS for N=64."""
     from . import claims  # claims imports this module; read its points late
-    lw = law(N)
     if N == 36:
-        # generated by the 2-torsion points and P
-        gens = CURVE36.two_torsion() + [claims.point(36, "P")]
-        expected = 12
-    else:
-        gens = [claims.point(64, "S"), claims.point(64, "iS")]
-        expected = 16
+        base = law(36).base
+        return ([p for p in CURVE36.two_torsion() if p != base]
+                + [claims.point(36, "P")])
+    return [claims.point(64, "S"), claims.point(64, "iS")]
+
+
+def torsion_Ef(N: int) -> list:
+    """The f-torsion subgroup: 12 points for N=36, 16 points for N=64,
+    the closure of the origin under adding ``torsion_generators(N)``."""
+    lw = law(N)
+    gens = torsion_generators(N)
+    expected = 12 if N == 36 else 16
     group = {lw.base}
     frontier = [lw.base]
     while frontier:

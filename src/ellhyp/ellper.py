@@ -250,16 +250,18 @@ def _okdivides(info: CurvePeriodInfo, x: CycloNum) -> bool:
 
 def _tau_coordinates(info: CurvePeriodInfo, x: CycloNum):
     """Integer (a, b) with x = a + b tau, or (None, None)."""
-    # try all integer pairs via exact linear algebra in the zeta_24 basis:
-    # x = a + b tau means the coefficient vector is a*e0 + b*coeffs(tau)
-    tau = info.tau
-    tc = tau.coeffs
-    k = next(i for i in range(1, 8) if tc[i] != 0)
-    b = x.coeffs[k] / tc[k]
-    a = x.coeffs[0] - b * tc[0]
-    if (x != a + b * tau or a.denominator != 1 or b.denominator != 1):
+    # exact linear algebra in the zeta_24 basis: x = a + b tau means the
+    # coefficient vector is a*e0 + b*tau.num.  The power basis is integral,
+    # so a + b tau with integers a, b has denominator 1.
+    tc = info.tau.num
+    if x.den != 1:
         return None, None
-    return int(a), int(b)
+    k = next(i for i in range(1, 8) if tc[i] != 0)
+    b, r = divmod(x.num[k], tc[k])
+    a = x.num[0] - b * tc[0]
+    if r or x != a + b * info.tau:
+        return None, None
+    return a, b
 
 
 def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:

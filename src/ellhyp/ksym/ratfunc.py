@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..cyclo import CycloNum, one as cy_one, zero as cy_zero
 
 
@@ -13,7 +11,7 @@ _ONE = cy_one()
 def _cy(x) -> CycloNum:
     if isinstance(x, CycloNum):
         return x
-    return CycloNum.from_rational(Fraction(x))
+    return CycloNum.from_rational(x)
 
 
 class Poly:

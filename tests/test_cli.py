@@ -2,11 +2,17 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ellhyp import claims
+import ellhyp
+from ellhyp import claims, ellper
 from ellhyp.cli import main, reports_to_json, VerificationReport
+from ellhyp.ecdiv import law, torsion_Ef
 
 
 def run(capsys, *argv):
@@ -190,6 +196,37 @@ def test_verify_torsion_labels_curve36(capsys):
     code, out, _ = run(capsys, "verify-torsion-labels", "--curve", "36")
     assert code == 0
     assert "label_P_E36" in out
+
+
+@pytest.mark.parametrize("N", [36, 64])
+def test_swapped_labels_fail_additivity(capsys, monkeypatch, N):
+    # a labelling that stays a bijection but is no homomorphism: the labels
+    # of two non-identity points trade places
+    p, q = [x for x in torsion_Ef(N) if x != law(N).base][:2]
+    real = ellper.torsion_label
+    monkeypatch.setattr(ellper, "torsion_label", lambda n, pt, ctx: real(
+        n, {p: q, q: p}.get(pt, pt), ctx))
+    code, out, _ = run(capsys, "verify-torsion-labels", "--curve", str(N),
+                       "--report", "json", "--deterministic")
+    status = {r["claim_id"]: r["status"] for r in json.loads(out)["reports"]}
+    assert code == 1
+    assert status[f"labels_additive_E{N}"] == "fail"
+    assert status[f"labels_bijective_E{N}"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["rosset-tate", "verify-divisors"])
+def test_output_independent_of_hash_seed(command):
+    # sets and dicts of CycloNum-keyed points must not leak their hash
+    # order into a report
+    src = str(Path(ellhyp.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "ellhyp.cli", command, "--report", "json",
+             "--deterministic"], env=env, capture_output=True, check=True,
+            timeout=300).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_tame_place_with_nested_parentheses(capsys):

@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_24)."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -106,3 +107,122 @@ def test_sort_key_total_order():
     vals = [one(), zero(), I, -I, ZETA3, SQRT2]
     keys = [v.sort_key() for v in vals]
     assert len(set(keys)) == len(vals)
+
+
+# --- the representation: integer vectors over one denominator -------------
+
+# Phi_24(x) = x^8 - x^4 + 1, little-endian
+_PHI = [Fraction(c) for c in (1, 0, 0, 0, -1, 0, 0, 0, 1)]
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _polymul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _polysub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _polydivmod(a, b):
+    a, b = _trim(a), _trim(b)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(_trim(r)) >= len(b):
+        r = _trim(r)
+        d = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[d] = c
+        for i, bc in enumerate(b):
+            r[d + i] -= c * bc
+    return q, _trim(r)
+
+
+def _euclid_inverse(coeffs):
+    """1/x by the extended Euclidean algorithm in Q[x] against Phi_24, on
+    Fraction lists: the textbook inverse, kept as the oracle."""
+    r0, r1 = list(_PHI), list(coeffs)
+    t0, t1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = _polydivmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _polysub(t0, _polymul(q, t1))
+    (c,) = _trim(r0)  # Phi_24 is irreducible, so the gcd is a constant
+    poly = [t / c for t in t0]
+    # reduce modulo x^8 = x^4 - 1
+    for i in range(len(poly) - 1, 7, -1):
+        poly[i - 4] += poly[i]
+        poly[i - 8] -= poly[i]
+    return (poly + [Fraction(0)] * 8)[:8]
+
+
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                    max_denominator=10 ** 4)
+wide_cyclos = st.builds(CycloNum, st.lists(wide, min_size=0, max_size=8))
+
+
+@given(st.one_of(cyclos, wide_cyclos))
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_euclid_oracle(a):
+    if a:
+        assert list(a.inv().coeffs) == _euclid_inverse(a.coeffs)
+
+
+@given(wide_cyclos, wide_cyclos)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form(a, b):
+    for x in (a, b, a + b, a - b, a * b, -a, a.conj(), a.galois(5)):
+        assert len(x.num) == 8 and x.den > 0
+        assert math.gcd(*x.num, x.den) == 1
+    assert (zero().num, zero().den) == ((0,) * 8, 1)
+    assert ((a - a).num, (a - a).den) == ((0,) * 8, 1)
+    if b:
+        q = (a * b) / b
+        assert (q.num, q.den) == (a.num, a.den)
+        assert hash(q) == hash(a)
+    # the same value built term by term
+    c = sum((CycloNum.from_rational(f) * zeta_pow(i)
+             for i, f in enumerate(a.coeffs)), zero())
+    assert (c.num, c.den) == (a.num, a.den)
+
+
+def _fraction_str(cs):
+    parts = []
+    for i, c in enumerate(cs):
+        if c != 0:
+            parts.append(str(c) if i == 0 else
+                         f"{c}*z" if i == 1 else f"{c}*z^{i}")
+    return " + ".join(parts) if parts else "0"
+
+
+@given(st.lists(wide, min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_views_agree_with_fractions(cs):
+    x = CycloNum(cs)
+    assert x.coeffs == tuple(cs)
+    assert str(x) == _fraction_str(cs)
+    assert x.sort_key() == tuple((c.numerator, c.denominator) for c in cs)
+    assert repr(x) == f"CycloNum({cs})"
+
+
+def test_galois_table_matches_powers():
+    x = parse_cyclo("1/3 - z + 5*z^6 - 1/7*z^7")
+    for k in (1, 5, 7, 11, 13, 17, 19, 23, -1, 29):
+        want = sum((CycloNum.from_rational(c) * zeta_pow(i * k)
+                    for i, c in enumerate(x.coeffs)), zero())
+        assert x.galois(k) == want
+    with pytest.raises(ValueError):
+        x.galois(3)
