@@ -275,7 +275,7 @@ def cmd_verify_torsion_labels(args) -> list:
         out.append(_exact(f"labels_additive_E{N}", "label(P+Q)",
                           "label(P)+label(Q) mod nu", additive,
                           t=time.monotonic() - t0))
-        chi_ok = ellper.chi_f_check(ctx)
+        chi_ok = ellper.chi_f_check()
         out.append(_exact("chi_f_check", "chi_f(1-2i)", "1 (from a_5 = 2)",
                           chi_ok))
     return out
@@ -351,7 +351,7 @@ def _parse_place(text: str) -> ecdiv.CurvePoint:
     try:
         u = parse_cyclo(inner[:commas[0]])
         v = parse_cyclo(inner[commas[0] + 1:])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --place {text!r}: {exc}") from None
     return ecdiv.CurvePoint(u, v)
 

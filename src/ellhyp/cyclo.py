@@ -16,6 +16,9 @@ conjugates of x, N(x) = x p is rational and 1/x = p / N(x).
 
 The field contains zeta_3, i, zeta_8 and hence sqrt(2), sqrt(3), sqrt(-3),
 which covers every algebraic coordinate appearing downstream.
+
+``parse_expression`` is the one literal parser of the package: ``parse_cyclo``
+and ``ksym.ffield.ff_parse`` differ only in the atoms they pass it.
 """
 
 from __future__ import annotations
@@ -291,8 +294,6 @@ SQRT2 = CycloNum.zeta_pow(3) + CycloNum.zeta_pow(-3)
 SQRT3 = CycloNum.zeta_pow(2) + CycloNum.zeta_pow(-2)
 SQRT_MINUS3 = 2 * ZETA3 + 1
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
-
 _CONSTANTS = {
     "z": ZETA24,
     "zeta24": ZETA24,
@@ -305,16 +306,31 @@ _CONSTANTS = {
 }
 
 
+def cyclo_atom(token: str):
+    """The CycloNum a number or named constant denotes, else None."""
+    if token[0].isdigit():
+        return CycloNum.from_rational(Fraction(token))
+    return _CONSTANTS.get(token)
+
+
 def parse_cyclo(text: str) -> CycloNum:
     """Parse expressions like ``1/2 + 3*z^2 - z^7`` into a CycloNum."""
-    tokens = _tokenize(text)
-    val, pos = _parse_expr(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing input in cyclo literal: {text!r}")
-    return val
+    return parse_expression(text, "cyclo", cyclo_atom)
 
 
-def _tokenize(text):
+# parsing -------------------------------------------------------------------
+#
+# expr  := [+-] term {(+|-) term}      power   := primary [(^|**) [-] digits]
+# term  := power {(*|/) power}         primary := ( expr ) | - primary | atom
+#
+# One recursive descent serves Q(zeta_24) and the function fields: the
+# caller's ``atom(token)`` gives the value a number or name denotes, or None.
+
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
+
+
+def parse_expression(text: str, kind: str, atom):
+    """Evaluate an arithmetic literal; ``kind`` names it in error messages."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -323,68 +339,71 @@ def _tokenize(text):
             continue
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"bad cyclo literal near {text[pos:]!r}")
+            raise ValueError(f"bad {kind} literal near {text[pos:]!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    return tokens
+    parser = _Descent(tokens, kind, atom)
+    val = parser.expr()
+    if parser.pos != len(tokens):
+        raise ValueError(f"trailing input in {kind} literal: {text!r}")
+    return val
 
 
-def _parse_expr(tokens, pos):
-    sign = 1
-    if pos < len(tokens) and tokens[pos] in "+-":
-        if tokens[pos] == "-":
-            sign = -1
-        pos += 1
-    val, pos = _parse_term(tokens, pos)
-    val = sign * val
-    while pos < len(tokens) and tokens[pos] in "+-":
-        op = tokens[pos]
-        rhs, pos = _parse_term(tokens, pos + 1)
-        val = val + rhs if op == "+" else val - rhs
-    return val, pos
+class _Descent:
+    """The grammar above over a token list, one method per rule."""
 
+    def __init__(self, tokens, kind, atom):
+        self.tokens, self.kind, self.atom = tokens, kind, atom
+        self.pos = 0
 
-def _parse_term(tokens, pos):
-    val, pos = _parse_power(tokens, pos)
-    while pos < len(tokens) and tokens[pos] in ("*", "/"):
-        op = tokens[pos]
-        rhs, pos = _parse_power(tokens, pos + 1)
-        val = val * rhs if op == "*" else val / rhs
-    return val, pos
+    def _take(self, *options):
+        """Consume and return the next token if it is one of ``options``."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos] in options:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return None
 
+    def expr(self):
+        sign = self._take("+", "-")
+        val = self.term()
+        if sign == "-":
+            val = -val
+        while op := self._take("+", "-"):
+            rhs = self.term()
+            val = val + rhs if op == "+" else val - rhs
+        return val
 
-def _parse_power(tokens, pos):
-    base, pos = _parse_atom(tokens, pos)
-    if pos < len(tokens) and tokens[pos] in ("^", "**"):
-        pos += 1
-        neg = False
-        if pos < len(tokens) and tokens[pos] == "-":
-            neg = True
-            pos += 1
-        if pos >= len(tokens) or not tokens[pos].isdigit():
+    def term(self):
+        val = self.power()
+        while op := self._take("*", "/"):
+            rhs = self.power()
+            val = val * rhs if op == "*" else val / rhs
+        return val
+
+    def power(self):
+        base = self.primary()
+        if not self._take("^", "**"):
+            return base
+        neg = self._take("-") is not None
+        if self.pos >= len(self.tokens) or not self.tokens[self.pos].isdigit():
             raise ValueError("exponent must be an integer literal")
-        e = int(tokens[pos])
-        pos += 1
-        base = base ** (-e if neg else e)
-    return base, pos
+        e = int(self.tokens[self.pos])
+        self.pos += 1
+        return base ** (-e if neg else e)
 
-
-def _parse_atom(tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of cyclo literal")
-    t = tokens[pos]
-    if t == "(":
-        val, pos = _parse_expr(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("unbalanced parenthesis in cyclo literal")
-        return val, pos + 1
-    if t == "-":
-        val, pos = _parse_atom(tokens, pos + 1)
-        return -val, pos
-    if "/" in t and t[0].isdigit():
-        return CycloNum.from_rational(Fraction(t)), pos + 1
-    if t.isdigit():
-        return CycloNum.from_rational(int(t)), pos + 1
-    if t in _CONSTANTS:
-        return _CONSTANTS[t], pos + 1
-    raise ValueError(f"unknown token {t!r} in cyclo literal")
+    def primary(self):
+        if self.pos >= len(self.tokens):
+            raise ValueError(f"unexpected end of {self.kind} literal")
+        t = self.tokens[self.pos]
+        self.pos += 1
+        if t == "(":
+            val = self.expr()
+            if not self._take(")"):
+                raise ValueError(f"unbalanced parenthesis in {self.kind} literal")
+            return val
+        if t == "-":
+            return -self.primary()
+        val = self.atom(t)
+        if val is None:
+            raise ValueError(f"unknown token {t!r} in {self.kind} literal")
+        return val

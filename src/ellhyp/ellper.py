@@ -282,46 +282,23 @@ def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
         return TorsionLabel(N, p, ai, bi)
 
 
-def chi_f_check(ctx: PrecisionContext | None = None) -> bool:
+def _mod4_orbit(x) -> frozenset:
+    """The mu_4-orbit of x in (Z[i]/4)*, as residue pairs."""
+    return frozenset(tuple(c % 4 for c in hecke._gauss_mul(x, m))
+                     for m in hecke._GAUSS_UNITS)
+
+
+def chi_f_check() -> bool:
     """Consistency of chi_f(1-2i) = 1 with a_5(E64) = 2, plus the
     representative set (O_K/4)*/mu_4 = {1, 1-2i}."""
-    # representative-set check: units of Z[i]/4 fall into exactly two
-    # mu_4-orbits, represented by 1 and 1-2i
+    # the units of Z[i]/4 fall into exactly two mu_4-orbits, and 1 and 1-2i
+    # lie in different ones
     units = [(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 1]
-    orbits = []
-    for u in units:
-        for orbit in orbits:
-            if any((hecke._gauss_mul(u, m)[0] - w[0]) % 4 == 0
-                   and (hecke._gauss_mul(u, m)[1] - w[1]) % 4 == 0
-                   for m in hecke._GAUSS_UNITS for w in orbit):
-                orbit.append(u)
-                break
-        else:
-            orbits.append([u])
-    if len(orbits) != 2:
-        return False
-
-    # 1 and 1-2i must land in different orbits
-    def orbit_of(x):
-        for i, orbit in enumerate(orbits):
-            if any((hecke._gauss_mul(x, m)[0] - w[0]) % 4 == 0
-                   and (hecke._gauss_mul(x, m)[1] - w[1]) % 4 == 0
-                   for m in hecke._GAUSS_UNITS for w in orbit):
-                return i
-        return None
-    if orbit_of((1, 0)) == orbit_of((1, -2)):
+    if len({_mod4_orbit(u) for u in units}) != 2 \
+            or _mod4_orbit((1, 0)) == _mod4_orbit((1, -2)):
         return False
     # a_5: 5 = (2+i)(2-i); with chi_f(1-2i) = +1 the trace is 2, with -1 it
     # would be -2, and point counting decides
     a5 = hecke.ap_pointcount(hecke.E64, 5)
-    traces = {}
-    pi = hecke._gauss_generator(5)
-    for chi_val, chi in (("+1", (1, 0)), ("-1", (-1, 0))):
-        tr = None
-        for u in hecke._GAUSS_UNITS:
-            cand = hecke._gauss_mul(pi, u)
-            for rep, chi_rep in (((1, 0), (1, 0)), ((1, -2), chi)):
-                if (cand[0] - rep[0]) % 4 == 0 and (cand[1] - rep[1]) % 4 == 0:
-                    tr = 2 * hecke._gauss_mul(hecke._gauss_conj(cand), chi_rep)[0]
-        traces[chi_val] = tr
-    return traces["+1"] == a5 and traces["-1"] != a5
+    return (hecke.e64_split_trace(5, (1, 0)) == a5
+            and hecke.e64_split_trace(5, (-1, 0)) != a5)

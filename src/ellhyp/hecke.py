@@ -92,7 +92,6 @@ def _eis_norm(x):
 
 def _eis_trace(x):
     # x + conj(x) = 2a - b
-    a, b = x
     return 2 * x[0] - x[1]
 
 
@@ -156,6 +155,21 @@ _GAUSS_COSET_REP = (1, -2)
 _GAUSS_CHI_REP = (1, 0)
 
 
+def e64_split_trace(p: int, chi_rep) -> int:
+    """a_p of E64 at a split p = 1 mod 4, given chi_f(1-2i) = chi_rep.
+
+    Some unit multiple pi' of a prime above p is 1 or 1-2i mod 4, since
+    (O_K/4)*/mu_4 = {1, 1-2i}; then chi((pi)) = conj(pi') chi_f(pi' mod 4)
+    and a_p is its trace."""
+    pi = _gauss_generator(p)
+    for u in _GAUSS_UNITS:
+        cand = _gauss_mul(pi, u)
+        for rep, chi in (((1, 0), (1, 0)), (_GAUSS_COSET_REP, chi_rep)):
+            if (cand[0] - rep[0]) % 4 == 0 and (cand[1] - rep[1]) % 4 == 0:
+                return 2 * _gauss_mul(_gauss_conj(cand), chi)[0]
+    raise HeckeError(f"no normalized generator found for p={p}")
+
+
 def ap_cm(c: CurveId, p: int) -> int:
     """a_p via the Hecke character: 0 at inert p, trace of chi(p) at split p."""
     if p in c.bad_primes:
@@ -164,10 +178,8 @@ def ap_cm(c: CurveId, p: int) -> int:
         if p % 3 != 1:
             return 0  # inert in Q(zeta_3)
         pi = _eis_generator(p)
-        # chi((pi)) = conj(pi') where pi' = unit * pi is the generator
-        # congruent to a unit u mod nu; then chi((pi)) = conj(pi) * u... the
-        # class group (O/f)*/mu_K is trivial, so pi = u * pi1 with pi1 = 1
-        # mod f and chi((pi)) = conj(pi1).
+        # (O/f)*/mu_K is trivial, so pi = u * pi1 with pi1 = 1 mod f and
+        # chi((pi)) = conj(pi1)
         for u in _EIS_UNITS:
             cand = _eis_mul(pi, u)
             delta = (cand[0] - 1, cand[1])
@@ -177,16 +189,7 @@ def ap_cm(c: CurveId, p: int) -> int:
     if c.N == 64:
         if p % 4 != 1:
             return 0  # inert in Q(i)
-        pi = _gauss_generator(p)
-        for u in _GAUSS_UNITS:
-            cand = _gauss_mul(pi, u)
-            # cand = r mod 4 for r in {1, 1-2i} (up to nothing else)?
-            for rep, chi in (((1, 0), (1, 0)), (_GAUSS_COSET_REP, _GAUSS_CHI_REP)):
-                if (cand[0] - rep[0]) % 4 == 0 and (cand[1] - rep[1]) % 4 == 0:
-                    # a_p = chi(p) + conj(chi(p)), chi((cand)) = conj(cand) chi_f(rep)
-                    val = _gauss_mul(_gauss_conj(cand), chi)
-                    return 2 * val[0]
-        raise HeckeError(f"no normalized generator found for p={p}")
+        return e64_split_trace(p, _GAUSS_CHI_REP)
     raise ValueError(f"unsupported conductor {c.N}")
 
 
@@ -321,7 +324,7 @@ def _check_file_consistency(tbl: CoeffTable):
 def afe_n_max(c: CurveId, ctx: PrecisionContext) -> int:
     """Coefficient count needed by the approximate functional equation."""
     sqrtN = math.sqrt(c.N)
-    return math.ceil(sqrtN / (2 * math.pi) * ((ctx.digits + ctx.guard) * math.log(10) + 10)) + 10
+    return math.ceil(sqrtN / (2 * math.pi) * ((ctx.digits + mpnum.GUARD) * math.log(10) + 10)) + 10
 
 
 def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:

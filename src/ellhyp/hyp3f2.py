@@ -179,7 +179,7 @@ def f32_unit(p: HypParams, ctx: PrecisionContext,
     if p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
     with ctx.workprec():
-        P = ctx.digits + ctx.guard
+        P = ctx.digits + mpnum.GUARD
         M = max(60, 2 * P)
         K = P
         if scale is None:
@@ -220,7 +220,7 @@ def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
             t *= r
             acc += t
             n += 1
-            if n > ctx.max_terms:
+            if n > mpnum.MAX_TERMS:
                 raise mpnum.PrecisionError("terminating series did not terminate")
         v = mpf(acc.numerator) / acc.denominator
         return ArbReal(v, mpnum._ulp(v))

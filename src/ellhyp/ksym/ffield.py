@@ -7,16 +7,17 @@ Each field is Q(zeta_24)(base)[ext] with a single relation ext^d = m(base):
     e64    :  v^2 = u^3 - 4u
 
 Elements are vectors of rational functions in the base variable, reduced so
-the ext-degree is < d.
+the ext-degree is < d.  Since d divides 24, zeta_d lies in Q(zeta_24), and
+the inverse is the product of the d - 1 conjugates ext |-> zeta_d^j ext over
+the norm, as for Q(zeta_24) itself.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..cyclo import CycloNum, _CONSTANTS as _CYCLO_CONSTANTS
+from ..cyclo import CycloNum, cyclo_atom, parse_expression
 from ..cyclo import zero as cy_zero
 from .ratfunc import Poly, RatFunc
 
@@ -159,22 +160,25 @@ class FFElem:
     __rmul__ = __mul__
 
     def inv(self) -> "FFElem":
+        """1/f = p / N with p = prod_{j=1}^{d-1} sigma_j(f), where sigma_j
+        maps ext |-> zeta_d^j ext, and N = f p in K(base): the conjugate
+        product over the norm, as CycloNum.inv does for Q(zeta_24)."""
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        # extended Euclid in K(base)[T] against T^d - m(base)
+        if all(c.is_zero() for c in self.coeffs[1:]):
+            return self.field.scalar(self.coeffs[0].inv())
         d = self.field.degree
-        minpoly = [-RatFunc(self.field.m)] + [RatFunc(0)] * (d - 1) + [RatFunc(1)]
-        r0, r1 = minpoly, list(self.coeffs)
-        t0, t1 = [RatFunc(0)], [RatFunc(1)]
-        while any(not c.is_zero() for c in r1):
-            q, r = _ffpolydivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _ffpolysub(t0, _ffpolymul(q, t1))
-        r0 = _fftrim(r0)
-        if len(r0) != 1:
-            raise FieldError("gcd with the minimal polynomial is not constant")
-        c = r0[0].inv()
-        return FFElem(self.field, [ti * c for ti in t0])
+        p = None
+        for j in range(1, d):
+            s = FFElem(self.field, [c * CycloNum.zeta_pow(24 // d * j * k)
+                                    for k, c in enumerate(self.coeffs)])
+            p = s if p is None else p * s
+        norm = (self * p).coeffs
+        if any(not c.is_zero() for c in norm[1:]):
+            raise FieldError(f"norm to the base field of {self.field.name} "
+                             "has a nonzero ext-part")
+        n_inv = norm[0].inv()
+        return FFElem(self.field, [c * n_inv for c in p.coeffs])
 
     def __truediv__(self, other):
         return self * self._same(other).inv()
@@ -213,138 +217,19 @@ class FFElem:
         return RatFunc(num, a.den * a.den * b.den * b.den)
 
 
-def _fftrim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _ffpolysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [RatFunc(0)] * (n - len(a))
-    b = list(b) + [RatFunc(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _ffpolymul(a, b):
-    if not a or not b:
-        return []
-    out = [RatFunc(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ffpolydivmod(a, b):
-    a = _fftrim(a)
-    b = _fftrim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [RatFunc(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = b[-1].inv()
-    while len(_fftrim(r)) >= len(b):
-        r = _fftrim(r)
-        d = len(r) - len(b)
-        c = r[-1] * inv_lead
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[d + i] = r[d + i] - c * bc
-    return q, _fftrim(r)
-
-
 # parsing -------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
-
 
 def ff_parse(field: FunctionField, text: str) -> FFElem:
     """Parse an expression in the field's variables, e.g. ``(1-v)/(1+u)``."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad field literal near {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    val, end = _parse_expr(field, tokens, 0)
-    if end != len(tokens):
-        raise ValueError(f"trailing input in field literal: {text!r}")
-    return val
+    gens = {field.base_var: field.base_gen(), field.ext_var: field.ext_gen()}
 
+    def atom(token):
+        if token in gens:
+            return gens[token]
+        c = cyclo_atom(token)
+        return None if c is None else field.scalar(c)
 
-def _parse_expr(field, tokens, pos):
-    sign = 1
-    if pos < len(tokens) and tokens[pos] in "+-":
-        if tokens[pos] == "-":
-            sign = -1
-        pos += 1
-    val, pos = _parse_term(field, tokens, pos)
-    if sign < 0:
-        val = -val
-    while pos < len(tokens) and tokens[pos] in "+-":
-        op = tokens[pos]
-        rhs, pos = _parse_term(field, tokens, pos + 1)
-        val = val + rhs if op == "+" else val - rhs
-    return val, pos
-
-
-def _parse_term(field, tokens, pos):
-    val, pos = _parse_power(field, tokens, pos)
-    while pos < len(tokens) and tokens[pos] in ("*", "/"):
-        op = tokens[pos]
-        rhs, pos = _parse_power(field, tokens, pos + 1)
-        val = val * rhs if op == "*" else val / rhs
-    return val, pos
-
-
-def _parse_power(field, tokens, pos):
-    base, pos = _parse_atom(field, tokens, pos)
-    if pos < len(tokens) and tokens[pos] in ("^", "**"):
-        pos += 1
-        neg = False
-        if pos < len(tokens) and tokens[pos] == "-":
-            neg = True
-            pos += 1
-        if pos >= len(tokens) or not tokens[pos].isdigit():
-            raise ValueError("exponent must be an integer literal")
-        e = int(tokens[pos])
-        pos += 1
-        base = base ** (-e if neg else e)
-    return base, pos
-
-
-def _parse_atom(field, tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of field literal")
-    t = tokens[pos]
-    if t == "(":
-        val, pos = _parse_expr(field, tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("unbalanced parenthesis in field literal")
-        return val, pos + 1
-    if t == "-":
-        val, pos = _parse_atom(field, tokens, pos + 1)
-        return -val, pos
-    if "/" in t and t[0].isdigit():
-        return field.scalar(Fraction(t)), pos + 1
-    if t.isdigit():
-        return field.scalar(int(t)), pos + 1
-    if t == field.base_var:
-        return field.base_gen(), pos + 1
-    if t == field.ext_var:
-        return field.ext_gen(), pos + 1
-    if t in _CYCLO_CONSTANTS:
-        return field.scalar(_CYCLO_CONSTANTS[t]), pos + 1
-    raise ValueError(f"unknown token {t!r} in {field.name} literal")
+    return parse_expression(text, field.name, atom)
 
 
 # quotient-map pullbacks ----------------------------------------------------

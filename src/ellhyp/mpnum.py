@@ -1,7 +1,7 @@
 """Arbitrary-precision real/complex kernel with conservative error tracking.
 
 Backed by mpmath's mpf/mpc for raw arithmetic; all special functions here
-(gamma, incomplete gamma, Hurwitz zeta, AGM, Beta) are computed by our own
+(gamma, incomplete gamma, Hurwitz zeta, AGM) are computed by our own
 series/iterations so that mpmath's implementations stay available as
 independent oracles in the tests.
 """
@@ -33,21 +33,18 @@ class PrecisionError(MpnumError):
     """Requested precision not achievable within the series-length cap."""
 
 
+# guard digits carried beyond ctx.digits, and the cap on any series length
+GUARD = 12
+MAX_TERMS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     digits: int = 30
-    guard: int = 12
-    max_terms: int = 10 ** 6
-
-    def __post_init__(self):
-        if self.guard < 10:
-            raise ValueError("guard must be >= 10")
-        if self.max_terms < 10 ** 4:
-            raise ValueError("max_terms must be >= 10**4")
 
     @property
     def prec_bits(self) -> int:
-        return int((self.digits + self.guard) * 3.3219280948873626) + 8
+        return int((self.digits + GUARD) * 3.3219280948873626) + 8
 
     def workprec(self):
         """Context manager setting mpmath working precision."""
@@ -55,7 +52,7 @@ class PrecisionContext:
 
     @property
     def eps(self) -> mpf:
-        return mpf(10) ** (-(self.digits + self.guard))
+        return mpf(10) ** (-(self.digits + GUARD))
 
     @property
     def target_eps(self) -> mpf:
@@ -264,7 +261,7 @@ def _stirling_loggamma(z: mpc, ctx: PrecisionContext) -> mpc:
     precision so the asymptotic series reaches the target accuracy before
     its terms start growing.
     """
-    P = ctx.digits + ctx.guard
+    P = ctx.digits + GUARD
     threshold = mpf(max(10, int(0.4 * P) + 6))
     shift_prod = mpc(1)
     n_shift = 0
@@ -293,7 +290,7 @@ def _stirling_loggamma(z: mpc, ctx: PrecisionContext) -> mpc:
         prev = t
         term_pow *= zinv2
         n += 1
-        if 2 * n > ctx.max_terms:
+        if 2 * n > MAX_TERMS:
             raise PrecisionError("max_terms exceeded in Stirling series")
     return res - mpmath.log(shift_prod)
 
@@ -310,7 +307,7 @@ def gamma(z, ctx: PrecisionContext) -> ArbComplex:
             # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
             g1 = mpmath.exp(_stirling_loggamma(1 - zv, ctx))
             val = mpmath.pi / (mpmath.sin(mpmath.pi * zv) * g1)
-        err = abs(val) * mpf(10) ** (-(ctx.digits + ctx.guard - 3)) + _err_of(z) * (
+        err = abs(val) * mpf(10) ** (-(ctx.digits + GUARD - 3)) + _err_of(z) * (
             abs(val) * 10)
         res = ArbComplex(val, err)
     return res
@@ -322,56 +319,22 @@ def gamma_real(x, ctx: PrecisionContext) -> ArbReal:
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> ArbReal:
-    """Upper incomplete gamma Gamma(s, x) for real s, x >= 0.
-
-    s in {0, 2} is the supported contract (approximate functional equation
-    kernel); other real s is best effort.
-    """
+    """Upper incomplete gamma Gamma(s, x) for s in {0, 2} and x >= 0, the
+    kernels of the approximate functional equation."""
     with ctx.workprec():
         sv = mpf(_val_of(s))
         xv = mpf(_val_of(x))
+        if sv not in (0, 2):
+            raise DomainError(f"upper_incomplete_gamma supports s in {{0, 2}}, "
+                              f"not {s}")
         if xv < 0:
             raise DomainError("upper_incomplete_gamma requires x >= 0")
-        if sv == 0 and xv == 0:
-            raise DomainError("Gamma(0, 0) diverges")
-        eps = ctx.eps
-        if sv == 2:
-            v = mpmath.exp(-xv) * (1 + xv)
-            return ArbReal(v, abs(v) * eps * 10 + _ulp(v))
         if sv == 0:
+            if xv == 0:
+                raise DomainError("Gamma(0, 0) diverges")
             return _e1(xv, ctx)
-        if sv == mpmath.floor(sv) and sv >= 1:
-            # Gamma(n, x) = (n-1)! e^{-x} sum_{k<n} x^k/k!
-            n = int(sv)
-            acc = mpf(0)
-            t = mpf(1)
-            for k in range(n):
-                if k > 0:
-                    t = t * xv / k
-                acc += t
-            v = mpmath.factorial(n - 1) * mpmath.exp(-xv) * acc
-            return ArbReal(v, abs(v) * eps * 10 + _ulp(v))
-        if xv == 0:
-            if sv <= 0:
-                raise DomainError("Gamma(s, 0) diverges for s <= 0")
-            return gamma_real(sv, ctx)
-        # best effort: Gamma(s) - lower incomplete series
-        g = gamma_real(sv, ctx)
-        acc = mpf(0)
-        t = mpf(1) / sv  # k = 0 term of sum (-x)^k / (k! (s+k))
-        k = 0
-        while True:
-            acc += t
-            k += 1
-            if k > ctx.max_terms:
-                raise PrecisionError("max_terms exceeded in incomplete gamma series")
-            t = t * (-xv) / k * (sv + k - 1) / (sv + k)
-            if abs(t) < eps * max(abs(acc), mpf(1)):
-                acc += t
-                break
-        lower = mpmath.power(xv, sv) * acc
-        v = g.val - lower
-        return ArbReal(v, g.err + abs(lower) * eps * 20 + _ulp(v))
+        v = mpmath.exp(-xv) * (1 + xv)
+        return ArbReal(v, abs(v) * ctx.eps * 10 + _ulp(v))
 
 
 def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
@@ -384,11 +347,11 @@ def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
     x^k/k! < exp(-2x) 10^-(digits+guard).  The counts meet at x_c.
     """
     eps = ctx.eps
-    L = (ctx.digits + ctx.guard) * math.log(10)
+    L = (ctx.digits + GUARD) * math.log(10)
     if x < L / (4 * math.e):
         return _e1_series(x, ctx)
     # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...)))
-    tiny = mpf(10) ** (-2 * (ctx.digits + ctx.guard) - 30)
+    tiny = mpf(10) ** (-2 * (ctx.digits + GUARD) - 30)
     f = x + 1
     C = f
     D = mpf(0)
@@ -408,7 +371,7 @@ def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
         f *= delta
         if abs(delta - 1) < eps:
             break
-        if k > ctx.max_terms:
+        if k > MAX_TERMS:
             raise PrecisionError("max_terms exceeded in E1 continued fraction")
     v = mpmath.exp(-x) / f
     return ArbReal(v, abs(v) * eps * 20)
@@ -438,7 +401,7 @@ def _e1_series(x: mpf, ctx: PrecisionContext) -> ArbReal:
             acc += term
             if k > x and abs(term) < tol:
                 break
-            if k > ctx.max_terms:
+            if k > MAX_TERMS:
                 raise PrecisionError("max_terms exceeded in E1 series")
         # each term and each partial sum rounds by at most (k+2) ulps of big
         err = abs(term) + 2 * (k + 3) * mpmath.ldexp(big, -wp)
@@ -506,7 +469,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
         prec = ctx.prec_bits
         W = prec + 64
         N = max(0, math.ceil(_em_start(float(s0) + count - 1,
-                                       ctx.digits + ctx.guard) - a0))
+                                       ctx.digits + GUARD) - a0))
         x = a0 + N
         xn, xd = x.numerator, x.denominator
         xv = mpf(xn) / xd
@@ -539,7 +502,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
                                          "decreasing before the target")
                 t = nxt
                 j += 1
-                if 2 * j > ctx.max_terms:
+                if 2 * j > MAX_TERMS:
                     raise PrecisionError("max_terms exceeded in hurwitz_zeta")
             # remainder below |t|; each recurrence step rounds by a few dozen
             # units of 2^-W (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the
@@ -562,7 +525,7 @@ def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
         if av == 0 or bv == 0:
             raise DomainError("agm requires nonzero arguments")
         eps = ctx.eps
-        max_iter = int(math.log2(ctx.digits + ctx.guard)) + 64
+        max_iter = int(math.log2(ctx.digits + GUARD)) + 64
         for _ in range(max_iter):
             if abs(av - bv) <= eps * abs(av):
                 break
@@ -575,12 +538,3 @@ def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
             raise PrecisionError("AGM iteration failed to converge")
         v = (av + bv) / 2
         return ArbComplex(v, abs(v) * eps * 10 + _ulp(abs(v)))
-
-
-def beta_fn(a, b, ctx: PrecisionContext) -> ArbReal:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
-    with ctx.workprec():
-        ga = gamma_real(a, ctx)
-        gb = gamma_real(b, ctx)
-        gab = gamma_real(mpf(_val_of(a)) + mpf(_val_of(b)), ctx)
-        return ga * gb / gab

@@ -239,7 +239,8 @@ def test_tame_place_with_nested_parentheses(capsys):
 
 
 @pytest.mark.parametrize("place", ["(0,1", "0,1", "((0,1))", "(0,1,2)",
-                                   "(0,1)(2,3)", "(0,)"])
+                                   "(0,1)(2,3)", "(0,)", "(1/0,1)",
+                                   "(1/(1-1),1)"])
 def test_tame_malformed_place_is_usage_error(capsys, place):
     code, _, err = run(capsys, "tame", "--curve", "36", "--f", "1-v",
                        "--g", "1+u", "--place", place)

@@ -193,7 +193,7 @@ def test_label_equivalence_mod_nu():
 
 
 def test_chi_f_check():
-    assert chi_f_check(CTX) is True
+    assert chi_f_check() is True
 
 
 def test_nonexistent_curve_rejected():

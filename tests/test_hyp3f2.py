@@ -193,7 +193,7 @@ def _check_balls(p, count, ctx):
     """Every exact c_i lies in its ball, and the radius weighted by the
     tail's (M+1)^-i stays within 2 units of 2^-bits."""
     bits = ctx.prec_bits + 16
-    M = max(60, 2 * (ctx.digits + ctx.guard))   # f32_unit's head length
+    M = max(60, 2 * (ctx.digits + mpnum.GUARD))   # f32_unit's head length
     mids, rads = hyp3f2.tail_coefficients(p, count, bits)
     assert len(mids) == len(rads) == count
     assert _ball_misses(mids, rads, _ref_tail_coefficients(p, count),

@@ -119,6 +119,90 @@ def test_ffelem_field_inverse():
         assert (f * f.inv()) == field.one()
 
 
+def _trim(p):
+    p = list(p)
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _polydivmod(a, b):
+    a, b = _trim(a), _trim(b)
+    q = [RatFunc(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    inv_lead = b[-1].inv()
+    while len(_trim(r)) >= len(b):
+        r = _trim(r)
+        d = len(r) - len(b)
+        c = r[-1] * inv_lead
+        q[d] = c
+        for i, bc in enumerate(b):
+            r[d + i] = r[d + i] - c * bc
+    return q, _trim(r)
+
+
+def _polymulsub(t0, q, t1):
+    """t0 - q t1 for RatFunc lists."""
+    out = list(t0) + [RatFunc(0)] * max(0, len(q) + len(t1) - 1 - len(t0))
+    for i, x in enumerate(q):
+        for j, y in enumerate(t1):
+            out[i + j] = out[i + j] - x * y
+    return out
+
+
+def _euclid_inverse(f):
+    """1/f by extended Euclid in K(base)[T] against T^d - m(base): the
+    textbook inverse, kept as the oracle for FFElem.inv."""
+    d = f.field.degree
+    r0 = [-RatFunc(f.field.m)] + [RatFunc(0)] * (d - 1) + [RatFunc(1)]
+    r1 = list(f.coeffs)
+    t0, t1 = [RatFunc(0)], [RatFunc(1)]
+    while _trim(r1):
+        q, r = _polydivmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _polymulsub(t0, q, t1)
+    (c,) = _trim(r0)  # T^d - m is irreducible, so the gcd is a constant
+    return FFElem(f.field, [t * c.inv() for t in _trim(t0)])
+
+
+INVERSE_CASES = {
+    FERMAT4: ["1 - y", "x + y^3", "(1+i)*x^2 - 1/3*y^2 + 2", "y/x"],
+    FERMAT6: ["1 - y", "x - zeta3*y^5", "(x+1)/(x-1) + y^2 - 1/2*y^4"],
+    INTERC: ["v + y", "1 - v", "y^3 + sqrt3*v/(y+1)"],
+    E36FF: ["v + u^2", "1 - v", "(u+1)/(u-2) + v/u"],
+    E64FF: ["v - 2*u", "u", "v", "(1+i)*v + u^2 - 4"],
+}
+
+
+@pytest.mark.parametrize("field", list(INVERSE_CASES), ids=lambda f: f.name)
+def test_ffelem_inverse_matches_euclid_oracle(field):
+    for text in INVERSE_CASES[field]:
+        f = ff_parse(field, text)
+        assert f.inv() == _euclid_inverse(f), text
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inv()
+
+
+MALFORMED = ["1 +", "(1", "1)", "2^x", "2^-", "@"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_literals_raise_in_both_parsers(text):
+    with pytest.raises(ValueError):
+        parse_cyclo(text)
+    for field in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF):
+        with pytest.raises(ValueError):
+            ff_parse(field, text)
+
+
+def test_both_parsers_agree_on_a_constant():
+    text = "(1+i)*(1-i)/2"
+    c = parse_cyclo(text)
+    assert c == one()
+    for field in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF):
+        assert ff_parse(field, text) == field.scalar(c)
+
+
 def test_relation_is_respected():
     # v^2 = u^3 + 1 on the conductor-36 model
     v = ff_parse(E36FF, "v")
