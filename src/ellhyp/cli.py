@@ -351,7 +351,9 @@ def _parse_place(text: str) -> ecdiv.CurvePoint:
     try:
         u = parse_cyclo(inner[:commas[0]])
         v = parse_cyclo(inner[commas[0] + 1:])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise UsageError(f"bad --place {text!r}: divides by zero") from None
+    except ValueError as exc:
         raise UsageError(f"bad --place {text!r}: {exc}") from None
     return ecdiv.CurvePoint(u, v)
 
@@ -360,7 +362,9 @@ def _function(field, option: str, text: str):
     """A nonzero function of the field, else a usage error."""
     try:
         h = ff_parse(field, text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise UsageError(f"bad {option} {text!r}: divides by zero") from None
+    except ValueError as exc:
         raise UsageError(f"bad {option} {text!r}: {exc}") from None
     if h.is_zero():
         raise UsageError(f"bad {option} {text!r}: zero has no valuation")

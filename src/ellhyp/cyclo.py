@@ -308,8 +308,8 @@ _CONSTANTS = {
 
 def cyclo_atom(token: str):
     """The CycloNum a number or named constant denotes, else None."""
-    if token[0].isdigit():
-        return CycloNum.from_rational(Fraction(token))
+    if token.isdigit():
+        return CycloNum.from_rational(int(token))
     return _CONSTANTS.get(token)
 
 
@@ -325,8 +325,10 @@ def parse_cyclo(text: str) -> CycloNum:
 #
 # One recursive descent serves Q(zeta_24) and the function fields: the
 # caller's ``atom(token)`` gives the value a number or name denotes, or None.
+# Numbers are integer tokens and ``/`` is always division, so ``x^2/3`` is
+# ``(x^2)/3`` and ``3/4^2`` is ``3/16``.
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
+_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
 
 
 def parse_expression(text: str, kind: str, atom):

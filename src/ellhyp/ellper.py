@@ -70,7 +70,9 @@ def _covol_value(info: CurvePeriodInfo) -> mpf:
     return mpmath.sqrt(3) / 2
 
 
+@functools.lru_cache(maxsize=None)
 def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
+    """The value of x at working precision, built once per (x, ctx)."""
     return x.embed(ctx).val
 
 
@@ -167,13 +169,27 @@ def _reduce_mod_lattice(z: mpc, omega: mpc, tau: mpc) -> mpc:
     return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
 
 
-def _wp_prime(z: mpc, omega: mpc, tau: mpc) -> mpc:
-    """Weierstrass p'(z) = -2 sum_w (z - w)^-3 over the lattice points
-    w = (a + b tau) omega with |a|, |b| <= _BOX.  The box is symmetric, so the
-    truncated sum is odd in z, like p' itself."""
+def _wp_prime(z: complex, omega: complex, tau: complex) -> complex:
+    """Weierstrass p'(z) = -2 sum_w (z - w)^-3 in hardware doubles, over the
+    lattice points w = (a + b tau) omega with |a|, |b| <= _BOX.  The box is
+    symmetric, so the truncated sum is odd in z, like p' itself."""
     box = range(-_BOX, _BOX + 1)
-    return -2 * mpmath.fsum((z - (a + b * tau) * omega) ** -3
-                            for a in box for b in box)
+    acc = 0j
+    for a in box:
+        for b in box:
+            acc += (z - (a + b * tau) * omega) ** -3
+    return -2 * acc
+
+
+@functools.lru_cache(maxsize=None)
+def _magnitude(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext) -> mpc:
+    """Carlson's R_F(u0 - e1, u0 - e2, u0 - e3) = int_P^inf du/(2v) up to sign.
+
+    It depends only on u, so P and -P share one evaluation."""
+    with ctx.workprec():
+        u0 = _embed(u, ctx)
+        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
+        return mpmath.elliprf(u0 - e1, u0 - e2, u0 - e3)
 
 
 def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc:
@@ -182,25 +198,22 @@ def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc
     Carlson's R_F gives the magnitude m up to sign.  Under u = p(z) the
     differential du/(2v) is dz, so the point at z has v = p'(z)/2 and the
     integral from P to infinity is -z (Silverman, AEC VI.3).  The sign s is
-    the one with p'(-s m) = 2 v0, decided by one 15-digit lattice sum.
+    the one with p'(-s m) = 2 v0, decided by one lattice sum in
+    double precision.
     """
     if p.infinite:
         return mpc(0)
+    magnitude = _magnitude(info, p.u, ctx)
+    if not p.v:
+        return magnitude  # half-period: sign immaterial mod the lattice
     with ctx.workprec():
-        u0 = _embed(p.u, ctx)
-        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
-        magnitude = mpmath.elliprf(u0 - e1, u0 - e2, u0 - e3)
-        if not p.v:
-            return magnitude  # half-period: sign immaterial mod the lattice
-        v0 = _embed(p.v, ctx)
+        v0 = complex(_embed(p.v, ctx))
         omega_u = raw_real_period(info.N, ctx).val / _embed(info.h_unit, ctx)
         tau = _embed(info.tau, ctx)
-        with mpmath.workdps(15):
-            omega_u, tau = mpc(omega_u), mpc(tau)
-            wp = _wp_prime(_reduce_mod_lattice(magnitude, omega_u, tau),
-                           omega_u, tau)
-            # p' is odd, so p'(-s m) = -s p'(m)
-            residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))
+        z = complex(_reduce_mod_lattice(magnitude, omega_u, tau))
+        wp = _wp_prime(z, complex(omega_u), complex(tau))
+        # p' is odd, so p'(-s m) = -s p'(m)
+        residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))
         if residual > abs(v0):
             raise PeriodError(f"neither sign of the Carlson value has "
                               f"p'(z) = 2 v0 (residual {residual})")
@@ -214,9 +227,8 @@ def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
     lw._check(p)
     with ctx.workprec():
         z_raw = _std_log(info, p, ctx) - _std_log(info, lw.base, ctx)
-        c = scale_c(N, ctx)
-        z = info.orientation * c.val * z_raw
         data = lattice(N, ctx)
+        z = info.orientation * data.scale_c.val * z_raw
         tau = _embed(info.tau, ctx)
         z = _reduce_mod_lattice(z, data.Omega.val, tau)
         return ArbComplex(z, abs(data.Omega.val) * ctx.eps * 10 ** 6)

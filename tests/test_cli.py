@@ -214,17 +214,18 @@ def test_swapped_labels_fail_additivity(capsys, monkeypatch, N):
     assert status[f"labels_bijective_E{N}"] == "pass"
 
 
-@pytest.mark.parametrize("command", ["rosset-tate", "verify-divisors"])
+@pytest.mark.parametrize("command", ["rosset-tate", "verify-divisors",
+                                     "verify-torsion-labels --digits 30"])
 def test_output_independent_of_hash_seed(command):
-    # sets and dicts of CycloNum-keyed points must not leak their hash
-    # order into a report
+    # sets and dicts of CycloNum-keyed points, and the caches keyed on them,
+    # must not leak their hash order into a report
     src = str(Path(ellhyp.__file__).resolve().parent.parent)
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         outs.append(subprocess.run(
-            [sys.executable, "-m", "ellhyp.cli", command, "--report", "json",
-             "--deterministic"], env=env, capture_output=True, check=True,
+            [sys.executable, "-m", "ellhyp.cli", *command.split(), "--report",
+             "json", "--deterministic"], env=env, capture_output=True, check=True,
             timeout=300).stdout)
     assert outs[0] == outs[1]
 
@@ -246,18 +247,26 @@ def test_tame_malformed_place_is_usage_error(capsys, place):
                        "--g", "1+u", "--place", place)
     assert code == 2
     assert "--place" in err
+    if "/" in place:
+        assert "divides by zero" in err
 
 
 @pytest.mark.parametrize("option", ["--f", "--g"])
-@pytest.mark.parametrize("text", ["1+", "0", "1/(1-1)"],
-                         ids=["malformed", "zero", "divides-by-zero"])
-def test_tame_bad_function_is_usage_error(capsys, option, text):
+@pytest.mark.parametrize("text, reason",
+                         [("1+", "unexpected end"),
+                          ("0", "zero has no valuation"),
+                          ("1/(1-1)", "divides by zero"),
+                          ("3/0", "divides by zero")],
+                         ids=["malformed", "zero", "divides-by-zero",
+                              "zero-denominator"])
+def test_tame_bad_function_is_usage_error(capsys, option, text, reason):
     funcs = {"--f": "1-v", "--g": "1+u", option: text}
     code, out, err = run(capsys, "tame", "--curve", "36",
                          f"--f={funcs['--f']}", f"--g={funcs['--g']}",
                          "--place", "(0,1)")
     assert code == 2 and out == ""
-    assert option in err
+    assert err.startswith("usage error:")
+    assert option in err and reason in err
 
 
 def test_tame_off_curve_place_is_usage_error(capsys):

@@ -151,6 +151,51 @@ def test_wp_prime_sign_matches_tracked_path():
     assert seen == 20
 
 
+def _wp_prime_mpc(z, omega, tau):
+    """Reference: the same 289-term lattice sum in mpmath at 15 digits."""
+    box = range(-ellper._BOX, ellper._BOX + 1)
+    with mpmath.workdps(15):
+        z, omega, tau = mpmath.mpc(z), mpmath.mpc(omega), mpmath.mpc(tau)
+        return -2 * mpmath.fsum((z - (a + b * tau) * omega) ** -3
+                                for a in box for b in box)
+
+
+def test_wp_prime_doubles_match_mpc_oracle():
+    # at every point of E_f off the 2-torsion: the same value to 1e-12 and
+    # the same sign choice for p'(-s m) = 2 v0
+    seen = 0
+    for N in (36, 64):
+        info = ellper._info(N)
+        with CTX.workprec():
+            omega_u = raw_real_period(N, CTX).val / ellper._embed(info.h_unit,
+                                                                  CTX)
+            tau = ellper._embed(info.tau, CTX)
+        for p in torsion_Ef(N):
+            if not p.v:
+                continue
+            seen += 1
+            with CTX.workprec():
+                m = ellper._magnitude(info, p.u, CTX)
+                z = complex(ellper._reduce_mod_lattice(m, omega_u, tau))
+                v0 = complex(ellper._embed(p.v, CTX))
+            got = ellper._wp_prime(z, complex(omega_u), complex(tau))
+            want = complex(_wp_prime_mpc(z, omega_u, tau))
+            assert abs(got - want) <= 1e-12 * abs(want), (N, p)
+            signs = [min((abs(-s * wp - 2 * v0), s) for s in (1, -1))[1]
+                     for wp in (got, want)]
+            assert signs[0] == signs[1], (N, p)
+    assert seen == 20
+
+
+@pytest.mark.parametrize("N, rf_calls", [(36, 7), (64, 9)])
+def test_one_carlson_magnitude_per_u(N, rf_calls):
+    # P and -P share R_F, and so do all E36 labels at the origin (-1, 0)
+    ellper._magnitude.cache_clear()
+    for p in torsion_Ef(N):
+        torsion_label(N, p, CTX)
+    assert ellper._magnitude.cache_info().misses == rf_calls
+
+
 def test_wp_prime_rejects_a_wrong_v():
     # (u, 3v) is off the curve: neither sign gives p'(z) = 2 * (3v)
     info = ellper._info(36)

@@ -1,11 +1,14 @@
 """Function-field arithmetic, norms, quotient maps, symbols, Rosset-Tate."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellhyp import claims
+from ellhyp import claims, cyclo
 from ellhyp.cyclo import CycloNum, ZETA3, ZETA24, one, parse_cyclo
 from ellhyp.ksym import (E36FF, E64FF, FERMAT4, FERMAT6, INTERC, MAPS, FFElem,
                          Poly, PolyFF, RatFunc, SubfieldError, Symbol,
@@ -13,6 +16,7 @@ from ellhyp.ksym import (E36FF, E64FF, FERMAT4, FERMAT6, INTERC, MAPS, FFElem,
                          project_fermat6_to_interC, project_interC_to_e36,
                          pushforward_e36, rosset_tate, rosset_tate_chain,
                          substitute_quotient, verify_annihilation)
+from ellhyp.ksym import ffield
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 polys = st.builds(
@@ -201,6 +205,65 @@ def test_both_parsers_agree_on_a_constant():
     assert c == one()
     for field in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF):
         assert ff_parse(field, text) == field.scalar(c)
+
+
+def test_slash_after_a_power_divides():
+    # "/" is always the division operator, never part of a number token
+    assert parse_cyclo("z^2/3") == parse_cyclo("z^2*1/3")
+    assert parse_cyclo("3/4^2") == CycloNum.from_rational(Fraction(3, 16))
+    for field in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF):
+        x = field.base_var
+        assert ff_parse(field, f"{x}^2/3") == ff_parse(field, f"{x}^2*1/3")
+
+
+# the tokenizer before "/" became an operator everywhere: "a/b" was one number
+_LEGACY_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
+
+
+def _claims_strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for v in node.values():
+            yield from _claims_strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _claims_strings(v)
+
+
+def _parse_outcomes(texts):
+    """Each text through parse_cyclo and ff_parse on both curves; a
+    ValueError is an outcome too."""
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError:
+            return ValueError
+    parsers = (parse_cyclo, lambda t: ff_parse(E36FF, t),
+               lambda t: ff_parse(E64FF, t))
+    return [[outcome(parse, t) for parse in parsers] for t in texts]
+
+
+def test_claims_literals_parse_as_with_fraction_tokens(monkeypatch):
+    data = json.loads(Path(claims.__file__).with_name("claims.json").read_text())
+    texts = sorted(set(_claims_strings(data)))
+    new = _parse_outcomes(texts)
+    atom = cyclo.cyclo_atom
+
+    def legacy_atom(token):
+        if "/" in token:
+            return CycloNum.from_rational(Fraction(token))
+        return atom(token)
+
+    monkeypatch.setattr(cyclo, "_TOKEN", _LEGACY_TOKEN)
+    monkeypatch.setattr(cyclo, "cyclo_atom", legacy_atom)
+    monkeypatch.setattr(ffield, "cyclo_atom", legacy_atom)
+    old = _parse_outcomes(texts)
+    assert new == old
+    # not vacuous: every divisor function parses on its curve
+    for column, curve in ((1, "36"), (2, "64")):
+        for entry in data["divisors"][curve]:
+            assert new[texts.index(entry["function"])][column] is not ValueError
 
 
 def test_relation_is_respected():
