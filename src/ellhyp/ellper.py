@@ -41,6 +41,7 @@ class CurvePeriodInfo:
     h_unit: CycloNum      # Omega_R = h * Omega
     nu: CycloNum          # generator of the conductor f
     orientation: int      # sign of omega_E relative to +du/(2v)
+    hnf: tuple            # (A, s, B): nu O_K = Z (A, 0) + Z (s, B) in (1, tau)
 
 
 # The constraints (covolume pi, Omega/conj(nu) real, Omega_R > 0) are
@@ -50,10 +51,10 @@ class CurvePeriodInfo:
 # labels are then forced and independently checkable.
 INFO36 = CurvePeriodInfo(
     36, CURVE36.roots, ZETA3, "sqrt3/2",
-    _ONE - ZETA3 * ZETA3, 2 * (_ONE - ZETA3 * ZETA3), -1)
+    _ONE - ZETA3 * ZETA3, 2 * (_ONE - ZETA3 * ZETA3), -1, (6, 4, 2))
 INFO64 = CurvePeriodInfo(
     64, CURVE64.roots, I, "1",
-    _ONE, CycloNum.from_rational(4), +1)
+    _ONE, CycloNum.from_rational(4), +1, (4, 0, 4))
 
 
 def _info(N: int) -> CurvePeriodInfo:
@@ -74,46 +75,6 @@ def _covol_value(info: CurvePeriodInfo) -> mpf:
 def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
     """The value of x at working precision, built once per (x, ctx)."""
     return x.embed(ctx).val
-
-
-@functools.lru_cache(maxsize=None)
-def raw_real_period(N: int, ctx: PrecisionContext) -> ArbReal:
-    """Period of du/(2v) over the real component: pi / agm of root gaps.
-
-    Every other period quantity is derived from this value, so the AGM runs
-    once per curve and precision."""
-    info = _info(N)
-    with ctx.workprec():
-        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
-        g = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
-        v = mpmath.pi / g.val
-        if abs(mpmath.im(v)) > ctx.eps * abs(v) * 100:
-            raise PeriodError("real period came out non-real")
-        rv = mpmath.re(v)
-        return ArbReal(rv, abs(rv) * ctx.eps * 100 + g.err * abs(rv) / abs(g.val))
-
-
-def scale_c(N: int, ctx: PrecisionContext) -> ArbReal:
-    """c with omega_E = c du/(2v): c = sqrt(pi / A0), A0 the covolume of the
-    unnormalized lattice O_K * (Omega_1 / h)."""
-    info = _info(N)
-    with ctx.workprec():
-        omega1 = raw_real_period(N, ctx)
-        h_abs = abs(_embed(info.h_unit, ctx))
-        a0 = _covol_value(info) * (omega1.val / h_abs) ** 2
-        v = mpmath.sqrt(mpmath.pi / a0)
-        return ArbReal(v, abs(v) * (ctx.eps * 100 + omega1.err / omega1.val))
-
-
-def real_period(N: int, ctx: PrecisionContext) -> ArbReal:
-    """Real period of the normalized differential omega_E."""
-    with ctx.workprec():
-        omega1 = raw_real_period(N, ctx)
-        c = scale_c(N, ctx)
-        v = c.val * omega1.val
-        if v <= 0:
-            raise PeriodError("real period must be positive")
-        return ArbReal(v, abs(v) * ctx.eps * 200)
 
 
 @dataclass(frozen=True)
@@ -140,23 +101,31 @@ class PeriodData:
 
 @functools.lru_cache(maxsize=None)
 def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
-    """The checked period data of curve N, built once per curve and
-    precision like `raw_real_period`."""
+    """The checked period data of curve N, built once per curve and precision.
+
+    One AGM of root gaps gives omega1 = pi / agm, the period of du/(2v) over
+    the real component; c = sqrt(pi / A0) for the covolume A0 of the
+    unnormalized lattice O_K * (omega1 / h), and Omega_R = c * omega1."""
     info = _info(N)
     with ctx.workprec():
-        omega_r = real_period(N, ctx)
-        c = scale_c(N, ctx)
+        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
+        g = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
+        v = mpmath.pi / g.val
+        if abs(mpmath.im(v)) > ctx.eps * abs(v) * 100:
+            raise PeriodError("real period came out non-real")
+        omega1 = mpmath.re(v)
+        rel1 = ctx.eps * 100 + g.err / abs(g.val)  # relative error of omega1
         h = _embed(info.h_unit, ctx)
-        omega = ArbComplex(omega_r.val / h, omega_r.err * 4)
-        data = PeriodData(N, omega, omega_r, info.h_unit, c, info.nu)
+        c = mpmath.sqrt(mpmath.pi / (_covol_value(info) * (omega1 / abs(h)) ** 2))
+        omega_r = ArbReal(c * omega1, abs(c * omega1) * ctx.eps * 200)
+        data = PeriodData(N, ArbComplex(omega_r.val / h, omega_r.err * 4), omega_r,
+                          info.h_unit, ArbReal(c, abs(c) * (ctx.eps * 100 + rel1)),
+                          info.nu)
         data.check(ctx)
         return data
 
 
 # elliptic logarithms ---------------------------------------------------------
-
-_BOX = 8   # the p' lattice sum runs over |a|, |b| <= _BOX
-
 
 def _tau_coords(w: mpc, tau: mpc):
     """Real coordinates (a, b) of w = a + b tau in the basis (1, tau)."""
@@ -169,55 +138,76 @@ def _reduce_mod_lattice(z: mpc, omega: mpc, tau: mpc) -> mpc:
     return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
 
 
-def _wp_prime(z: complex, omega: complex, tau: complex) -> complex:
-    """Weierstrass p'(z) = -2 sum_w (z - w)^-3 in hardware doubles, over the
-    lattice points w = (a + b tau) omega with |a|, |b| <= _BOX.  The box is
-    symmetric, so the truncated sum is odd in z, like p' itself."""
-    box = range(-_BOX, _BOX + 1)
-    acc = 0j
-    for a in box:
-        for b in box:
-            acc += (z - (a + b * tau) * omega) ** -3
-    return -2 * acc
+def _near_root(x: mpc, near: mpc) -> mpc:
+    """The square root of x nearer `near`."""
+    r = mpmath.sqrt(x)
+    return r if abs(r - near) <= abs(r + near) else -r
 
 
 @functools.lru_cache(maxsize=None)
-def _magnitude(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext) -> mpc:
-    """Carlson's R_F(u0 - e1, u0 - e2, u0 - e3) = int_P^inf du/(2v) up to sign.
+def _agm_log(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext):
+    """(z, w) with z = int_P^inf du/(2v) for the point P = (u, w).
 
-    It depends only on u, so P and -P share one evaluation."""
+    Landen descent (Cremona and Thongjunthug, J. Number Theory 133 (2013)):
+    with u - e3 = t^2 the integral is int_c^inf dt / sqrt((t^2 - a^2)
+    (t^2 - a^2 + b^2)), from c = sqrt(u - e3), a = sqrt(e1 - e3),
+    b = sqrt(e1 - e2).  The step a, b -> AGM step, t -> (t + s(t)) / 2 with
+    s(t) = sqrt(t^2 - a^2 + b^2) leaves it unchanged, and at a = b = m it is
+    asin(m / c) / m.  D = c^2 - a^2 and s^2 = D + b^2 start from the exact
+    u - e1 and u - e2, and v = c s sqrt(D) is tracked along the way, so
+    the chain also says which of the two points with this u it integrated
+    from.  It depends only on u, so P and -P share one chain."""
     with ctx.workprec():
-        u0 = _embed(u, ctx)
         e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
-        return mpmath.elliprf(u0 - e1, u0 - e2, u0 - e3)
+        a = mpmath.sqrt(e1 - e3)
+        b = _near_root(e1 - e2, a)
+        c = c0 = mpmath.sqrt(_embed(u - info.roots[2], ctx))
+        d = _embed(u - info.roots[0], ctx)
+        s2 = _embed(u - info.roots[1], ctx)
+        dv = mpf(1)
+        for _ in range(64):  # quadratic convergence needs about 10
+            if abs(a - b) <= ctx.eps * abs(a):
+                break
+            s = _near_root(s2, c)
+            cs, ab = c * s, a * b
+            if abs(cs + ab) >= abs(cs - ab):
+                # cs - ab = (c^2 s^2 - a^2 b^2) / (cs + ab) without the
+                # cancellation; at u = e1 it keeps D exactly 0
+                d = (d + d * (a * a + b * b + d) / (cs + ab)) / 2
+            else:
+                d = (d + cs - ab) / 2
+            c_next = (c + s) / 2
+            dv *= s / c_next
+            c = c_next
+            a, b = (a + b) / 2, _near_root(a * b, (a + b) / 2)
+            s2 = d + b * b
+        else:
+            raise PeriodError("Landen chain failed to converge")
+        m = (a + b) / 2
+        r = mpmath.sqrt(d)
+        # asin(m/c)/m; asin itself takes the wrong sheet where m/c is real
+        # and above 1 (conductor 36 at (0, +-1))
+        z = -1j * mpmath.log((r + 1j * m) / c) / m
+        return z, c0 * dv * c * r
 
 
 def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc:
     """int_P^inf du/(2v) modulo the du/(2v)-period lattice.
 
-    Carlson's R_F gives the magnitude m up to sign.  Under u = p(z) the
-    differential du/(2v) is dz, so the point at z has v = p'(z)/2 and the
-    integral from P to infinity is -z (Silverman, AEC VI.3).  The sign s is
-    the one with p'(-s m) = 2 v0, decided by one lattice sum in
-    double precision.
-    """
+    The Landen chain integrates from the point (u0, w) with w = +-v0; the
+    integral from (u0, -w) is its negative."""
     if p.infinite:
         return mpc(0)
-    magnitude = _magnitude(info, p.u, ctx)
+    z, w = _agm_log(info, p.u, ctx)
     if not p.v:
-        return magnitude  # half-period: sign immaterial mod the lattice
+        return z  # half-period: sign immaterial mod the lattice
     with ctx.workprec():
-        v0 = complex(_embed(p.v, ctx))
-        omega_u = raw_real_period(info.N, ctx).val / _embed(info.h_unit, ctx)
-        tau = _embed(info.tau, ctx)
-        z = complex(_reduce_mod_lattice(magnitude, omega_u, tau))
-        wp = _wp_prime(z, complex(omega_u), complex(tau))
-        # p' is odd, so p'(-s m) = -s p'(m)
-        residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))
-        if residual > abs(v0):
-            raise PeriodError(f"neither sign of the Carlson value has "
-                              f"p'(z) = 2 v0 (residual {residual})")
-        return sign * magnitude
+        q = _embed(p.v, ctx) / w
+        sign = 1 if mpmath.re(q) >= 0 else -1
+        if abs(q - sign) > mpf(10) ** (5 - ctx.digits):
+            raise PeriodError(f"v0 is neither sign of the chain's v "
+                              f"(v0 / v = {mpmath.nstr(q, 8)})")
+        return sign * z
 
 
 def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
@@ -291,7 +281,15 @@ def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
             raise LabelError(
                 f"no O_K point within 1e-5 of {w} (distance {dist}); wrong "
                 "normalization or insufficient precision")
-        return TorsionLabel(N, p, ai, bi)
+        return TorsionLabel(N, p, *_residue(info, ai, bi))
+
+
+def _residue(info: CurvePeriodInfo, a: int, b: int):
+    """The representative of a + b tau mod nu in the box [0, A) x [0, B)
+    of the Hermite normal form of nu O_K."""
+    big_a, s, big_b = info.hnf
+    k, b = divmod(b, big_b)
+    return (a - k * s) % big_a, b
 
 
 def _mod4_orbit(x) -> frozenset:

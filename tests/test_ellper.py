@@ -8,32 +8,45 @@ import pytest
 from ellhyp import claims, ellper
 from ellhyp.cyclo import CycloNum, I, ZETA3, parse_cyclo
 from ellhyp.ecdiv import CurvePoint, law, torsion_Ef
-from ellhyp.ellper import (LabelError, PeriodError, chi_f_check, elliptic_log,
-                           lattice, raw_real_period, real_period,
+from ellhyp.ellper import (PeriodError, chi_f_check, elliptic_log, lattice,
                            torsion_label)
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
 
 
+def _omega_u(N, ctx):
+    """Omega_R / (c h): the lattice of du/(2v) is O_K times this."""
+    data = lattice(N, ctx)
+    return data.OmegaR.val / data.scale_c.val / ellper._embed(data.h_unit, ctx)
+
+
+def _off_lattice(z, N, ctx):
+    """Distance from z to the nearest point of the du/(2v)-period lattice."""
+    tau = ellper._embed(ellper._info(N).tau, ctx)
+    return abs(ellper._reduce_mod_lattice(z, _omega_u(N, ctx), tau))
+
+
 def test_raw_real_period_against_carlson_oracle():
-    # Omega_1 = pi / agm(...) must match the Carlson-form complete integral
+    # the period of du/(2v), Omega_R / c = pi / agm(...), must match the
+    # Carlson-form complete integral
     with CTX.workprec():
-        for N, roots in ((36, None), (64, (2, 0, -2))):
-            got = raw_real_period(N, CTX)
+        for N in (36, 64):
+            data = lattice(N, CTX)
+            got = data.OmegaR.val / data.scale_c.val
             info = ellper._info(N)
             e1, e2, e3 = (ellper._embed(r, CTX) for r in info.roots)
             want = 2 * mpmath.elliprf(0, e1 - e3, e1 - e2)
-            assert abs(got.val - want) < mpmath.mpf(10) ** -25, N
+            assert abs(got - want) < mpmath.mpf(10) ** -25, N
 
 
 def test_real_period_closed_forms():
     with CTX.workprec():
         tol = mpmath.mpf(10) ** -25
-        got36 = real_period(36, CTX)
+        got36 = lattice(36, CTX).OmegaR
         assert abs(got36.val -
                    mpmath.sqrt(6 * mpmath.pi / mpmath.sqrt(3))) < tol
-        got64 = real_period(64, CTX)
+        got64 = lattice(64, CTX).OmegaR
         assert abs(got64.val - mpmath.sqrt(mpmath.pi)) < tol
 
 
@@ -127,16 +140,12 @@ def _tracked_log(info, u0, v0, steps=100):
         return total + sign * tail
 
 
-def test_wp_prime_sign_matches_tracked_path():
-    # the sign chosen from p'(z) = 2v agrees with the branch-tracked path
-    # integral at every point of E_f off the 2-torsion
+def test_log_sign_matches_tracked_path():
+    # the sign taken from v agrees with the branch-tracked path integral at
+    # every point of E_f off the 2-torsion
     seen = 0
     for N in (36, 64):
         info = ellper._info(N)
-        with CTX.workprec():
-            omega_u = raw_real_period(N, CTX).val / ellper._embed(info.h_unit,
-                                                                  CTX)
-            tau = ellper._embed(info.tau, CTX)
         for p in torsion_Ef(N):
             if not p.v:  # 2-torsion, including the point at infinity
                 continue
@@ -145,59 +154,86 @@ def test_wp_prime_sign_matches_tracked_path():
                 z = ellper._std_log(info, p, CTX)
                 want = _tracked_log(info, ellper._embed(p.u, CTX),
                                     ellper._embed(p.v, CTX))
-                near = abs(ellper._reduce_mod_lattice(z - want, omega_u, tau))
-                far = abs(ellper._reduce_mod_lattice(-z - want, omega_u, tau))
+                near = _off_lattice(z - want, N, CTX)
+                far = _off_lattice(-z - want, N, CTX)
             assert near < 0.1 < far, (N, p, near, far)
     assert seen == 20
 
 
-def _wp_prime_mpc(z, omega, tau):
-    """Reference: the same 289-term lattice sum in mpmath at 15 digits."""
-    box = range(-ellper._BOX, ellper._BOX + 1)
-    with mpmath.workdps(15):
-        z, omega, tau = mpmath.mpc(z), mpmath.mpc(omega), mpmath.mpc(tau)
-        return -2 * mpmath.fsum((z - (a + b * tau) * omega) ** -3
-                                for a in box for b in box)
+def _wp_prime(z, omega, tau, box=8):
+    """Weierstrass p'(z) = -2 sum_w (z - w)^-3 in hardware doubles, over the
+    lattice points w = (a + b tau) omega with |a|, |b| <= box.  The box is
+    symmetric, so the truncated sum is odd in z, like p' itself."""
+    acc = 0j
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            acc += (z - (a + b * tau) * omega) ** -3
+    return -2 * acc
 
 
-def test_wp_prime_doubles_match_mpc_oracle():
-    # at every point of E_f off the 2-torsion: the same value to 1e-12 and
-    # the same sign choice for p'(-s m) = 2 v0
-    seen = 0
+def _carlson_log(info, p, ctx):
+    """Reference: int_P^inf du/(2v) as Carlson's R_F(u0 - e1, u0 - e2,
+    u0 - e3), which is the integral up to sign, with the sign s for which
+    p'(-s m) = 2 v0 (under u = p(z), v = p'(z)/2 and the integral from P to
+    infinity is -z; Silverman, AEC VI.3)."""
+    with ctx.workprec():
+        u0 = ellper._embed(p.u, ctx)
+        e1, e2, e3 = (ellper._embed(r, ctx) for r in info.roots)
+        m = mpmath.elliprf(u0 - e1, u0 - e2, u0 - e3)
+        if not p.v:
+            return m
+        v0 = complex(ellper._embed(p.v, ctx))
+        omega_u = _omega_u(info.N, ctx)
+        tau = ellper._embed(info.tau, ctx)
+        z = complex(ellper._reduce_mod_lattice(m, omega_u, tau))
+        wp = _wp_prime(z, complex(omega_u), complex(tau))
+        # p' is odd, so p'(-s m) = -s p'(m)
+        residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))
+        assert residual < abs(v0), (p, residual)
+        return sign * m
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_agm_log_matches_carlson_oracle(digits):
+    ctx = PrecisionContext(digits=digits)
     for N in (36, 64):
         info = ellper._info(N)
-        with CTX.workprec():
-            omega_u = raw_real_period(N, CTX).val / ellper._embed(info.h_unit,
-                                                                  CTX)
-            tau = ellper._embed(info.tau, CTX)
         for p in torsion_Ef(N):
-            if not p.v:
+            if p.infinite:
                 continue
-            seen += 1
-            with CTX.workprec():
-                m = ellper._magnitude(info, p.u, CTX)
-                z = complex(ellper._reduce_mod_lattice(m, omega_u, tau))
-                v0 = complex(ellper._embed(p.v, CTX))
-            got = ellper._wp_prime(z, complex(omega_u), complex(tau))
-            want = complex(_wp_prime_mpc(z, omega_u, tau))
-            assert abs(got - want) <= 1e-12 * abs(want), (N, p)
-            signs = [min((abs(-s * wp - 2 * v0), s) for s in (1, -1))[1]
-                     for wp in (got, want)]
-            assert signs[0] == signs[1], (N, p)
-    assert seen == 20
+            with ctx.workprec():
+                diff = ellper._std_log(info, p, ctx) - _carlson_log(info, p, ctx)
+                assert _off_lattice(diff, N, ctx) < \
+                    mpmath.mpf(10) ** -(digits - 5), (N, p)
 
 
-@pytest.mark.parametrize("N, rf_calls", [(36, 7), (64, 9)])
-def test_one_carlson_magnitude_per_u(N, rf_calls):
-    # P and -P share R_F, and so do all E36 labels at the origin (-1, 0)
-    ellper._magnitude.cache_clear()
+@pytest.mark.parametrize("digits", [30, 45, 60, 100, 200])
+def test_two_torsion_log_is_a_half_period(digits):
+    # u - e1 and u - e2 enter the chain exactly, so at u = e2 the chain is
+    # exact from its first step and 2z lands on the lattice
+    ctx = PrecisionContext(digits=digits)
+    for N in (36, 64):
+        info = ellper._info(N)
+        for p in law(N).curve.two_torsion():
+            if p.infinite:
+                continue
+            with ctx.workprec():
+                z = ellper._std_log(info, p, ctx)
+                assert _off_lattice(2 * z, N, ctx) < \
+                    mpmath.mpf(10) ** -(digits - 5), (N, p)
+
+
+@pytest.mark.parametrize("N, chains", [(36, 7), (64, 9)])
+def test_one_landen_chain_per_u(N, chains):
+    # P and -P share one chain, and so do all E36 labels at the origin (-1, 0)
+    ellper._agm_log.cache_clear()
     for p in torsion_Ef(N):
         torsion_label(N, p, CTX)
-    assert ellper._magnitude.cache_info().misses == rf_calls
+    assert ellper._agm_log.cache_info().misses == chains
 
 
-def test_wp_prime_rejects_a_wrong_v():
-    # (u, 3v) is off the curve: neither sign gives p'(z) = 2 * (3v)
+def test_log_rejects_a_wrong_v():
+    # (u, 3v) is off the curve: v0 / v is 3 or -3, neither sign
     info = ellper._info(36)
     p = claims.point(36, "P")
     with pytest.raises(PeriodError):
@@ -227,14 +263,43 @@ def test_labels_bijective_and_additive():
 
 
 def test_label_equivalence_mod_nu():
-    # 1 - 2i = 1 + 2i mod (4) is false, but 3+2i = -1-2i mod 4... exercises
-    # the exact O_K/(nu) arithmetic
+    # exact O_K/(nu) arithmetic: 1 - 2i = 1 + 2i mod (4), since their
+    # difference -4i lies in (4), while 1 and 2 are other classes
     lab = torsion_label(64, claims.point(64, "T"), CTX)
     assert lab.equiv(parse_cyclo("1-2*i"))
-    assert lab.equiv(parse_cyclo("1+2*i")) == \
-        (parse_cyclo("4*i") == parse_cyclo("4*i"))  # 1-2i-(1+2i) = -4i in (4)
+    assert lab.equiv(parse_cyclo("1+2*i"))
     assert not lab.equiv(parse_cyclo("1"))
     assert not lab.equiv(parse_cyclo("2"))
+
+
+def test_hnf_box_is_a_transversal():
+    # (A, 0) and (s, B) lie in nu O_K, and the A * B points of the box are
+    # pairwise distinct mod nu, as many as E_f has points: so the box holds
+    # exactly one representative of each class
+    for N in (36, 64):
+        info = ellper._info(N)
+        big_a, s, big_b = info.hnf
+        assert ellper._okdivides(info, CycloNum.from_rational(big_a))
+        assert ellper._okdivides(info, s + big_b * info.tau)
+        box = [a + b * info.tau for a in range(big_a) for b in range(big_b)]
+        assert len(box) == len(torsion_Ef(N))
+        for i, x in enumerate(box):
+            assert not any(ellper._okdivides(info, x - y) for y in box[i + 1:])
+
+
+def test_label_residues_are_canonical():
+    # the printed residue lies in the box and does not depend on precision,
+    # although at 30 and 45 digits rounding lands on other representatives
+    for N in (36, 64):
+        big_a, _, big_b = ellper._info(N).hnf
+        pts = claims.points(N)
+        for name in claims.torsion_label_claims(N):
+            got = {(lab.a, lab.b) for lab in
+                   (torsion_label(N, pts[name], PrecisionContext(digits=d))
+                    for d in (30, 45, 60, 100))}
+            assert len(got) == 1, (N, name, got)
+            a, b = got.pop()
+            assert 0 <= a < big_a and 0 <= b < big_b, (N, name, a, b)
 
 
 def test_chi_f_check():
@@ -243,4 +308,4 @@ def test_chi_f_check():
 
 def test_nonexistent_curve_rejected():
     with pytest.raises(Exception):
-        real_period(37, CTX)
+        lattice(37, CTX)
