@@ -202,18 +202,6 @@ class CoeffTable:
     def __getitem__(self, n: int) -> int:
         return self.a[n]
 
-    def check_invariants(self, sample_stride: int = 1):
-        if self.a.get(1) != 1:
-            raise HeckeError("a_1 must be 1")
-        for n in range(1, self.n_max + 1, sample_stride):
-            for m in range(2, self.n_max // n + 1):
-                if math.gcd(m, n) == 1 and m * n <= self.n_max:
-                    if self.a[m * n] != self.a[m] * self.a[n]:
-                        raise HeckeError(
-                            f"multiplicativity fails at ({m},{n})")
-            if sample_stride > 1 and n > 100:
-                break
-
 
 def _primes_up_to(n: int):
     if n < 2:
@@ -387,18 +375,3 @@ def lstar_zero(c: CurveId, ctx: PrecisionContext,
         if res.val <= 0:
             raise HeckeError("L*(E, 0) must be positive")
         return res
-
-
-def eta_product_coeffs(n_max: int) -> CoeffTable:
-    """Coefficients of q prod_{n>=1} (1 - q^{6n})^4, a cross-check for E36."""
-    # expand prod (1 - q^{6n})^4 up to q^{n_max - 1}
-    coeffs = [0] * n_max
-    if n_max > 0:
-        coeffs[0] = 1
-    for k in range(6, n_max, 6):
-        for _ in range(4):
-            # multiply by (1 - q^k)
-            for i in range(n_max - 1, k - 1, -1):
-                coeffs[i] -= coeffs[i - k]
-    a = {n: coeffs[n - 1] for n in range(1, n_max + 1)}
-    return CoeffTable(n_max=n_max, a=a, source="cm")

@@ -184,7 +184,7 @@ def f32_unit(p: HypParams, ctx: PrecisionContext,
         K = P
         if scale is None:
             scale = term_scale(p, ctx)
-        head, t_next = _partial_sum(p, M, ctx)
+        head = _partial_sum(p, M, ctx)
         tail, tail_err = accelerated_tail(p, M, K, ctx, scale)
         val = head + tail
         err = tail_err + abs(val) * ctx.eps * (M + 10)
@@ -196,16 +196,14 @@ def f32_unit(p: HypParams, ctx: PrecisionContext,
 
 
 def _partial_sum(p: HypParams, M: int, ctx: PrecisionContext):
-    """sum_{n=0}^{M} t_n at working precision; also returns t_{M+1}."""
+    """sum_{n=0}^{M} t_n at working precision."""
     t = mpf(1)
     acc = mpf(1)
     for n in range(M):
         r = p.term_ratio(n)
         t = t * mpf(r.numerator) / r.denominator
         acc += t
-    r = p.term_ratio(M)
-    t = t * mpf(r.numerator) / r.denominator
-    return acc, t
+    return acc
 
 
 def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:

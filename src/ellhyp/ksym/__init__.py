@@ -10,8 +10,7 @@ from .symbols import (NonterminationError, PolyFF, Symbol, SymbolError,
                       SymbolSum, evaluate_pullback, pullback_polyff,
                       pushforward_e36, rosset_tate, rosset_tate_chain,
                       verify_annihilation)
-from .series import (ExpansionDepthError, LaurentSeries, Place, ord_at,
-                     tame_symbol, verify_divisor)
+from .series import Place, ord_at, tame_symbol, verify_divisor
 
 __all__ = [
     "Poly", "RatFunc", "E36FF", "E64FF", "FERMAT4", "FERMAT6", "INTERC",
@@ -20,6 +19,5 @@ __all__ = [
     "project_interC_to_e36", "substitute_quotient", "NonterminationError",
     "PolyFF", "Symbol", "SymbolError", "SymbolSum", "evaluate_pullback",
     "pullback_polyff", "pushforward_e36", "rosset_tate", "rosset_tate_chain",
-    "verify_annihilation", "ExpansionDepthError", "LaurentSeries", "Place",
-    "ord_at", "tame_symbol", "verify_divisor",
+    "verify_annihilation", "Place", "ord_at", "tame_symbol", "verify_divisor",
 ]

@@ -203,9 +203,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented

@@ -39,19 +39,9 @@ class Symbol:
     def field(self):
         return self.f.field
 
-    def swap(self) -> "SymbolSum":
-        """{f, g} = -{g, f}."""
-        return SymbolSum([(-1, Symbol(self.g, self.f))])
-
     def inv_first(self) -> "SymbolSum":
         """{f, g} = -{f^-1, g}."""
         return SymbolSum([(-1, Symbol(self.f.inv(), self.g))])
-
-    def split_first(self, a: FFElem, b: FFElem) -> "SymbolSum":
-        """{ab, g} = {a, g} + {b, g}, checking f = ab exactly."""
-        if a * b != self.f:
-            raise SymbolError("split factors do not multiply to the first slot")
-        return SymbolSum([(1, Symbol(a, self.g)), (1, Symbol(b, self.g))])
 
 
 class SymbolSum:

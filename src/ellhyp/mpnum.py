@@ -153,19 +153,13 @@ class ArbReal:
         o = self._coerce(other)
         return o / self
 
-    def sqrt(self):
-        if self.val < 0:
-            raise DomainError("sqrt of negative ArbReal")
-        v = mpmath.sqrt(self.val)
-        err = self.err / (2 * v) if v > 0 else mpmath.sqrt(self.err)
-        return ArbReal(v, err + _ulp(v))
-
     def __abs__(self):
         return ArbReal(abs(self.val), self.err)
 
 
 class ArbComplex:
-    """Complex analogue of ArbReal; err bounds the modulus of the error."""
+    """Complex value with an error estimate on the modulus of its error.  The
+    numeric layers read and build .val and .err directly."""
 
     __slots__ = ("val", "err")
 
@@ -180,71 +174,6 @@ class ArbComplex:
 
     def __repr__(self):
         return f"ArbComplex({self.val!r}, err={self.err!r})"
-
-    @property
-    def real(self):
-        return ArbReal(self.val.real, self.err)
-
-    @property
-    def imag(self):
-        return ArbReal(self.val.imag, self.err)
-
-    def _coerce(self, other):
-        if isinstance(other, ArbComplex):
-            return other
-        if isinstance(other, (int, float, Fraction, mpf, mpc, ArbReal)):
-            return ArbComplex(_val_of(other), _err_of(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        v = self.val + o.val
-        return ArbComplex(v, self.err + o.err + _ulp(abs(v)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ArbComplex(-self.val, self.err)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        v = self.val * o.val
-        err = (abs(self.val) * o.err + abs(o.val) * self.err
-               + self.err * o.err + _ulp(abs(v)))
-        return ArbComplex(v, err)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("ArbComplex division by zero")
-        v = self.val / o.val
-        m = abs(o.val)
-        err = self.err / m + abs(self.val) * o.err / (m * m) + _ulp(abs(v))
-        return ArbComplex(v, err)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __abs__(self):
-        return ArbReal(abs(self.val), self.err)
 
 
 def _is_nonpositive_integer(z: mpc) -> bool:

@@ -112,7 +112,6 @@ def test_ratfunc_reduction_and_inverse():
     f = RatFunc(x * x - Poly.const(one()), x - Poly.const(one()))
     assert f.den.degree == 0  # (x^2-1)/(x-1) reduces to x+1
     g = RatFunc(x, x * x + Poly.const(one()))
-    assert (g * g.inv()).is_constant()
     assert g * g.inv() == RatFunc(Poly.const(1))
 
 
@@ -342,19 +341,9 @@ def test_symbol_rewriting_moves():
     f = ff_parse(E64FF, "u")
     g = ff_parse(E64FF, "v")
     s = Symbol(f, g)
-    # {f, g} = -{g, f} = -{f^-1, g}
-    sw = s.swap()
-    assert sw.terms[0][0] == -1 and sw.terms[0][1] == Symbol(g, f)
+    # {f, g} = -{f^-1, g}
     iv = s.inv_first()
     assert iv.terms[0][0] == -1 and iv.terms[0][1] == Symbol(f.inv(), g)
-    # bilinearity move: {f1 f2, g} = {f1, g} + {f2, g}
-    split = Symbol(f * f, g).split_first(f, f)
-    assert split == SymbolSumOf([(1, Symbol(f, g)), (1, Symbol(f, g))])
-
-
-def SymbolSumOf(terms):
-    from ellhyp.ksym import SymbolSum
-    return SymbolSum(terms)
 
 
 def test_rosset_tate_reproduces_published_data():

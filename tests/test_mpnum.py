@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellhyp import mpnum
-from ellhyp.mpnum import (ArbComplex, ArbReal, DomainError, GammaPoleError,
+from ellhyp.mpnum import (ArbReal, DomainError, GammaPoleError,
                           PrecisionContext)
 
 CTX = PrecisionContext(digits=30)
@@ -177,13 +177,6 @@ def test_arbreal_error_propagation(an, bn, ad, bd):
         assert p.err >= 0
         # true value stays inside the interval when inputs are exact points
         assert abs(s.val - (a.val + b.val)) <= s.err + mpmath.mpf(10) ** -40
-
-
-def test_arbcomplex_abs_and_mul():
-    with CTX.workprec():
-        a = ArbComplex(mpmath.mpc(3, 4), mpmath.mpf(0))
-        b = ArbComplex(mpmath.mpc(1, -2), mpmath.mpf(0))
-        _close((a * b).val, mpmath.mpc(3, 4) * mpmath.mpc(1, -2))
 
 
 def test_precision_context_eps():

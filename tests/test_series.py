@@ -1,14 +1,201 @@
-"""Local expansions, valuations, tame symbols, divisor verification."""
+"""Valuations, leading coefficients, tame symbols, divisor verification.
+
+The product reads orders and leading coefficients from closed forms on
+v^2 = m(u).  The truncated Laurent series below, with local coordinates found
+by Newton iteration, is the former product path; it stays here as the oracle
+for those closed forms."""
 
 import pytest
 
 from ellhyp import claims
-from ellhyp.cyclo import CycloNum, ZETA3, one, parse_cyclo, zero
-from ellhyp.ecdiv import CurvePoint
-from ellhyp.ksym import (E36FF, E64FF, ExpansionDepthError, LaurentSeries,
-                         Place, ff_parse, ord_at, tame_symbol, verify_divisor)
-from ellhyp.ksym.series import _expand
-from ellhyp.ecdiv import Divisor
+from ellhyp.cyclo import CycloNum, one, zero
+from ellhyp.ecdiv import CURVE36, CURVE64, CurvePoint, Divisor, torsion_Ef
+from ellhyp.ksym import (E36FF, E64FF, Place, ff_parse, ord_at, tame_symbol,
+                         verify_divisor)
+from ellhyp.ksym.ratfunc import Poly
+from ellhyp.ksym.series import _leading
+
+_ZERO = zero()
+_ONE = one()
+
+
+class ExpansionDepthError(Exception):
+    pass
+
+
+class LaurentSeries:
+    """Truncated Laurent series sum_i coeffs[i] t^(offset+i), known below
+    t^(offset+len(coeffs)).  Leading coefficients may be zero (cancellation);
+    precision bookkeeping is explicit."""
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset: int, coeffs):
+        self.offset = int(offset)
+        self.coeffs = [c if isinstance(c, CycloNum) else
+                       CycloNum.from_rational(c) for c in coeffs]
+
+    @staticmethod
+    def const(c, prec: int) -> "LaurentSeries":
+        return LaurentSeries(0, [c] + [_ZERO] * (prec - 1))
+
+    @property
+    def end(self) -> int:
+        return self.offset + len(self.coeffs)
+
+    def first_nonzero(self):
+        """Index into coeffs of the first nonzero term, or None."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
+    def order(self) -> int:
+        i = self.first_nonzero()
+        if i is None:
+            raise ExpansionDepthError(
+                "series is zero to the working precision; deepen the expansion")
+        return self.offset + i
+
+    def leading_coeff(self) -> CycloNum:
+        return self.coeffs[self.first_nonzero()]
+
+    def __add__(self, other):
+        o = min(self.offset, other.offset)
+        e = min(self.end, other.end)
+        if e <= o:
+            raise ExpansionDepthError("no overlapping precision in addition")
+        out = [_ZERO] * (e - o)
+        for src in (self, other):
+            for i, c in enumerate(src.coeffs):
+                k = src.offset + i - o
+                if 0 <= k < len(out):
+                    out[k] = out[k] + c
+        return LaurentSeries(o, out)
+
+    def __neg__(self):
+        return LaurentSeries(self.offset, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a0 = self.first_nonzero()
+        b0 = other.first_nonzero()
+        la, lb = len(self.coeffs), len(other.coeffs)
+        # absolute precision of the product
+        end = min(self.end + other.offset + (b0 if b0 is not None else lb),
+                  other.end + self.offset + (a0 if a0 is not None else la))
+        o = self.offset + other.offset
+        n = end - o
+        if n <= 0:
+            raise ExpansionDepthError("no precision left in multiplication")
+        out = [_ZERO] * n
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            if i >= n:
+                break
+            for j, b in enumerate(other.coeffs):
+                if i + j >= n:
+                    break
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return LaurentSeries(o, out)
+
+    def inv(self) -> "LaurentSeries":
+        i = self.first_nonzero()
+        if i is None:
+            raise ExpansionDepthError("cannot invert a series that is zero "
+                                      "to the working precision")
+        unit = self.coeffs[i:]
+        n = len(unit)
+        lead_inv = unit[0].inv()
+        out = [lead_inv] + [_ZERO] * (n - 1)
+        for k in range(1, n):
+            acc = _ZERO
+            for j in range(1, k + 1):
+                if unit[j]:
+                    acc = acc + unit[j] * out[k - j]
+            out[k] = -lead_inv * acc
+        return LaurentSeries(-(self.offset + i), out)
+
+
+def _poly_at_series(p: Poly, s: LaurentSeries, prec: int) -> LaurentSeries:
+    acc = LaurentSeries.const(_ZERO, prec)
+    for c in reversed(p.coeffs):
+        acc = acc * s + LaurentSeries.const(c, prec)
+    return acc
+
+
+def _local_coords(pl: Place, depth: int):
+    """(u(t), v(t)) at the place to `depth` relative terms."""
+    m = pl.field.m
+    half = LaurentSeries.const(CycloNum.from_rational(1) / 2, depth)
+    if pl.kind == "finite":
+        u0, v0 = pl.point.u, pl.point.v
+        # t = u - u0, v = sqrt(m(u0 + t)) by Newton from v0
+        u = LaurentSeries(0, [u0, _ONE] + [_ZERO] * (depth - 2))
+        target = _poly_at_series(m, u, depth)
+        v = LaurentSeries.const(v0, depth)
+        for _ in range(depth.bit_length() + 2):
+            v = (v + target * v.inv()) * half
+        return u, v
+    if pl.kind == "two_torsion":
+        u0 = pl.point.u
+        # t = v, solve m(u) = t^2 by Newton from u0 (m'(u0) != 0)
+        mp = m.derivative()
+        t2 = LaurentSeries(2, [_ONE] + [_ZERO] * (depth - 1))
+        u = LaurentSeries.const(u0, depth)
+        for _ in range(depth.bit_length() + 2):
+            f_val = _poly_at_series(m, u, depth) - t2
+            u = u - f_val * _poly_at_series(mp, u, depth).inv()
+        v = LaurentSeries(1, [_ONE] + [_ZERO] * (depth - 1))
+        return u, v
+    # infinity: t = u/v, u = t^-2 s, v = t^-3 s with
+    # s^3 - s^2 + a t^4 s + b t^6 = 0, s(0) = 1   (m = u^3 + a u + b)
+    a = m.coeffs[1] if len(m.coeffs) > 1 else _ZERO
+    b = m.coeffs[0] if len(m.coeffs) > 0 else _ZERO
+    at4 = LaurentSeries(4, [a] + [_ZERO] * (depth - 1))
+    bt6 = LaurentSeries(6, [b] + [_ZERO] * (depth - 1))
+    s = LaurentSeries.const(_ONE, depth)
+    three = LaurentSeries.const(CycloNum.from_rational(3), depth)
+    two = LaurentSeries.const(CycloNum.from_rational(2), depth)
+    for _ in range(depth.bit_length() + 2):
+        f_val = s * s * s - s * s + at4 * s + bt6
+        fp = three * s * s - two * s + at4
+        s = s - f_val * fp.inv()
+    tm2 = LaurentSeries(-2, [_ONE] + [_ZERO] * (depth - 1))
+    tm3 = LaurentSeries(-3, [_ONE] + [_ZERO] * (depth - 1))
+    return tm2 * s, tm3 * s
+
+
+def _expand_series(f, pl: Place, depth: int) -> LaurentSeries:
+    u, v = _local_coords(pl, depth)
+    acc = None
+    vk = LaurentSeries.const(_ONE, depth)
+    for k, c in enumerate(f.coeffs):
+        if k:
+            vk = vk * v
+        if c.is_zero():
+            continue
+        num = _poly_at_series(c.num, u, depth)
+        den = _poly_at_series(c.den, u, depth)
+        term = num * den.inv() * vk
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _series_leading(f, pl):
+    """Reference (order, leading coefficient): expand at doubling depth until
+    a term survives."""
+    depth = 12
+    while True:
+        try:
+            s = _expand_series(f, pl, depth)
+            return s.order(), s.leading_coeff()
+        except ExpansionDepthError:
+            depth *= 2
 
 
 def _pt(name, N=36):
@@ -47,16 +234,6 @@ def test_ord_at_two_torsion_and_infinity_e64():
     assert ord_at(f2, Place(E64FF, _pt("Q0", 64))) == -1
 
 
-def _series_order(f, pl):
-    """Reference valuation: expand at doubling depth until a term survives."""
-    depth = 12
-    while True:
-        try:
-            return _expand(f, pl, depth).order()
-        except ExpansionDepthError:
-            depth *= 2
-
-
 # functions with poles in both a and b of f = a + b*v; "(1-v)/u^3" and the
 # E64 function vanish in their unit part at P and S, where ord_at uses the norm
 _POLES_IN_BOTH = {
@@ -66,22 +243,26 @@ _POLES_IN_BOTH = {
 
 
 def _oracle_cases():
+    """Every claims.json divisor function, the test functions and
+    _POLES_IN_BOTH, at every named point and every point of E_f."""
     for N, field in ((36, E36FF), (64, E64FF)):
-        texts = [e["function"] for e in claims.raw()["divisors"][str(N)]
-                 if e["name"] != "f_alpha"]
+        texts = [e["function"] for e in claims.raw()["divisors"][str(N)]]
         texts += [t for t in ("v-2*u", "1-v", "1+u") if t not in texts]
         texts += _POLES_IN_BOTH[N]
+        points = list(claims.points(N).values())
+        points += [p for p in torsion_Ef(N) if p not in points]
         for text in texts:
             f = ff_parse(field, text)
-            for name, point in claims.points(N).items():
-                yield N, text, name, f, Place(field, point)
+            for point in points:
+                yield N, text, point, f, Place(field, point)
 
 
 def test_ord_at_matches_series_oracle():
     cases = list(_oracle_cases())
-    assert len(cases) == 7 * 5 + 10 * 11  # functions x named points
-    for N, text, name, f, pl in cases:
-        assert ord_at(f, pl) == _series_order(f, pl), (N, text, name)
+    # functions x points: the named points all lie in E_f
+    assert len(cases) == 8 * 12 + 10 * 16
+    for N, text, point, f, pl in cases:
+        assert _leading(f, pl) == _series_leading(f, pl), (N, text, point)
 
 
 @pytest.mark.parametrize("N,text,name,order", [
@@ -96,7 +277,7 @@ def test_ord_at_through_the_norm(N, text, name, order):
     f = ff_parse(field, text)
     pl = Place(field, claims.point(N, name))
     assert pl.kind == "finite"
-    assert ord_at(f, pl) == order == _series_order(f, pl)
+    assert ord_at(f, pl) == order == _series_leading(f, pl)[0]
 
 
 def test_ord_additivity():
@@ -124,6 +305,24 @@ def test_tame_symbol_formula():
     assert val ** 2 != val or val == one()  # a nonzero exact constant
     # swapping slots inverts the symbol
     assert tame_symbol(g, f, pl) == val.inv()
+
+
+@pytest.mark.parametrize("N", [36, 64])
+def test_weil_reciprocity_on_claim_pairs(N):
+    # prod_P T_P(f, g) = 1 over the curve; T_P is 1 off both supports, and
+    # the 2-torsion points cover the regrouped f2 display
+    fns = claims.divisor_claims(N)
+    pairs = [(a, b) for i, a in enumerate(fns) for b in fns[i + 1:]]
+    assert len(pairs) == 6
+    field, curve = (E36FF, CURVE36) if N == 36 else (E64FF, CURVE64)
+    for a, b in pairs:
+        support = {p for p, _ in a.divisor} | {p for p, _ in b.divisor}
+        support.update(curve.two_torsion())
+        prod = one()
+        for point in support:
+            prod = prod * tame_symbol(a.function, b.function,
+                                      Place(field, point))
+        assert prod == one(), (N, a.name, b.name)
 
 
 def test_verify_divisor_all_claims():
