@@ -6,10 +6,14 @@ Each field is Q(zeta_24)(base)[ext] with a single relation ext^d = m(base):
     interC :  v^2 = 1 - y^6          e36    :  v^2 = u^3 + 1
     e64    :  v^2 = u^3 - 4u
 
-Elements are vectors of rational functions in the base variable, reduced so
-the ext-degree is < d.  Since d divides 24, zeta_d lies in Q(zeta_24), and
-the inverse is the product of the d - 1 conjugates ext |-> zeta_d^j ext over
-the norm, as for Q(zeta_24) itself.
+An element is sum_k nums[k] ext^k / den with k < d: d polynomials in the
+base variable over one monic denominator, with gcd(den, *nums) = 1.  This is
+the layout of CycloNum one level down (Cohen, GTM 138, Secs. 3.3 and 4.2).
+The form is canonical, so equality is tuple equality; each operation works
+on polynomials and ends in one ``reduce_fraction``.  Since d divides 24,
+zeta_d lies in Q(zeta_24), and the inverse is the product of the d - 1
+conjugates ext |-> zeta_d^j ext of the numerator over its norm polynomial,
+as for Q(zeta_24) itself.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from ..cyclo import CycloNum, cyclo_atom, parse_expression
 from ..cyclo import zero as cy_zero
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, reduce_fraction
 
 
 class FieldError(Exception):
@@ -42,23 +46,20 @@ class FunctionField:
         return f"FunctionField({self.name})"
 
     def zero(self) -> "FFElem":
-        return FFElem(self, [RatFunc(0)] * self.degree)
+        return FFElem(self, [])
 
     def one(self) -> "FFElem":
         return self.scalar(1)
 
     def scalar(self, c) -> "FFElem":
-        v = [RatFunc(0)] * self.degree
-        v[0] = c if isinstance(c, RatFunc) else RatFunc(Poly.const(c))
-        return FFElem(self, v)
+        """c an int, Fraction, CycloNum or Poly in the base variable."""
+        return FFElem(self, [c])
 
     def base_gen(self) -> "FFElem":
-        return self.scalar(RatFunc.var())
+        return self.scalar(Poly.var())
 
     def ext_gen(self) -> "FFElem":
-        v = [RatFunc(0)] * self.degree
-        v[1 if self.degree > 1 else 0] = RatFunc(1)
-        return FFElem(self, v)
+        return FFElem(self, [0, 1])
 
 
 def _fermat_m(n: int) -> Poly:
@@ -76,22 +77,33 @@ E64FF = FunctionField("e64", "u", "v", 2, Poly([0, -4, 0, 1]))
 
 FIELDS = {f.name: f for f in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF)}
 
+_POLY_ONE = Poly.const(1)
+
 
 class FFElem:
-    """Element sum_k coeffs[k] * ext^k of a FunctionField."""
+    """Element sum_k nums[k] ext^k / den of a FunctionField, in canonical
+    form: den monic and gcd(den, *nums) = 1 (see ``reduce_fraction``)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: FunctionField, coeffs):
-        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
-        if len(cs) > field.degree:
+    def __init__(self, field: FunctionField, nums, den=1):
+        ps = [n if isinstance(n, Poly) else Poly.const(n) for n in nums]
+        if len(ps) > field.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        cs += [RatFunc(0)] * (field.degree - len(cs))
+        ps += [Poly()] * (field.degree - len(ps))
         self.field = field
-        self.coeffs = tuple(cs)
+        self.nums, self.den = reduce_fraction(
+            ps, den if isinstance(den, Poly) else Poly.const(den))
+
+    @staticmethod
+    def _raw(field: FunctionField, nums: tuple, den: Poly) -> "FFElem":
+        """Wrap a fraction that is already in canonical form."""
+        x = object.__new__(FFElem)
+        x.field, x.nums, x.den = field, nums, den
+        return x
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return all(n.is_zero() for n in self.nums)
 
     def __bool__(self):
         return not self.is_zero()
@@ -99,40 +111,45 @@ class FFElem:
     def __eq__(self, other):
         if not isinstance(other, FFElem):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field.name, self.coeffs))
+        return hash((self.field.name, self.nums, self.den))
 
     def __repr__(self):
         parts = []
         ev = self.field.ext_var
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for k, n in enumerate(self.nums):
+            if n.is_zero():
                 continue
             head = "" if k == 0 else (ev if k == 1 else f"{ev}^{k}")
-            parts.append(f"({c.num!r})/({c.den!r}){'*' + head if head else ''}")
-        return f"FFElem[{self.field.name}](" + (" + ".join(parts) or "0") + ")"
+            parts.append(f"({n!r}){'*' + head if head else ''}")
+        return (f"FFElem[{self.field.name}](({' + '.join(parts) or '0'})"
+                f" / ({self.den!r}))")
 
     def _same(self, other) -> "FFElem":
         if isinstance(other, FFElem):
             if other.field is not self.field:
                 raise FieldError("mixing elements of different function fields")
             return other
-        if isinstance(other, (int, Fraction, CycloNum, RatFunc, Poly)):
-            return self.field.scalar(other if isinstance(other, RatFunc)
-                                     else RatFunc(other if isinstance(other, Poly)
-                                                  else Poly.const(other)))
+        if isinstance(other, (int, Fraction, CycloNum, Poly)):
+            return self.field.scalar(other)
         raise TypeError(f"cannot coerce {other!r} into {self.field}")
 
     def __add__(self, other):
         o = self._same(other)
-        return FFElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if self.den == o.den:
+            return FFElem(self.field, [a + b for a, b in zip(self.nums, o.nums)],
+                          self.den)
+        return FFElem(self.field, [a * o.den + b * self.den
+                                   for a, b in zip(self.nums, o.nums)],
+                      self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFElem(self.field, [-a for a in self.coeffs])
+        return FFElem._raw(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-self._same(other))
@@ -143,42 +160,43 @@ class FFElem:
     def __mul__(self, other):
         o = self._same(other)
         d = self.field.degree
-        m = RatFunc(self.field.m)
-        prod = [RatFunc(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [Poly()] * (2 * d - 1)
+        for i, a in enumerate(self.nums):
             if a.is_zero():
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in enumerate(o.nums):
                 if not b.is_zero():
                     prod[i + j] = prod[i + j] + a * b
-        out = prod[:d]
+        # ext^d = m
         for i in range(d, 2 * d - 1):
             if not prod[i].is_zero():
-                out[i - d] = out[i - d] + prod[i] * m
-        return FFElem(self.field, out)
+                prod[i - d] = prod[i - d] + prod[i] * self.field.m
+        return FFElem(self.field, prod[:d], self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FFElem":
-        """1/f = p / N with p = prod_{j=1}^{d-1} sigma_j(f), where sigma_j
-        maps ext |-> zeta_d^j ext, and N = f p in K(base): the conjugate
-        product over the norm, as CycloNum.inv does for Q(zeta_24)."""
+        """1/f = den p / N with A = sum nums[k] ext^k, p = prod_{j=1}^{d-1}
+        sigma_j(A), where sigma_j maps ext |-> zeta_d^j ext, and N = A p the
+        norm polynomial: the conjugate product over the norm, as
+        CycloNum.inv does for Q(zeta_24)."""
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        if all(c.is_zero() for c in self.coeffs[1:]):
-            return self.field.scalar(self.coeffs[0].inv())
+        if all(n.is_zero() for n in self.nums[1:]):
+            return FFElem(self.field, [self.den], self.nums[0])
         d = self.field.degree
+        # nums over 1 is canonical, so A and its conjugates need no gcd
         p = None
         for j in range(1, d):
-            s = FFElem(self.field, [c * CycloNum.zeta_pow(24 // d * j * k)
-                                    for k, c in enumerate(self.coeffs)])
+            s = FFElem._raw(self.field, tuple(
+                n * CycloNum.zeta_pow(24 // d * j * k)
+                for k, n in enumerate(self.nums)), _POLY_ONE)
             p = s if p is None else p * s
-        norm = (self * p).coeffs
-        if any(not c.is_zero() for c in norm[1:]):
+        norm = (FFElem._raw(self.field, self.nums, _POLY_ONE) * p).nums
+        if any(not n.is_zero() for n in norm[1:]):
             raise FieldError(f"norm to the base field of {self.field.name} "
                              "has a nonzero ext-part")
-        n_inv = norm[0].inv()
-        return FFElem(self.field, [c * n_inv for c in p.coeffs])
+        return FFElem(self.field, [self.den * n for n in p.nums], norm[0])
 
     def __truediv__(self, other):
         return self * self._same(other).inv()
@@ -199,22 +217,23 @@ class FFElem:
         return result
 
     def base_twist(self, zeta: CycloNum) -> "FFElem":
-        """Substitute base |-> zeta * base in every coefficient."""
-        return FFElem(self.field, [c.scale_var(zeta) for c in self.coeffs])
+        """Substitute base |-> zeta * base."""
+        return FFElem(self.field, [n.scale_var(zeta) for n in self.nums],
+                      self.den.scale_var(zeta))
 
     def norm_to_rational_subfield(self) -> RatFunc:
-        """N(a + b*ext) = (a + b*ext)(a - b*ext) = a^2 - b^2*m in Q(zeta_24)(base).
+        """N((a0 + a1*ext)/den) = (a0^2 - a1^2 m) / den^2 in Q(zeta_24)(base).
 
-        Quadratic fields only (the elliptic curves and interC).  The
-        numerator and denominator are formed over one common denominator and
-        reduced once."""
+        Quadratic fields only (the elliptic curves and interC).  When a1 = 0
+        the quotient a0^2 / den^2 is already reduced, because gcd(a0, den)
+        = 1 in canonical form, and it is wrapped without a gcd."""
         if self.field.degree != 2:
             raise FieldError(f"norm to the rational subfield is implemented "
                              f"for quadratic fields, not {self.field.name}")
-        a, b = self.coeffs
-        num = a.num * a.num * b.den * b.den \
-            - b.num * b.num * a.den * a.den * self.field.m
-        return RatFunc(num, a.den * a.den * b.den * b.den)
+        a0, a1 = self.nums
+        if a1.is_zero():
+            return RatFunc._raw(a0 * a0, self.den * self.den)
+        return RatFunc(a0 * a0 - a1 * a1 * self.field.m, self.den * self.den)
 
 
 # parsing -------------------------------------------------------------------
@@ -259,43 +278,36 @@ def _eval_poly_ff(p: Poly, x: FFElem) -> FFElem:
     return acc
 
 
-def _ratfunc_at_ff(c: RatFunc, x: FFElem) -> FFElem:
-    return _eval_poly_ff(c.num, x) / _eval_poly_ff(c.den, x)
-
-
 def substitute_quotient(curve_map: QuotientMap, f: FFElem) -> FFElem:
     """Pull back f on the quotient curve through the map to the cover."""
     if f.field is not curve_map.source:
         raise FieldError(
             f"element lives on {f.field.name}, map starts at {curve_map.source.name}")
     acc = curve_map.cover.zero()
-    for k in reversed(range(len(f.coeffs))):
-        acc = acc * curve_map.ext_image + _ratfunc_at_ff(f.coeffs[k],
-                                                         curve_map.base_image)
-    return acc
+    for n in reversed(f.nums):
+        acc = acc * curve_map.ext_image + _eval_poly_ff(n, curve_map.base_image)
+    return acc / _eval_poly_ff(f.den, curve_map.base_image)
 
 
 def _build_maps():
+    x2 = Poly([0, 0, 1])
+    x3 = Poly([0, 0, 0, 1])
     # E36 quotient of the Fermat sextic: (x, y) -> (u, v) = (-y^2, x^3)
     p36 = QuotientMap("p36", E36FF, FERMAT6,
-                      base_image=FFElem(FERMAT6, [RatFunc(0), RatFunc(0),
-                                                  RatFunc(-1)]),
-                      ext_image=FERMAT6.scalar(RatFunc(Poly([0, 0, 0, 1]))))
+                      base_image=FFElem(FERMAT6, [0, 0, -1]),
+                      ext_image=FERMAT6.scalar(x3))
     # E64 quotient of the Fermat quartic:
     # (x, y) -> (u, v) = (2(y^2+1)/x^2, 4y(y^2+1)/x^3)
-    x2 = RatFunc(Poly([0, 0, 1]))
-    x3 = RatFunc(Poly([0, 0, 0, 1]))
-    u_img = FFElem(FERMAT4, [RatFunc(2) / x2, RatFunc(0), RatFunc(2) / x2])
-    v_img = FFElem(FERMAT4, [RatFunc(0), RatFunc(4) / x3,
-                             RatFunc(0), RatFunc(4) / x3])
-    p64 = QuotientMap("p64", E64FF, FERMAT4, base_image=u_img, ext_image=v_img)
+    p64 = QuotientMap("p64", E64FF, FERMAT4,
+                      base_image=FFElem(FERMAT4, [2, 0, 2], x2),
+                      ext_image=FFElem(FERMAT4, [0, 4, 0, 4], x3))
     # q: fermat6 -> interC, (x, y) -> (y, v) = (y, x^3)
     q = QuotientMap("q", INTERC, FERMAT6,
                     base_image=FERMAT6.ext_gen(),
-                    ext_image=FERMAT6.scalar(RatFunc(Poly([0, 0, 0, 1]))))
+                    ext_image=FERMAT6.scalar(x3))
     # r: interC -> e36, (y, v) -> (u, v) = (-y^2, v)
     r = QuotientMap("r", E36FF, INTERC,
-                    base_image=INTERC.scalar(RatFunc(Poly([0, 0, -1]))),
+                    base_image=INTERC.scalar(Poly([0, 0, -1])),
                     ext_image=INTERC.ext_gen())
     return {"p36": p36, "p64": p64, "q": q, "r": r}
 
@@ -322,55 +334,43 @@ def kummer_norm(f: FFElem, d: int, twist: str) -> FFElem:
     return acc
 
 
-def _invariant_ratfunc(c: RatFunc, d: int, zeta: CycloNum) -> RatFunc:
-    """Rewrite a twist-invariant c as a rational function of base^d."""
-    num, den = c.num, c.den
-    z = zeta
-    for _ in range(d - 1):
-        num = num * den.scale_var(z)
-        den = den * den.scale_var(z)
-        z = z * zeta
+def _invariant_parts(f: FFElem, d: int, twist: str):
+    """nums and den of f rewritten in base^d.
+
+    f is invariant under base |-> zeta_d base exactly when every part is a
+    polynomial in base^d: twisting maps the canonical form to a canonical
+    form up to the factor zeta_d^(deg den), and if that factor were not 1,
+    a power of base would divide den and every numerator."""
     try:
-        return RatFunc(num.exponent_divide(d), den.exponent_divide(d))
-    except ValueError as exc:
-        raise SubfieldError(str(exc)) from None
+        return ([n.exponent_divide(d) for n in f.nums],
+                f.den.exponent_divide(d))
+    except ValueError:
+        raise SubfieldError(
+            f"element is not invariant under {twist}") from None
 
 
 def project_fermat6_to_interC(f: FFElem) -> FFElem:
     """Rewrite an x -> zeta_3 x invariant element of fermat6 on interC.
 
-    fermat6 elements are sum_k c_k(x) y^k; invariance makes each c_k a
-    rational function of x^3 = v, and on interC y is the base variable.
+    fermat6 elements are sum_k n_k(x) y^k / den(x); invariance makes every
+    part a polynomial in x^3 = v, and on interC y is the base variable.
     """
     if f.field is not FERMAT6:
         raise FieldError("expected an element of fermat6")
-    zeta = CycloNum.zeta_pow(8)  # zeta_3
-    if f.base_twist(zeta) != f:
-        raise SubfieldError("element is not invariant under x -> zeta_3 x")
+    nums, den = _invariant_parts(f, 3, "x -> zeta_3 x")
     y_base = INTERC.base_gen()
     v_gen = INTERC.ext_gen()
-    out = INTERC.zero()
-    for k, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        cv = _invariant_ratfunc(c, 3, zeta)  # rational function of v
-        num = _eval_poly_ff(cv.num, v_gen)
-        den = _eval_poly_ff(cv.den, v_gen)
-        out = out + num / den * y_base ** k
-    return out
+    acc = INTERC.zero()
+    for n in reversed(nums):
+        acc = acc * y_base + _eval_poly_ff(n, v_gen)
+    return acc / _eval_poly_ff(den, v_gen)
 
 
 def project_interC_to_e36(f: FFElem) -> FFElem:
     """Rewrite a y -> -y invariant element of interC on e36 via u = -y^2."""
     if f.field is not INTERC:
         raise FieldError("expected an element of interC")
+    nums, den = _invariant_parts(f, 2, "y -> -y")
     minus_one = CycloNum.from_rational(-1)
-    if f.base_twist(minus_one) != f:
-        raise SubfieldError("element is not invariant under y -> -y")
-    out = []
-    for c in f.coeffs:
-        cw = _invariant_ratfunc(c, 2, minus_one)  # rational function of y^2
-        # y^2 = -u
-        out.append(RatFunc(cw.num.scale_var(minus_one),
-                           cw.den.scale_var(minus_one)))
-    return FFElem(E36FF, out)
+    return FFElem(E36FF, [n.scale_var(minus_one) for n in nums],
+                  den.scale_var(minus_one))

@@ -1,4 +1,12 @@
-"""Dense univariate polynomials and rational functions over Q(zeta_24)."""
+"""Dense univariate polynomials over Q(zeta_24) and their fractions.
+
+A fraction is kept as numerators over one common denominator, normalised by
+``reduce_fraction``: the denominator is monic and has no common factor with
+all the numerators.  The form is canonical, so equality is tuple equality,
+as for ``CycloNum`` one level down (Cohen, GTM 138, Sec. 3.3).
+``ksym.ffield.FFElem`` stores its d coefficients this way, and ``RatFunc``
+is the one-numerator case that norms return.
+"""
 
 from __future__ import annotations
 
@@ -86,18 +94,6 @@ class Poly:
     def __rmul__(self, other):
         return self * _cy(other) if not isinstance(other, Poly) else other * self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -136,12 +132,10 @@ class Poly:
             return self
         return self * self.leading().inv()
 
-    def eval(self, x):
-        """Horner evaluation; x may be a CycloNum or anything with * and +."""
-        if self.is_zero():
-            return cy_zero() if isinstance(x, CycloNum) else 0 * x
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+    def eval(self, x: CycloNum) -> CycloNum:
+        """Horner evaluation."""
+        acc = cy_zero()
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
@@ -170,106 +164,50 @@ class Poly:
         return Poly(out)
 
 
+def reduce_fraction(nums, den: Poly):
+    """The canonical form of nums[k] / den: (nums', den') with den' monic and
+    gcd(den', *nums') = 1.
+
+    One gcd chain runs over den and the nonzero numerators and stops once it
+    reaches a constant, which is the usual outcome after one or two steps."""
+    if den.is_zero():
+        raise ZeroDivisionError("fraction with zero denominator")
+    g = den
+    for n in nums:
+        if g.degree == 0:
+            break
+        if not n.is_zero():
+            g = g.gcd(n)
+    if g.degree > 0:
+        nums = [n.divmod(g)[0] for n in nums]
+        den = den.divmod(g)[0]
+    lead = den.leading()
+    if lead != _ONE:
+        lead = lead.inv()
+        nums = [n * lead for n in nums]
+        den = den * lead
+    return tuple(nums), den
+
+
 class RatFunc:
-    """Reduced fraction of Polys; denominator monic and coprime to numerator."""
+    """A value num / den of Q(zeta_24)(x) in canonical form (monic den,
+    gcd(num, den) = 1): the norm of a function-field element to its base
+    field.  Arithmetic happens on FFElem, so a RatFunc is only read."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if den is None:
-            den = Poly.const(1)
-        elif not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading()
-        if lead != _ONE:
-            lead = lead.inv()
-            num = num * lead
-            den = den * lead
-        self.num = num
-        self.den = den
+    def __init__(self, num: Poly, den: Poly):
+        (self.num,), self.den = reduce_fraction((num,), den)
 
     @staticmethod
-    def var() -> "RatFunc":
-        return RatFunc(Poly.var())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def _raw(num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair that is already in canonical form."""
+        x = object.__new__(RatFunc)
+        x.num, x.den = num, den
+        return x
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"
 
-    def __add__(self, other):
-        o = _rf(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_rf(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = _rf(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _rf(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return _rf(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (RatFunc(self.den, self.num)) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def eval(self, x: CycloNum) -> CycloNum:
-        d = self.den.eval(x)
-        if not d:
-            raise ZeroDivisionError("pole of rational function at evaluation point")
-        return self.num.eval(x) * d.inv()
-
-    def scale_var(self, z: CycloNum) -> "RatFunc":
-        return RatFunc(self.num.scale_var(z), self.den.scale_var(z))
-
     def max_degree(self) -> int:
         return max(self.num.degree, self.den.degree)
-
-
-def _rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    return RatFunc(Poly.const(x))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..cyclo import CycloNum
 from ..ecdiv import CURVE36, CURVE64, CurvePoint, Divisor
 from .ffield import E36FF, E64FF, FFElem, FieldError
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly
 
 _ZERO = CycloNum.from_rational(0)
 
@@ -69,19 +69,21 @@ def _root_split(p: Poly, u0: CycloNum):
         k += 1
 
 
-def _at_u0(r: RatFunc, u0: CycloNum):
-    """(k, c*(u0)) with r = (u - u0)^k c* and c*(u0) finite and nonzero."""
-    kn, vn = _root_split(r.num, u0)
-    kd, vd = _root_split(r.den, u0)
+def _at_u0(num: Poly, den: Poly, u0: CycloNum):
+    """(k, c*(u0)) with num / den = (u - u0)^k c* and c*(u0) finite and
+    nonzero; the fraction need not be reduced."""
+    kn, vn = _root_split(num, u0)
+    kd, vd = _root_split(den, u0)
     return kn - kd, vn * vd.inv()
 
 
 def _expand(f: FFElem, pl: Place) -> list:
     """Leading terms (order, coefficient) of the nonzero summands c_j(u) v^j
-    of f in the uniformizer of the place, with c_j = (u - u0)^k c*:
+    of f in the uniformizer of the place, with c_j = nums[j] / den =
+    (u - u0)^k c*:
 
       * at infinity u = t^-2 (1 + O(t)) and v = t^-3 (1 + O(t)), so the term
-        is (2 (deg den - deg num) - 3j, lc(num) / lc(den));
+        is (2 (deg den - deg nums[j]) - 3j, lc(nums[j]) / lc(den));
       * at a 2-torsion point u - u0 = t^2 / m'(u0) + O(t^4) and v = t, so it
         is (2k + j, c*(u0) m'(u0)^-k);
       * at any other finite point t = u - u0 and v = v0 + O(t), so it is
@@ -89,15 +91,15 @@ def _expand(f: FFElem, pl: Place) -> list:
     """
     if f.is_zero():
         raise ZeroDivisionError("valuation of the zero function")
-    terms = [(j, c) for j, c in enumerate(f.coeffs) if not c.is_zero()]
+    terms = [(j, n) for j, n in enumerate(f.nums) if not n.is_zero()]
     if pl.kind == "infinity":
-        # lc(den) = 1: RatFunc keeps its denominator monic
-        return [(2 * (c.den.degree - c.num.degree) - 3 * j, c.num.leading())
-                for j, c in terms]
+        # lc(den) = 1: FFElem keeps its denominator monic
+        return [(2 * (f.den.degree - n.degree) - 3 * j, n.leading())
+                for j, n in terms]
     u0, v0 = pl.point.u, pl.point.v
     out = []
-    for j, c in terms:
-        k, val = _at_u0(c, u0)
+    for j, n in terms:
+        k, val = _at_u0(n, f.den, u0)
         if pl.kind == "two_torsion":
             out.append((2 * k + j,
                         val * pl.field.m.derivative().eval(u0) ** -k))
@@ -122,7 +124,8 @@ def _leading(f: FFElem, pl: Place):
     lead = sum((c for o, c in terms if o == k), _ZERO)
     if lead:
         return k, lead
-    kn, lead_n = _at_u0(f.norm_to_rational_subfield(), pl.point.u)
+    norm = f.norm_to_rational_subfield()
+    kn, lead_n = _at_u0(norm.num, norm.den, pl.point.u)
     return kn - k, lead_n * (CycloNum.from_rational(-2) * terms[1][1]).inv()
 
 

@@ -210,7 +210,7 @@ def evaluate_pullback(g: PolyFF, curve_map, generator: FFElem) -> FFElem:
     return pullback_polyff(curve_map, g).eval(generator)
 
 
-def rosset_tate(g0: PolyFF, g1: PolyFF, max_steps: int = 64) -> SymbolSum:
+def rosset_tate(g0: PolyFF, g1: PolyFF) -> SymbolSum:
     """Trace of {c(g1-root), generator} down the extension cut out by g0.
 
     Builds the chain g_{i+1} = g*_{i-1} mod g_i of strictly decreasing degree
@@ -222,21 +222,20 @@ def rosset_tate(g0: PolyFF, g1: PolyFF, max_steps: int = 64) -> SymbolSum:
         raise SymbolError("g0 must be monic of degree >= 1")
     if g1.degree >= g0.degree:
         raise SymbolError("g1 must have degree smaller than g0")
-    chain = rosset_tate_chain(g0, g1, max_steps)
+    chain = rosset_tate_chain(g0, g1)
     return SymbolSum([(-1, Symbol(chain[i - 1].star().content_sign(),
                                   chain[i].content_sign()))
                       for i in range(1, len(chain))])
 
 
-def rosset_tate_chain(g0: PolyFF, g1: PolyFF, max_steps: int = 64):
+def rosset_tate_chain(g0: PolyFF, g1: PolyFF):
     """The nonzero g_i sequence g_0, g_1, ..., g_m, ending in a constant.
 
-    Raises NonterminationError if the degree fails to decrease, a remainder
-    vanishes before degree 0 is reached, or the chain exceeds max_steps."""
+    Raises NonterminationError if the degree fails to decrease or a
+    remainder vanishes before degree 0 is reached.  The strict decrease
+    bounds the chain by deg g1 + 2 entries."""
     chain = [g0, g1]
     while not chain[-1].is_zero() and chain[-1].degree >= 1:
-        if len(chain) > max_steps:
-            raise NonterminationError("Rosset-Tate chain exceeded step bound")
         nxt = chain[-2].star().divmod(chain[-1])[1]
         if nxt.is_zero():
             raise NonterminationError(

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from ellhyp import claims, ellper
-from ellhyp.cyclo import CycloNum, I, ZETA3, parse_cyclo
+from ellhyp.cyclo import CycloNum, parse_cyclo
 from ellhyp.ecdiv import CurvePoint, law, torsion_Ef
 from ellhyp.ellper import (PeriodError, chi_f_check, elliptic_log, lattice,
                            torsion_label)

@@ -5,10 +5,9 @@ import math
 import mpmath
 import pytest
 
-from ellhyp import hecke
-from ellhyp.hecke import (BadPrimeError, CoefficientFileError, CurveId,
-                          afe_n_max, ap_cm, ap_pointcount, build_coeffs,
-                          curve, l_two, lstar_zero)
+from ellhyp.hecke import (BadPrimeError, CoefficientFileError, afe_n_max,
+                          ap_cm, ap_pointcount, build_coeffs, curve, l_two,
+                          lstar_zero)
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)

@@ -171,19 +171,18 @@ def _local_coords(pl: Place, depth: int):
 
 
 def _expand_series(f, pl: Place, depth: int) -> LaurentSeries:
+    """f = sum_k nums[k] v^k / den as a series in the uniformizer."""
     u, v = _local_coords(pl, depth)
     acc = None
     vk = LaurentSeries.const(_ONE, depth)
-    for k, c in enumerate(f.coeffs):
+    for k, n in enumerate(f.nums):
         if k:
             vk = vk * v
-        if c.is_zero():
+        if n.is_zero():
             continue
-        num = _poly_at_series(c.num, u, depth)
-        den = _poly_at_series(c.den, u, depth)
-        term = num * den.inv() * vk
+        term = _poly_at_series(n, u, depth) * vk
         acc = term if acc is None else acc + term
-    return acc
+    return acc * _poly_at_series(f.den, u, depth).inv()
 
 
 def _series_leading(f, pl):
