@@ -8,6 +8,7 @@ single file, so tests and the CLI cite one source of truth.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from importlib import resources
 
 from .cyclo import parse_cyclo
 from .ecdiv import CurvePoint, Divisor, law, torsion_Ef
-from .ksym.ffield import E36FF, E64FF, FFElem, ff_parse
+from .ksym.ffield import ELLIPTIC, FFElem, ff_parse
 from .ksym.symbols import PolyFF
 
 
@@ -34,8 +35,10 @@ def raw() -> dict:
     return _CACHE
 
 
-def _field(N: int):
-    return E36FF if N == 36 else E64FF
+@functools.lru_cache(maxsize=None)
+def _function(N: int, text: str) -> FFElem:
+    """A function literal on curve N, parsed once per process."""
+    return ff_parse(ELLIPTIC[N], text)
 
 
 def point(N: int, name: str) -> CurvePoint:
@@ -52,11 +55,17 @@ def points(N: int) -> dict:
 
 @dataclass(frozen=True)
 class DivisorClaim:
+    N: int
     name: str
-    function: FFElem
+    text: str                 # the function literal
     divisor: Divisor
     up_to_two_torsion: bool
     note: str
+
+    @property
+    def function(self) -> FFElem:
+        """The function, parsed on first use."""
+        return _function(self.N, self.text)
 
 
 def _formal(terms: list, pts: dict) -> list:
@@ -75,8 +84,7 @@ def _divisor(N: int, entry: dict, pts: dict) -> Divisor:
 
 def _divisor_claim(N: int, entry: dict, pts: dict) -> DivisorClaim:
     return DivisorClaim(
-        name=entry["name"],
-        function=ff_parse(_field(N), entry["function"]),
+        N=N, name=entry["name"], text=entry["function"],
         divisor=_divisor(N, entry, pts),
         up_to_two_torsion=bool(entry.get("up_to_two_torsion", False)),
         note=entry.get("note", ""))
@@ -90,17 +98,17 @@ def divisor_claims(N: int) -> list:
 
 def rosset_tate_input():
     data = raw()["rosset_tate"]
-    g0 = PolyFF(E64FF, [ff_parse(E64FF, c) for c in data["g0"]])
-    g1 = PolyFF(E64FF, [ff_parse(E64FF, c) for c in data["g1"]])
-    g2 = ff_parse(E64FF, data["g2"])
-    expected = [(ff_parse(E64FF, f), ff_parse(E64FF, g))
+    g0 = PolyFF(ELLIPTIC[64], [_function(64, c) for c in data["g0"]])
+    g1 = PolyFF(ELLIPTIC[64], [_function(64, c) for c in data["g1"]])
+    g2 = _function(64, data["g2"])
+    expected = [(_function(64, f), _function(64, g))
                 for f, g in data["expected_symbols"]]
     return g0, g1, g2, expected
 
 
 def pushforward_slots():
     f, g = raw()["pushforward_e36"]
-    return ff_parse(E36FF, f), ff_parse(E36FF, g)
+    return _function(36, f), _function(36, g)
 
 
 def torsion_label_claims(N: int) -> dict:
@@ -142,24 +150,19 @@ class BlochClaim:
 def bloch_claim(N: int) -> BlochClaim:
     pts = points(N)
     data = raw()["bloch"][str(N)]
-    entries = {e["name"]: e for e in raw()["divisors"][str(N)]}
-
-    def dc(name):
-        # parse only the divisor claims named here, not f_alpha's literal
-        return _divisor_claim(N, entries[name], pts)
-
+    dc = {c.name: c for c in divisor_claims(N)}
     steinberg = None
     if "steinberg" in data:
         st = data["steinberg"]
         steinberg = SteinbergClaim(
-            f=dc(st["f"]), one_minus_f=_divisor(N, st["one_minus_f"], pts),
+            f=dc[st["f"]], one_minus_f=_divisor(N, st["one_minus_f"], pts),
             beta=_formal(st["beta"], pts), kills=st["kills"], note=st["note"])
     vanishes = data.get("beta_vanishes")
     return BlochClaim(
         f_alpha=_divisor(N, data["f_alpha"], pts),
         f_beta=_divisor(N, data["f_beta"], pts),
-        pushforward=tuple(dc(name) for name in data["pushforward"]),
+        pushforward=tuple(dc[name] for name in data["pushforward"]),
         beta_e0=_formal(data["beta_e0"], pts),
         beta_pushforward=_formal(data["beta_pushforward"], pts),
         steinberg=steinberg,
-        beta_vanishes=tuple(dc(name) for name in vanishes) if vanishes else None)
+        beta_vanishes=tuple(dc[name] for name in vanishes) if vanishes else None)

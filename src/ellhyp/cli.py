@@ -21,7 +21,7 @@ from . import claims, ecdiv, ellper, hecke, hyp3f2
 from .cyclo import parse_cyclo
 from .ecdiv import Divisor, FormalSum, RelationContext, beta_map, b3_reduce, \
     law, steinberg_relation, torsion_Ef, torsion_generators
-from .ksym import (E36FF, E64FF, MAPS, FieldError, Place, evaluate_pullback,
+from .ksym import (ELLIPTIC, MAPS, FieldError, Place, evaluate_pullback,
                    ff_parse, ord_at, pushforward_e36, rosset_tate,
                    rosset_tate_chain, tame_symbol, verify_annihilation,
                    verify_divisor)
@@ -372,16 +372,15 @@ def _function(field, option: str, text: str):
 
 
 def cmd_tame(args) -> list:
-    field = E36FF if (args.curve or 36) == 36 else E64FF
+    field = ELLIPTIC[args.curve or 36]
     f = _function(field, "--f", args.f)
     g = _function(field, "--g", args.g)
     try:
         pl = Place(field, _parse_place(args.place))
     except FieldError as exc:
         raise UsageError(f"bad --place {args.place!r}: {exc}") from None
-    val = tame_symbol(f, g, pl)
-    print(f"ord(f) = {ord_at(f, pl)}, ord(g) = {ord_at(g, pl)}, "
-          f"tame symbol = {val}")
+    m, n, val = tame_symbol(f, g, pl)
+    print(f"ord(f) = {m}, ord(g) = {n}, tame symbol = {val}")
     return []
 
 
@@ -432,16 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellhyp",
         description="Verify the L-value identities and the exact proofs "
                     "machinery for the conductor-36 and conductor-64 curves.")
-    ap.add_argument("--report", choices=("json", "text"), default="text")
-    ap.add_argument("--deterministic", action="store_true",
-                    help="omit timings so identical runs emit identical JSON")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, curve=True, digits=True, an_file=False):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--report", choices=("json", "text"), default="text")
-        p.add_argument("--deterministic", action="store_true")
+        p.add_argument("--deterministic", action="store_true",
+                       help="omit timings so identical runs emit identical JSON")
         if curve:
             p.add_argument("--curve", type=int, choices=(36, 64))
         if digits:

@@ -9,6 +9,7 @@ reductions are reproduced literally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,10 +73,17 @@ def _cy(x) -> CycloNum:
 
 @dataclass(frozen=True)
 class Curve:
+    """y^2 = u^3 + a u + b with its group-law origin and f-torsion data.
+
+    E_f contains every 2-torsion point (2 divides f on both curves); with
+    the named claims.json points in ``torsion_names`` they generate it."""
     N: int
     a: CycloNum
     b: CycloNum
     roots: tuple          # exact roots of the cubic, largest real first
+    base: CurvePoint      # the group-law origin
+    torsion_names: tuple  # claims.json points that generate E_f with E[2]
+    torsion_order: int    # |E_f| = N(f)
 
     def rhs(self, u: CycloNum) -> CycloNum:
         return u * u * u + self.a * u + self.b
@@ -119,14 +127,29 @@ class Curve:
 
 
 # u^3 + 1 = (u+1)(u+zeta3)(u+zeta3^2) and u^3 - 4u = (u-2) u (u+2)
-CURVE36 = Curve(36, zero(), one(), (_cy(-1), -ZETA3, -(ZETA3 * ZETA3)))
-CURVE64 = Curve(64, _cy(-4), zero(), (_cy(2), _cy(0), _cy(-2)))
+_R36 = (_cy(-1), -ZETA3, -(ZETA3 * ZETA3))
+CURVE36 = Curve(36, zero(), one(), _R36, CurvePoint(_R36[0], 0), ("P",), 12)
+CURVE64 = Curve(64, _cy(-4), zero(), (_cy(2), _cy(0), _cy(-2)),
+                CurvePoint.infinity(), ("S", "iS"), 16)
+
+CURVES = {36: CURVE36, 64: CURVE64}
+
+
+def curve(N: int) -> Curve:
+    try:
+        return CURVES[N]
+    except KeyError:
+        raise ValueError("conductor must be 36 or 64") from None
 
 
 @dataclass(frozen=True)
 class GroupLaw:
+    """x (+) y = x + y - base on a curve, base its 2-torsion origin.
+
+    The law works on points already on the curve: they are checked where
+    they enter (``Curve.point``, ``ksym.Place``), and the chord-tangent law
+    keeps them there."""
     curve: Curve
-    base: CurvePoint
 
     def __post_init__(self):
         if not self.curve.contains(self.base):
@@ -134,76 +157,47 @@ class GroupLaw:
         if not self.curve.std_add(self.base, self.base).infinite:
             raise CurveError("group-law origin must be 2-torsion")
 
-    def _check(self, *pts):
-        for p in pts:
-            if not self.curve.contains(p):
-                raise OffCurveError(f"point {p} not on curve {self.curve.N}")
+    @property
+    def base(self) -> CurvePoint:
+        return self.curve.base
 
     def add(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         """p (+) q = p + q - base under the standard law."""
-        self._check(p, q)
         c = self.curve
         return c.std_add(c.std_add(p, q), c.std_neg(self.base))
 
     def neg(self, p: CurvePoint) -> CurvePoint:
         # base is 2-torsion, so (-)p = 2*base - p = -p (standard negation)
-        self._check(p)
         return self.curve.std_neg(p)
 
     def sub(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         return self.add(p, self.neg(q))
 
-    def mul(self, n: int, p: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.mul(-n, self.neg(p))
-        r = self.base
-        q = p
-        while n:
-            if n & 1:
-                r = self.add(r, q)
-            q = self.add(q, q)
-            n >>= 1
-        return r
-
-    def order(self, p: CurvePoint, bound: int = 48) -> int:
-        """Least n <= bound with n*p = base, or raise."""
-        self._check(p)
-        q = p
-        for n in range(1, bound + 1):
-            if q == self.base:
-                return n
-            q = self.add(q, p)
-        raise CurveError(f"order of {p} exceeds bound {bound}")
-
     def is_two_torsion(self, p: CurvePoint) -> bool:
         return self.add(p, p) == self.base
 
 
+@functools.cache
 def law(N: int) -> GroupLaw:
-    if N == 36:
-        return GroupLaw(CURVE36, CurvePoint(CURVE36.roots[0], 0))
-    if N == 64:
-        return GroupLaw(CURVE64, CurvePoint.infinity())
-    raise ValueError("conductor must be 36 or 64")
+    return GroupLaw(curve(N))
 
 
 def torsion_generators(N: int) -> list:
     """Generators of the f-torsion subgroup, the group-law origin excluded:
-    the other 2-torsion points and P for N=36, S and iS for N=64."""
+    the other 2-torsion points and the curve's named torsion points."""
     from . import claims  # claims imports this module; read its points late
-    if N == 36:
-        base = law(36).base
-        return ([p for p in CURVE36.two_torsion() if p != base]
-                + [claims.point(36, "P")])
-    return [claims.point(64, "S"), claims.point(64, "iS")]
+    c = curve(N)
+    return ([p for p in c.two_torsion() if p != c.base]
+            + [claims.point(N, name) for name in c.torsion_names])
 
 
-def torsion_Ef(N: int) -> list:
-    """The f-torsion subgroup: 12 points for N=36, 16 points for N=64,
-    the closure of the origin under adding ``torsion_generators(N)``."""
+@functools.cache
+def torsion_Ef(N: int) -> tuple:
+    """The f-torsion subgroup (12 points for N=36, 16 for N=64), the
+    closure of the origin under adding ``torsion_generators(N)``, sorted;
+    computed once per curve."""
     lw = law(N)
     gens = torsion_generators(N)
-    expected = 12 if N == 36 else 16
     group = {lw.base}
     frontier = [lw.base]
     while frontier:
@@ -214,10 +208,10 @@ def torsion_Ef(N: int) -> list:
                 group.add(nxt)
                 frontier.append(nxt)
     # closure sanity
-    members = sorted(group, key=CurvePoint.sort_key)
-    if len(members) != expected:
-        raise CurveError(
-            f"f-torsion cardinality {len(members)} != expected {expected}")
+    members = tuple(sorted(group, key=CurvePoint.sort_key))
+    if len(members) != lw.curve.torsion_order:
+        raise CurveError(f"f-torsion cardinality {len(members)} != expected "
+                         f"{lw.curve.torsion_order}")
     for p in members:
         if lw.neg(p) not in group:
             raise CurveError("f-torsion not closed under negation")
@@ -387,8 +381,6 @@ def steinberg_relation(relctx: RelationContext, div_f: Divisor,
     return s
 
 
-def b3_reduce(s: FormalSum, relctx: RelationContext | None = None) -> FormalSum:
+def b3_reduce(s: FormalSum, relctx: RelationContext) -> FormalSum:
     """Canonical form modulo [p]+[(-)p], 2-torsion classes, and relations."""
-    if relctx is None:
-        return s  # FormalSum construction already canonicalizes the rest
     return relctx.reduce(s)

@@ -10,7 +10,7 @@ factor h with Omega_R = h Omega.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 from mpmath import mpc, mpf
@@ -44,6 +44,11 @@ class CurvePeriodInfo:
     hnf: tuple            # (A, s, B): nu O_K = Z (A, 0) + Z (s, B) in (1, tau)
 
 
+def _ok(pair, tau: CycloNum) -> CycloNum:
+    """The element a + b tau of O_K for hecke's integer pair (a, b)."""
+    return pair[0] + pair[1] * tau
+
+
 # The constraints (covolume pi, Omega/conj(nu) real, Omega_R > 0) are
 # invariant under omega_E -> -omega_E, which negates every torsion label.
 # The remaining sign is a convention anchored at one published label per
@@ -51,18 +56,18 @@ class CurvePeriodInfo:
 # labels are then forced and independently checkable.
 INFO36 = CurvePeriodInfo(
     36, CURVE36.roots, ZETA3, "sqrt3/2",
-    _ONE - ZETA3 * ZETA3, 2 * (_ONE - ZETA3 * ZETA3), -1, (6, 4, 2))
+    _ONE - ZETA3 * ZETA3, _ok(hecke.E36.nu, ZETA3), -1, (6, 4, 2))
 INFO64 = CurvePeriodInfo(
-    64, CURVE64.roots, I, "1",
-    _ONE, CycloNum.from_rational(4), +1, (4, 0, 4))
+    64, CURVE64.roots, I, "1", _ONE, _ok(hecke.E64.nu, I), +1, (4, 0, 4))
+
+_INFOS = {info.N: info for info in (INFO36, INFO64)}
 
 
 def _info(N: int) -> CurvePeriodInfo:
-    if N == 36:
-        return INFO36
-    if N == 64:
-        return INFO64
-    raise ValueError("conductor must be 36 or 64")
+    try:
+        return _INFOS[N]
+    except KeyError:
+        raise ValueError("conductor must be 36 or 64") from None
 
 
 def _covol_value(info: CurvePeriodInfo) -> mpf:
@@ -213,10 +218,8 @@ def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc
 def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
     """z with P = (integral of omega_E from the group-law origin), mod Gamma."""
     info = _info(N)
-    lw = law(N)
-    lw._check(p)
     with ctx.workprec():
-        z_raw = _std_log(info, p, ctx) - _std_log(info, lw.base, ctx)
+        z_raw = _std_log(info, p, ctx) - _std_log(info, law(N).base, ctx)
         data = lattice(N, ctx)
         z = info.orientation * data.scale_c.val * z_raw
         tau = _embed(info.tau, ctx)
@@ -243,11 +246,10 @@ class TorsionLabel:
 
 
 def _okdivides(info: CurvePeriodInfo, x: CycloNum) -> bool:
-    """Whether nu | x in O_K, for x in Z + Z tau."""
-    q = x / info.nu
-    # q must lie in Z + Z tau; solve for integer coordinates
-    a, b = _tau_coordinates(info, q)
-    return a is not None
+    """Whether nu | x in O_K, by hecke's arithmetic on the pair of x."""
+    a, b = _tau_coordinates(info, x)
+    cm = hecke.curve(info.N)
+    return a is not None and hecke._divides(cm, cm.nu, (a, b))
 
 
 def _tau_coordinates(info: CurvePeriodInfo, x: CycloNum):
@@ -294,21 +296,24 @@ def _residue(info: CurvePeriodInfo, a: int, b: int):
 
 def _mod4_orbit(x) -> frozenset:
     """The mu_4-orbit of x in (Z[i]/4)*, as residue pairs."""
-    return frozenset(tuple(c % 4 for c in hecke._gauss_mul(x, m))
-                     for m in hecke._GAUSS_UNITS)
+    c = hecke.E64
+    return frozenset(tuple(r % 4 for r in hecke._mul(c, x, u))
+                     for u in c.units)
 
 
 def chi_f_check() -> bool:
     """Consistency of chi_f(1-2i) = 1 with a_5(E64) = 2, plus the
     representative set (O_K/4)*/mu_4 = {1, 1-2i}."""
-    # the units of Z[i]/4 fall into exactly two mu_4-orbits, and 1 and 1-2i
-    # lie in different ones
+    c = hecke.E64
+    # the units of Z[i]/4 fall into exactly two mu_4-orbits, and the two
+    # coset representatives lie in different ones
     units = [(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 1]
+    (one, _), (rep, chi) = c.cosets
     if len({_mod4_orbit(u) for u in units}) != 2 \
-            or _mod4_orbit((1, 0)) == _mod4_orbit((1, -2)):
+            or _mod4_orbit(one) == _mod4_orbit(rep):
         return False
     # a_5: 5 = (2+i)(2-i); with chi_f(1-2i) = +1 the trace is 2, with -1 it
     # would be -2, and point counting decides
-    a5 = hecke.ap_pointcount(hecke.E64, 5)
-    return (hecke.e64_split_trace(5, (1, 0)) == a5
-            and hecke.e64_split_trace(5, (-1, 0)) != a5)
+    flipped = replace(c, cosets=((one, (1, 0)), (rep, (-chi[0], -chi[1]))))
+    a5 = hecke.ap_pointcount(c, 5)
+    return hecke.ap_cm(c, 5) == a5 and hecke.ap_cm(flipped, 5) != a5

@@ -31,14 +31,32 @@ class CoefficientFileError(HeckeError):
 
 @dataclass(frozen=True)
 class CurveId:
+    """One curve and its CM order O_K = Z[t], t^2 = -s t - 1.
+
+    s = 1 gives t = zeta_3 (conductor 36) and s = 0 gives t = i (conductor
+    64).  Elements of O_K are integer pairs (a, b) = a + b t.  The Hecke
+    character is pinned by the conductor f = (nu): chi((alpha)) =
+    conj(alpha) chi_f(alpha mod f) for the coset representatives of
+    (O_K/f)*/mu_K in ``cosets``, given with their chi_f values."""
     N: int
     weierstrass: tuple  # (a, b) with y^2 = x^3 + a x + b
     bad_primes: frozenset
+    s: int
+    units: tuple        # mu_K
+    nu: tuple           # generator of the conductor f
+    cosets: tuple       # ((representative, chi_f(representative)), ...)
     root_number: int = 1
 
 
-E36 = CurveId(36, (0, 1), frozenset({2, 3}))
-E64 = CurveId(64, (-4, 0), frozenset({2}))
+# For E36, nu = 2(1 - t^2) = 4 + 2t and (O_K/f)*/mu_6 is trivial.  For E64
+# the quotient (O_K/4)*/mu_4 is {1, 1-2i}, and chi_f(1-2i) = 1 is
+# calibrated once against ap_pointcount(E64, 5) = 2 (see ellper.chi_f_check).
+E36 = CurveId(36, (0, 1), frozenset({2, 3}), 1,
+              ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)), (4, 2),
+              (((1, 0), (1, 0)),))
+E64 = CurveId(64, (-4, 0), frozenset({2}), 0,
+              ((1, 0), (0, 1), (-1, 0), (0, -1)), (4, 0),
+              (((1, 0), (1, 0)), ((1, -2), (1, 0))))
 
 CURVES = {36: E36, 64: E64}
 
@@ -67,130 +85,65 @@ def ap_pointcount(c: CurveId, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# CM route.  E36 has CM by Z[w], w = zeta_3 (w^2 = -1 - w); E64 by Z[i].
-# Elements are integer pairs; the Hecke character normalization is pinned by
-# the conductor ideal: chi((alpha)) = conj(alpha) for alpha = 1 mod f.
+# CM route: arithmetic in O_K = Z[t], t^2 = -s t - 1, on integer pairs.
 
 
-def _eis_mul(x, y):
-    # (a + b w)(c + d w), w^2 = -1 - w
+def _mul(c: CurveId, x, y):
+    # (a + b t)(d + e t) = ad - be + (ae + bd - s be) t
     a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c - b * d)
+    d, e = y
+    return (a * d - b * e, a * e + b * d - c.s * b * e)
 
 
-def _eis_conj(x):
-    # conj(a + b w) = a + b w^2 = (a - b) - b w
+def _conj(c: CurveId, x):
+    # conj(t) = -s - t
     a, b = x
-    return (a - b, -b)
+    return (a - c.s * b, -b)
 
 
-def _eis_norm(x):
+def _norm(c: CurveId, x):
     a, b = x
-    return a * a - a * b + b * b
+    return a * a - c.s * a * b + b * b
 
 
-def _eis_trace(x):
-    # x + conj(x) = 2a - b
-    return 2 * x[0] - x[1]
-
-
-# the six units of Z[w]: +-1, +-w, +-w^2 with w^2 = -1 - w
-_EIS_UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)]
-
-_EIS_NU = (4, 2)  # nu = 2(1 - w^2) = 4 + 2w, the conductor generator for E36
-
-
-def _eis_divides(d, x) -> bool:
-    # d | x in Z[w]  <=>  x * conj(d) = 0 mod N(d) componentwise
-    prod = _eis_mul(x, _eis_conj(d))
-    n = _eis_norm(d)
+def _divides(c: CurveId, d, x) -> bool:
+    # d | x in O_K  <=>  x * conj(d) = 0 mod N(d) componentwise
+    prod = _mul(c, x, _conj(c, d))
+    n = _norm(c, d)
     return prod[0] % n == 0 and prod[1] % n == 0
 
 
-def _eis_generator(p: int):
-    """Some generator of a prime above a split p in Z[w] (norm p)."""
-    amax = math.isqrt(4 * p // 3) + 2
-    for a in range(amax + 1):
-        d = 4 * p - 3 * a * a
-        if d < 0:
-            continue
+def _generator(c: CurveId, p: int):
+    """Some generator of a prime above a split p (an element of norm p).
+
+    4 N(a + b t) = (2a - s b)^2 + (4 - s^2) b^2, so search b upwards."""
+    k = 4 - c.s * c.s
+    for b in range(math.isqrt(4 * p // k) + 1):
+        d = 4 * p - k * b * b
         r = math.isqrt(d)
-        if r * r != d:
-            continue
-        if (a + r) % 2 == 0:
-            return ((a + r) // 2, a)
-    raise HeckeError(f"no Eisenstein element of norm {p}")
-
-
-def _gauss_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gauss_conj(x):
-    return (x[0], -x[1])
-
-
-_GAUSS_UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-
-_GAUSS_NU = (4, 0)  # conductor generator for E64
-
-
-def _gauss_generator(p: int):
-    for a in range(1, math.isqrt(p) + 1):
-        d = p - a * a
-        r = math.isqrt(d)
-        if r * r == d:
-            return (a, r)
-    raise HeckeError(f"no Gaussian element of norm {p}")
-
-
-# chi_f on the nontrivial coset representative of (O_K/f)*/mu_K.
-# For E36 the quotient is trivial; for E64 it is {1, 1-2i} and the value
-# chi_f(1-2i) = 1 is calibrated once against ap_pointcount(E64, 5) = 2
-# (see ellper.chi_f_check for the consistency argument).
-_GAUSS_COSET_REP = (1, -2)
-_GAUSS_CHI_REP = (1, 0)
-
-
-def e64_split_trace(p: int, chi_rep) -> int:
-    """a_p of E64 at a split p = 1 mod 4, given chi_f(1-2i) = chi_rep.
-
-    Some unit multiple pi' of a prime above p is 1 or 1-2i mod 4, since
-    (O_K/4)*/mu_4 = {1, 1-2i}; then chi((pi)) = conj(pi') chi_f(pi' mod 4)
-    and a_p is its trace."""
-    pi = _gauss_generator(p)
-    for u in _GAUSS_UNITS:
-        cand = _gauss_mul(pi, u)
-        for rep, chi in (((1, 0), (1, 0)), (_GAUSS_COSET_REP, chi_rep)):
-            if (cand[0] - rep[0]) % 4 == 0 and (cand[1] - rep[1]) % 4 == 0:
-                return 2 * _gauss_mul(_gauss_conj(cand), chi)[0]
-    raise HeckeError(f"no normalized generator found for p={p}")
+        if r * r == d and (r + c.s * b) % 2 == 0:
+            return ((r + c.s * b) // 2, b)
+    raise HeckeError(f"no element of norm {p} in O_K of conductor {c.N}")
 
 
 def ap_cm(c: CurveId, p: int) -> int:
-    """a_p via the Hecke character: 0 at inert p, trace of chi(p) at split p."""
+    """a_p via the Hecke character: 0 at inert p, trace of chi(p) at split p.
+
+    Some unit multiple pi' of a prime above a split p lies in the class of a
+    coset representative r mod f; then chi((pi)) = conj(pi') chi_f(r)."""
     if p in c.bad_primes:
         raise BadPrimeError(f"{p} is a bad prime for conductor {c.N}")
-    if c.N == 36:
-        if p % 3 != 1:
-            return 0  # inert in Q(zeta_3)
-        pi = _eis_generator(p)
-        # (O/f)*/mu_K is trivial, so pi = u * pi1 with pi1 = 1 mod f and
-        # chi((pi)) = conj(pi1)
-        for u in _EIS_UNITS:
-            cand = _eis_mul(pi, u)
-            delta = (cand[0] - 1, cand[1])
-            if _eis_divides(_EIS_NU, delta):
-                return _eis_trace(cand)
-        raise HeckeError(f"no unit-normalized generator found for p={p}")
-    if c.N == 64:
-        if p % 4 != 1:
-            return 0  # inert in Q(i)
-        return e64_split_trace(p, _GAUSS_CHI_REP)
-    raise ValueError(f"unsupported conductor {c.N}")
+    # p splits in K exactly when the discriminant s^2 - 4 is a square mod p
+    if pow((c.s * c.s - 4) % p, (p - 1) // 2, p) != 1:
+        return 0
+    pi = _generator(c, p)
+    for u in c.units:
+        cand = _mul(c, pi, u)
+        for rep, chi in c.cosets:
+            if _divides(c, c.nu, (cand[0] - rep[0], cand[1] - rep[1])):
+                a, b = _mul(c, _conj(c, cand), chi)
+                return 2 * a - c.s * b  # the trace
+    raise HeckeError(f"no normalized generator found for p={p}")
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Function fields, Steinberg symbols, Rosset-Tate traces, and valuations."""
 
 from .ratfunc import Poly, RatFunc
-from .ffield import (E36FF, E64FF, FERMAT4, FERMAT6, INTERC, FIELDS, MAPS,
-                     FFElem, FieldError, FunctionField, QuotientMap,
+from .ffield import (E36FF, E64FF, ELLIPTIC, FERMAT4, FERMAT6, INTERC, FIELDS,
+                     MAPS, FFElem, FieldError, FunctionField, QuotientMap,
                      SubfieldError, ff_parse, kummer_norm,
                      project_fermat6_to_interC, project_interC_to_e36,
                      substitute_quotient)
@@ -13,9 +13,9 @@ from .symbols import (NonterminationError, PolyFF, Symbol, SymbolError,
 from .series import Place, ord_at, tame_symbol, verify_divisor
 
 __all__ = [
-    "Poly", "RatFunc", "E36FF", "E64FF", "FERMAT4", "FERMAT6", "INTERC",
-    "FIELDS", "MAPS", "FFElem", "FieldError", "FunctionField", "QuotientMap",
-    "SubfieldError", "ff_parse", "kummer_norm", "project_fermat6_to_interC",
+    "Poly", "RatFunc", "E36FF", "E64FF", "ELLIPTIC", "FERMAT4", "FERMAT6",
+    "INTERC", "FIELDS", "MAPS", "FFElem", "FieldError", "FunctionField",
+    "QuotientMap", "SubfieldError", "ff_parse", "kummer_norm", "project_fermat6_to_interC",
     "project_interC_to_e36", "substitute_quotient", "NonterminationError",
     "PolyFF", "Symbol", "SymbolError", "SymbolSum", "evaluate_pullback",
     "pullback_polyff", "pushforward_e36", "rosset_tate", "rosset_tate_chain",

@@ -3,8 +3,10 @@
 Each field is Q(zeta_24)(base)[ext] with a single relation ext^d = m(base):
 
     fermat4:  y^4 = 1 - x^4          fermat6:  y^6 = 1 - x^6
-    interC :  v^2 = 1 - y^6          e36    :  v^2 = u^3 + 1
-    e64    :  v^2 = u^3 - 4u
+    interC :  v^2 = 1 - y^6          e36, e64: v^2 = u^3 + a u + b
+
+The elliptic fields take their relation from the curve records of ``ecdiv``
+(``FunctionField.curve``), where each Weierstrass equation is written once.
 
 An element is sum_k nums[k] ext^k / den with k < d: d polynomials in the
 base variable over one monic denominator, with gcd(den, *nums) = 1.  This is
@@ -18,11 +20,13 @@ as for Q(zeta_24) itself.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..cyclo import CycloNum, cyclo_atom, parse_expression
 from ..cyclo import zero as cy_zero
+from ..ecdiv import CURVES, Curve
 from .ratfunc import Poly, RatFunc, reduce_fraction
 
 
@@ -41,6 +45,8 @@ class FunctionField:
     ext_var: str
     degree: int
     m: Poly  # relation: ext^degree = m(base)
+    curve: Curve | None = dataclasses.field(default=None, compare=False,
+                                            repr=False)  # elliptic fields
 
     def __repr__(self):
         return f"FunctionField({self.name})"
@@ -72,8 +78,17 @@ def _fermat_m(n: int) -> Poly:
 FERMAT4 = FunctionField("fermat4", "x", "y", 4, _fermat_m(4))
 FERMAT6 = FunctionField("fermat6", "x", "y", 6, _fermat_m(6))
 INTERC = FunctionField("interC", "y", "v", 2, _fermat_m(6))
-E36FF = FunctionField("e36", "u", "v", 2, Poly([1, 0, 0, 1]))
-E64FF = FunctionField("e64", "u", "v", 2, Poly([0, -4, 0, 1]))
+
+
+def _elliptic(curve: Curve) -> FunctionField:
+    """The function field of v^2 = u^3 + a u + b, pointing back to its curve."""
+    return FunctionField(f"e{curve.N}", "u", "v", 2,
+                         Poly([curve.b, curve.a, 0, 1]), curve)
+
+
+ELLIPTIC = {N: _elliptic(c) for N, c in CURVES.items()}
+E36FF = ELLIPTIC[36]
+E64FF = ELLIPTIC[64]
 
 FIELDS = {f.name: f for f in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF)}
 

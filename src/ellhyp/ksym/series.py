@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cyclo import CycloNum
-from ..ecdiv import CURVE36, CURVE64, CurvePoint, Divisor
-from .ffield import E36FF, E64FF, FFElem, FieldError
+from ..ecdiv import CurvePoint, Divisor
+from .ffield import FFElem, FieldError, FunctionField
 from .ratfunc import Poly
 
 _ZERO = CycloNum.from_rational(0)
@@ -30,16 +30,14 @@ _ZERO = CycloNum.from_rational(0)
 class Place:
     """A closed point of the elliptic curve with its uniformizer rule."""
 
-    field: object  # E36FF or E64FF
+    field: FunctionField  # an elliptic field: field.curve is set
     point: CurvePoint
 
     def __post_init__(self):
-        if self.field not in (E36FF, E64FF):
+        if self.field.curve is None:
             raise FieldError("places are implemented on the elliptic curves")
-        if not self.point.infinite:
-            m = self.field.m
-            if m.eval(self.point.u) != self.point.v * self.point.v:
-                raise FieldError("place is not on the curve")
+        if not self.field.curve.contains(self.point):
+            raise FieldError("place is not on the curve")
 
     @property
     def kind(self) -> str:
@@ -136,15 +134,16 @@ def ord_at(f: FFElem, pl: Place) -> int:
     return _leading(f, pl)[0]
 
 
-def tame_symbol(f: FFElem, g: FFElem, pl: Place) -> CycloNum:
-    """(-1)^(ord f ord g) (f^ord(g) / g^ord(f))(pl), exact in Q(zeta_24)."""
+def tame_symbol(f: FFElem, g: FFElem, pl: Place) -> tuple:
+    """(ord f, ord g, (-1)^(ord f ord g) (f^ord(g) / g^ord(f))(pl)), the
+    symbol exact in Q(zeta_24), from one leading term of each function."""
     m, lf = _leading(f, pl)
     n, lg = _leading(g, pl)
     # the ratio has order 0, so its value is the leading-coefficient ratio
     val = (lf ** n) * (lg ** m).inv()
     if (m * n) % 2:
         val = -val
-    return val
+    return m, n, val
 
 
 def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
@@ -173,14 +172,13 @@ def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
     pos_computed = 0
     support = {point: mult for point, mult in claimed}
     if up_to_two_torsion:
-        curve = CURVE36 if f.field is E36FF else CURVE64
-        for point in curve.two_torsion():
+        for point in f.field.curve.two_torsion():
             support.setdefault(point, 0)
     for point, mult in support.items():
         pl = Place(f.field, point)
         got = ord_at(f, pl)
         if got != mult:
-            if up_to_two_torsion and _is_two_torsion(f.field, point):
+            if up_to_two_torsion and (point.infinite or not point.v):
                 two_torsion_delta += got - mult
             else:
                 note(f"ord at {point!r}: claimed {mult}, computed {got}")
@@ -198,7 +196,3 @@ def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
         note(f"{'computed' if up_to_two_torsion else 'claimed'} zeros sum to "
              f"{pos}, norm pole bound is {bound}")
     return ok
-
-
-def _is_two_torsion(field, point: CurvePoint) -> bool:
-    return point.infinite or not point.v

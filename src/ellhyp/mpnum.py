@@ -248,22 +248,19 @@ def gamma_real(x, ctx: PrecisionContext) -> ArbReal:
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> ArbReal:
-    """Upper incomplete gamma Gamma(s, x) for s in {0, 2} and x >= 0, the
-    kernels of the approximate functional equation."""
+    """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0, the kernel of
+    the approximate functional equation that needs more than exp (its
+    Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``)."""
     with ctx.workprec():
-        sv = mpf(_val_of(s))
-        xv = mpf(_val_of(x))
-        if sv not in (0, 2):
-            raise DomainError(f"upper_incomplete_gamma supports s in {{0, 2}}, "
+        if mpf(_val_of(s)) != 0:
+            raise DomainError(f"upper_incomplete_gamma supports s = 0, "
                               f"not {s}")
+        xv = mpf(_val_of(x))
         if xv < 0:
             raise DomainError("upper_incomplete_gamma requires x >= 0")
-        if sv == 0:
-            if xv == 0:
-                raise DomainError("Gamma(0, 0) diverges")
-            return _e1(xv, ctx)
-        v = mpmath.exp(-xv) * (1 + xv)
-        return ArbReal(v, abs(v) * ctx.eps * 10 + _ulp(v))
+        if xv == 0:
+            raise DomainError("Gamma(0, 0) diverges")
+        return _e1(xv, ctx)
 
 
 def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+from grouplaw import mul
 
 from ellhyp import claims, hecke, hyp3f2
 from ellhyp.cli import build_parser
@@ -136,7 +137,7 @@ def test_acceptance_06_e64_point_identities():
     p = claims.points(64)
     S, T, P0, P1, R = p["S"], p["T"], p["P0"], p["P1"], p["R"]
     sub = lambda a, b: lw.add(a, lw.neg(b))
-    ok = lw.mul(2, S) == P0 and lw.mul(2, T) == P0
+    ok = mul(lw, 2, S) == P0 and mul(lw, 2, T) == P0
     # the six difference identities: S-T, S-P0, S-P1, T-P0, T-P1, P0-P1 are
     # all f-torsion and consistent with the 2S = 2T = P0 relations
     tor = set(torsion_Ef(64))

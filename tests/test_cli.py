@@ -31,6 +31,15 @@ def test_usage_error_unknown_command(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--report", "json"], ["--deterministic"]])
+def test_report_flags_before_the_subcommand_are_usage_errors(capsys, flags):
+    # the flags belong to each subcommand; before it they would be shadowed
+    # by the subcommand's defaults, so they are rejected instead
+    code, out, err = run(capsys, *flags, "verify-bloch")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_usage_error_bad_hyp_params(capsys):
     code, _, err = run(capsys, "hyp", "--params", "1/2,1/3")
     assert code == 2

@@ -1,0 +1,88 @@
+"""Exact CLI outputs pinned byte-for-byte against files under tests/golden/.
+
+Only exact outputs are pinned: JSON reports of the exact checks, coefficient
+tables and tame symbols.  Numeric reports carry error estimates that are
+expected to change, so no numeric command is listed here.
+
+Regenerate the files (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ellhyp.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+JSON_FLAGS = ["--report", "json", "--deterministic"]
+
+REPORTS = {
+    "verify-bloch": ["verify-bloch"] + JSON_FLAGS,
+    "rosset-tate": ["rosset-tate"] + JSON_FLAGS,
+    "verify-divisors": ["verify-divisors"] + JSON_FLAGS,
+    "verify-torsion-labels-30": ["verify-torsion-labels", "--digits", "30"]
+                                + JSON_FLAGS,
+}
+
+COEFFS = {f"coeffs-{N}": ["coeffs", "--curve", str(N), "--n-max", "1000"]
+          for N in (36, 64)}
+
+# every ordered pair of distinct published divisor functions (but f_alpha,
+# whose degree-36 powers make a slow query), at finite, 2-torsion and
+# infinite places of each curve
+_TAME_FUNCTIONS = {
+    36: ["1-v", "1+u", "(1-v)^2/(1+u)^3"],
+    64: ["(v-2*u)/v", "32*u^2/((u-2)^2*v^2)", "(u-2)^2/(u^2+4)", "-v/(2*u)"],
+}
+_TAME_PLACES = {
+    36: ["(0,1)", "(2,-3)", "(-1,0)", "inf"],
+    64: ["(2+2*sqrt2,4+4*sqrt2)", "(2*i,4*z^9)", "(2,0)", "(0,0)", "inf"],
+}
+TAME = {
+    f"tame-{N}": [["tame", "--curve", str(N), f"--f={f}", f"--g={g}",
+                   f"--place={pl}"]
+                  for pl in _TAME_PLACES[N]
+                  for f in _TAME_FUNCTIONS[N] for g in _TAME_FUNCTIONS[N]
+                  if f != g]
+    for N in (36, 64)
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def produce(name: str) -> str:
+    if name in TAME:
+        return "".join(_run(argv) for argv in TAME[name])
+    return _run({**REPORTS, **COEFFS}[name])
+
+
+NAMES = [*REPORTS, *COEFFS, *TAME]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_output_matches_golden(name):
+    assert produce(name) == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_pinned_reports_are_exact(name):
+    reports = json.loads((GOLDEN / f"{name}.out").read_text())["reports"]
+    assert reports and all(r["kind"] == "exact" for r in reports)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in NAMES:
+        (GOLDEN / f"{name}.out").write_text(produce(name))
