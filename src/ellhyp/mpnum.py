@@ -267,49 +267,61 @@ def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
     """E1(x) = Gamma(0, x) for x > 0, with an error relative to its value.
 
     Below x_c = L/(4e), L = (digits+guard) ln 10, the power series (DLMF
-    6.6.2); above it a continued fraction (DLMF 6.9.1) by modified Lentz.  The
-    fraction needs about (L/4)^2/x terms, because its error after k terms is
-    near exp(-4 sqrt(k x)); the series about e^2 x, because it must reach
-    x^k/k! < exp(-2x) 10^-(digits+guard).  The counts meet at x_c.
+    6.6.2); above it the continued fraction (DLMF 6.9.1) by modified Lentz,
+    both in fixed point on ints.  The fraction's error after k terms behaves
+    like exp(-4 sqrt(k x)) only for k much larger than x, so (L/4)^2/x
+    undercounts: at 152 digits Lentz stops after 297, 138 and 74 steps at
+    x = 36.5, 100.25 and 300.1, where that formula gives 247, 90 and 30.
+    The stop test alone sets the step count.  The series needs about e^2 x
+    terms, because it must reach x^k/k! < exp(-2x) 10^-(digits+guard); x_c
+    is where e^2 x meets (L/4)^2/x.
     """
     eps = ctx.eps
     L = (ctx.digits + GUARD) * math.log(10)
     if x < L / (4 * math.e):
         return _e1_series(x, ctx)
-    # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...)))
-    tiny = mpf(10) ** (-2 * (ctx.digits + GUARD) - 30)
-    f = x + 1
+    # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...))) with
+    # W fraction bits; x > 1 carries fewer than prec_bits fraction bits, so
+    # X is exact.  E1(x) e^x = int_0^inf e^-t/(x+t) dt is a Stieltjes
+    # function, so the numerators A_k and denominators B_k of its J-fraction
+    # convergents are Laguerre-type polynomials in -x, with all zeros at
+    # x < 0: for x > 0 both Lentz ratios C = A_k/A_{k-1} and
+    # 1/D = B_k/B_{k-1} stay positive, and one that does not means the
+    # rounding has broken the recurrence.
+    W = ctx.prec_bits + 32
+    one = 1 << W
+    X = int(mpmath.ldexp(x, W))
+    tol = int(mpmath.ldexp(eps, W))
+    f = X + one
     C = f
-    D = mpf(0)
+    D = 0
     k = 0
     while True:
         k += 1
-        a = -mpf(k) ** 2
-        b = x + 2 * k + 1
-        D = b + a * D
-        if D == 0:
-            D = tiny
-        C = b + a / C
-        if C == 0:
-            C = tiny
-        D = 1 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1) < eps:
+        kk = k * k
+        b = X + ((2 * k + 1) << W)
+        D = b - kk * D
+        C = b - (kk << 2 * W) // C
+        if D <= 0 or C <= 0:
+            raise PrecisionError("E1 continued fraction lost a positive ratio")
+        D = (one << W) // D
+        delta = C * D >> W
+        f = f * delta >> W
+        if abs(delta - one) < tol:
             break
         if k > MAX_TERMS:
             raise PrecisionError("max_terms exceeded in E1 continued fraction")
-    v = mpmath.exp(-x) / f
+    v = mpmath.exp(-x) / mpmath.ldexp(f, -W)
     return ArbReal(v, abs(v) * eps * 20)
 
 
 def _e1_series(x: mpf, ctx: PrecisionContext) -> ArbReal:
     """E1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!), x > 0.
 
-    The terms reach about e^x/x while E1(x) < e^{-x}/x, so the sum runs with
-    2x/ln 2 extra bits.  Past k = x the terms alternate and shrink, so the
-    last term added bounds the remainder; it stops once that term is below
-    2^-prec e^{-x}/(x+1) < 2^-prec E1(x).
+    The terms reach about e^x/x while E1(x) < e^{-x}/x, so the sum runs in
+    fixed point with wp = prec + 2x/ln 2 + 16 fraction bits.  Past k = x the
+    terms alternate and shrink, so the last term added bounds the remainder;
+    it stops once that term is below 2^-prec e^{-x}/(x+1) < 2^-prec E1(x).
     """
     prec = ctx.prec_bits
     wp = prec + int(2 * x / math.log(2)) + 16
@@ -317,20 +329,26 @@ def _e1_series(x: mpf, ctx: PrecisionContext) -> ArbReal:
         x = mpf(x)
         acc = -mpmath.euler - mpmath.log(x)
         big = mpmath.exp(x) + abs(acc)     # bounds every partial sum
-        tol = mpmath.ldexp(mpmath.exp(-x) / (x + 1), -prec)
-        t = mpf(1)
+        tol = int(mpmath.ldexp(mpmath.exp(-x) / (x + 1), wp - prec))
+        X = int(mpmath.ldexp(x, wp))
+        t = 1 << wp                        # (-x)^k / k!
+        s = 0
         k = 0
         while True:
             k += 1
-            t = t * (-x) / k
-            term = -t / k
-            acc += term
-            if k > x and abs(term) < tol:
+            t = -t * X // (k << wp)
+            term = -t // k
+            s += term
+            if (k << wp) > X and abs(term) < tol:
                 break
             if k > MAX_TERMS:
                 raise PrecisionError("max_terms exceeded in E1 series")
-        # each term and each partial sum rounds by at most (k+2) ulps of big
-        err = abs(term) + 2 * (k + 3) * mpmath.ldexp(big, -wp)
+        acc += mpmath.ldexp(s, -wp)
+        # each step rounds by under 2^-wp, and later steps scale a rounding
+        # in t_m by t_k/t_m <= e^x (t_m >= 1 for m <= x, and the ratios are
+        # below 1 past x), so the sum is off by under 2 (k+3) big 2^-wp with
+        # the mpf roundings of acc
+        err = mpmath.ldexp(abs(term), -wp) + 2 * (k + 3) * mpmath.ldexp(big, -wp)
     with ctx.workprec():
         v = +acc
         return ArbReal(v, err + abs(v) * mpmath.ldexp(1, 1 - prec))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ellhyp import hyp3f2
+from ellhyp import ellper, hecke, hyp3f2
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -37,3 +37,19 @@ def test_tail_coefficients_count_is_second_positional():
     params = list(sig.parameters.values())
     assert params[1].name == "count"
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+@pytest.mark.parametrize("fn, names", [
+    (hecke.l_two, ["c", "tbl", "ctx"]),        # args[0], args[2]
+    (hecke.lstar_zero, ["c"]),                 # args[0].N
+    (hyp3f2.f32_unit, ["p", "ctx"]),           # args[0], args[1].digits
+    (hyp3f2.rhs_main, ["curve_id"]),           # args[0]
+    (ellper.lattice, ["N", "ctx"]),            # args[0], args[1].digits
+], ids=["l_two", "lstar_zero", "f32_unit", "rhs_main", "lattice"])
+def test_hooked_arguments_are_leading_positionals(fn, names):
+    # the tracer hooks read these arguments by position, so a reordered or
+    # keyword-only parameter breaks the --trace 1 run
+    params = list(inspect.signature(fn).parameters.values())[: len(names)]
+    assert [q.name for q in params] == names
+    assert all(q.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+               for q in params)

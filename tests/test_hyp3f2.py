@@ -237,6 +237,21 @@ def test_ratio_series_is_integral(p):
             for k, r in enumerate(R)] == _ref_rho(p, 40)
 
 
+@pytest.mark.parametrize("digits", [30, 200])
+@pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
+def test_partial_sum_within_m_plus_one_units(p, digits):
+    # the fixed-point head against the exact Fraction partial sum
+    ctx = PrecisionContext(digits=digits)
+    bits = ctx.prec_bits + 16
+    M = max(60, 2 * (ctx.digits + mpnum.GUARD))   # f32_unit's head length
+    t = exact = Fraction(1)
+    for n in range(M):
+        t *= p.term_ratio(n)
+        exact += t
+    head = hyp3f2._partial_sum(p, M, bits)
+    assert abs(head - exact * 2 ** bits) <= M + 1
+
+
 @pytest.mark.parametrize("delta", [1, -1])
 def test_ball_check_catches_planted_midpoint(delta):
     p, count = TAIL_PARAMS[0], 20

@@ -1,13 +1,14 @@
 """Numerics kernel against independent mpmath oracles."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellhyp import mpnum
+from ellhyp import hecke, mpnum
 from ellhyp.mpnum import (ArbReal, DomainError, GammaPoleError,
                           PrecisionContext)
 
@@ -141,6 +142,32 @@ def test_e1_both_sides_of_the_crossover(digits):
             actual = abs(got.val - want)
             assert actual <= want * mpmath.mpf(10) ** -digits, x
             assert got.err >= actual, x
+
+
+@pytest.mark.parametrize("digits", [30, 64, 100, 152, 200])
+def test_e1_balls_contain_oracle_at_every_afe_point(digits):
+    # every x_n with a_n != 0 of both AFEs, at the ctx_n that hecke.l_two
+    # passes.  The oracle takes x_n rounded to ctx_n's precision, as the
+    # kernel does: l_two's separate x_ulps term covers that rounding, and
+    # against the unrounded x_n the error reads up to 10x err at the series
+    # points although the kernel is right (0.38x err at worst here)
+    ctx = PrecisionContext(digits=digits)
+    for N in (36, 64):
+        c = hecke.curve(N)
+        needed = hecke.afe_n_max(c, ctx)
+        tbl = hecke.build_coeffs(c, needed, "cm")
+        with ctx.workprec():
+            xs = [2 * mpmath.pi * n / mpmath.sqrt(N)
+                  for n in range(1, needed + 1) if tbl[n] != 0]
+        for x in xs:
+            ctx_n = replace(ctx, digits=max(digits - int(x / math.log(10)),
+                                            10))
+            with ctx_n.workprec():
+                got = mpnum.upper_incomplete_gamma(0, x, ctx_n)
+                x_n = mpmath.mpf(x)
+            with mpmath.workdps(ctx_n.digits + 60):
+                actual = abs(got.val - mpmath.e1(x_n))
+            assert actual <= got.err, (N, x_n)
 
 
 def test_agm_real_oracle():
