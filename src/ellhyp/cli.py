@@ -25,7 +25,7 @@ from .ksym import (ELLIPTIC, MAPS, FieldError, Place, evaluate_pullback,
                    ff_parse, ord_at, pushforward_e36, rosset_tate,
                    rosset_tate_chain, tame_symbol, verify_annihilation,
                    verify_divisor)
-from .mpnum import PrecisionContext
+from .mpnum import PrecisionContext, PrecisionError
 
 MIN_DIGITS = 30
 
@@ -61,11 +61,12 @@ def _exact(claim_id, lhs, rhs, ok, notes="", t=None):
                               "pass" if ok else "fail", notes=notes, timing=t)
 
 
-def _numeric(claim_id, lhs, rhs, diff, tol, notes="", t=None):
+def _numeric(claim_id, lhs, rhs, diff, tol, notes="", t=None, resolution=0):
+    """A numeric report; `resolution` bounds the agreement of equal sides."""
     ok = diff <= tol
     digits = None
-    if diff > 0:
-        digits = int(mpmath.floor(-mpmath.log10(diff)))
+    if max(diff, resolution) > 0:
+        digits = int(mpmath.floor(-mpmath.log10(max(diff, resolution))))
     return VerificationReport(
         claim_id, "numeric", mpmath.nstr(lhs, 25), mpmath.nstr(rhs, 25),
         "pass" if ok else "fail", abs_err=mpmath.nstr(diff, 5),
@@ -103,10 +104,12 @@ def cmd_verify_identity(args) -> list:
             # each side's err bounds its own error, so the sides must
             # agree within the sum of the two
             tol = lhs.err + rhs.err
+            # sides equal to the last bit agree to the working precision
             out.append(_numeric(
                 f"identity_L{N}", lhs.val, rhs.val, diff, tol,
                 notes="L*(E,0) from the Hecke L-series vs the "
-                      "hypergeometric combination", t=time.monotonic() - t0))
+                      "hypergeometric combination", t=time.monotonic() - t0,
+                resolution=mpmath.ldexp(abs(lhs.val), -ctx.prec_bits)))
     return out
 
 
@@ -323,6 +326,9 @@ def cmd_hyp(args) -> list:
             print(mpmath.nstr(val.val, ctx.digits))
     except hyp3f2.DivergenceError as exc:
         raise UsageError(f"bad --params: {exc}") from None
+    except PrecisionError as exc:
+        raise UsageError(f"unsupported --params at --digits {ctx.digits}: "
+                         f"{exc}") from None
     return []
 
 

@@ -9,7 +9,11 @@ last by one exact integer ratio), and the tail is expanded as
 
 with the c_i obtained from the term-ratio recurrence; each tail piece
 sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one `mpnum.hurwitz_zeta`
-call returns all of them.  The expansion of the term ratio in 1/n is exact:
+call returns all of them.  The scale, Gamma(b1) Gamma(b2) / (Gamma(a1)
+Gamma(a2) Gamma(a3)), is never formed from Gamma values: the head's
+recurrence runs one step further to t_{M+1}, and scale = t_{M+1}
+(M+1)^(1+s) / u_{M+1}, u_n = sum c_i n^-i, with the error of both factors
+carried as radii.  The expansion of the term ratio in 1/n is exact:
 its k-th coefficient times k! D^k, D the lcm of the parameter denominators,
 is an integer built one factor at a time.  The c_i run in fixed point on
 Python ints as midpoint-radius balls (Johansson, "Arb: efficient
@@ -34,11 +38,7 @@ from . import mpnum
 from .mpnum import ArbReal, PrecisionContext
 
 
-class HypergeometricError(Exception):
-    pass
-
-
-class DivergenceError(HypergeometricError):
+class DivergenceError(Exception):
     pass
 
 
@@ -82,12 +82,10 @@ class FTildeArgs:
     beta: Fraction
 
     def __post_init__(self):
+        # a pole of Gamma at alpha, beta or alpha+beta raises in
+        # mpnum.rational_gamma
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
-        for q in (self.alpha, self.beta, self.alpha + self.beta):
-            if _is_nonpositive_integer(q):
-                raise DivergenceError(
-                    "alpha, beta, alpha+beta must avoid nonpositive integers")
 
 
 def _common_denominator(p: HypParams) -> int:
@@ -172,60 +170,63 @@ def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
     return mids, rads
 
 
-def f32_unit(p: HypParams, ctx: PrecisionContext,
-             scale: ArbReal | None = None) -> ArbReal:
-    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters.
+def head_tail_sizes(ctx: PrecisionContext) -> tuple:
+    """(M, K): `f32_unit` sums the head to n = M and the tail to c_K."""
+    P = ctx.digits + mpnum.GUARD
+    return max(60, 2 * P), P
 
-    `scale` is `term_scale(p, ctx)` when the caller already has it."""
+
+def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
+    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters."""
     if p.terminates:
         return _sum_terminating(p, ctx)
     if p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
     with ctx.workprec():
-        P = ctx.digits + mpnum.GUARD
-        M = max(60, 2 * P)
-        K = P
-        if scale is None:
-            scale = term_scale(p, ctx)
+        M, K = head_tail_sizes(ctx)
         W = ctx.prec_bits + 16
-        head = mpmath.ldexp(_partial_sum(p, M, W), -W)
-        tail, tail_err = accelerated_tail(p, M, K, ctx, scale)
+        S, S_rad, T, T_rad = _partial_sum(p, M, W)
+        tail, tail_err = accelerated_tail(p, M, K, ctx, (T, T_rad))
+        head = mpmath.ldexp(S, -W)
         val = head + tail
-        # the head is within (M+1) 2^-W of its exact value and 2^-W <
-        # eps 2^-23, so (M+10) eps |val| covers that, the head's rounding
-        # to prec bits and the addition whenever |val| >= 2^-23 (the four
-        # F~ values lie between 0.82 and 1.27)
-        err = tail_err + abs(val) * ctx.eps * (M + 10)
-        res = ArbReal(val, err)
-        if res.err > ctx.target_eps * max(abs(res.val), mpf(1)):
+        # the head's radius, and one rounding each for head and val
+        err = (tail_err + mpmath.ldexp(S_rad, -W)
+               + (abs(head) + abs(val)) * mpmath.ldexp(1, 1 - ctx.prec_bits))
+        if err > ctx.target_eps * max(abs(val), mpf(1)):
             raise mpnum.PrecisionError(
-                "tail acceleration did not reach the requested precision")
-        return res
+                f"the tail expansion after M = {M} head terms reaches an "
+                f"error of {mpmath.nstr(err, 3)}, not 10^-{ctx.digits}")
+        return ArbReal(val, err)
 
 
-def _partial_sum(p: HypParams, M: int, bits: int) -> int:
-    """sum_{n=0}^{M} t_n in fixed point with `bits` fraction bits.
+def _partial_sum(p: HypParams, M: int, bits: int) -> tuple:
+    """(S, S_rad, T, T_rad): S = sum_{n=0}^{M} t_n and T = t_{M+1} in fixed
+    point with `bits` fraction bits, each within its radius (in units of
+    2^-bits) of the exact value.
 
-    t_{n+1} = t_n prod(a_j D + n D) / prod(b_j D + n D), b_3 = 1 and D the
-    lcm of the parameter denominators, runs on ints with g = bit_length(M)
-    guard bits.  Each floor division errs by less than one unit of
-    2^-(bits+g), and later ratios carry that error on; while every
-    |t_{n+1}/t_n| <= 1 (true for the F~ and Dixon sets here) t_n is off by
-    less than n such units, below one unit of 2^-bits.  So the result is
-    within M + 1 units of 2^-bits of the exact partial sum, the last one for
-    the final shift."""
+    t_{n+1} = t_n r_n, r_n = prod(a_j D + n D) / prod(b_j D + n D), b_3 = 1
+    and D the lcm of the parameter denominators, runs on ints with
+    g = bit_length(M) guard bits.  Each floor division errs by under one
+    unit of 2^-(bits+g) and r_n scales the error carried so far, so t_{n+1}
+    is off by under |r_n| e_n + 1 <= e_{n+1} = ceil(e_n |r_n|) + 1, whether
+    the terms shrink or grow.  S is off by sum e_n and T by e_{M+1}, plus a
+    unit each for the final shift; while every |r_n| <= 1, e_n <= n."""
     D = _common_denominator(p)
     g = M.bit_length()
     ups = [int(a * D) for a in (p.a1, p.a2, p.a3)]
     downs = [int(b * D) for b in (p.b1, p.b2, 1)]
     t = acc = 1 << (bits + g)
-    for n in range(M):
+    e = acc_rad = 0
+    for n in range(M + 1):
         nD = n * D
         num = (ups[0] + nD) * (ups[1] + nD) * (ups[2] + nD)
         den = (downs[0] + nD) * (downs[1] + nD) * (downs[2] + nD)
         t = t * num // den
-        acc += t
-    return acc >> g
+        e = -(-e * abs(num) // abs(den)) + 1
+        if n < M:
+            acc += t
+            acc_rad += e
+    return acc >> g, (acc_rad >> g) + 2, t >> g, (e >> g) + 2
 
 
 def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
@@ -246,32 +247,25 @@ def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
         return ArbReal(v, mpnum._ulp(v))
 
 
-def _gammas(qs, ctx: PrecisionContext) -> dict:
-    """{q: Gamma(q)} for the distinct rationals in qs, one evaluation each."""
-    return {q: mpnum.gamma_real(q, ctx) for q in set(qs)}
-
-
-def term_scale(p: HypParams, ctx: PrecisionContext) -> ArbReal:
-    """scale = Gamma(b1) Gamma(b2) / (Gamma(a1) Gamma(a2) Gamma(a3))."""
-    g = _gammas((p.a1, p.a2, p.a3, p.b1, p.b2), ctx)
-    return g[p.b1] * g[p.b2] / (g[p.a1] * g[p.a2] * g[p.a3])
-
-
 def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
-                     scale: ArbReal):
-    """(tail value, error estimate) for sum_{n > M} t_n; scale is
-    `term_scale(p, ctx)`.
+                     t_next: tuple):
+    """(tail value, error estimate) for sum_{n > M} t_n; t_next = (T, E) is
+    t_{M+1} within E units of 2^-W, W = prec + 16, from `_partial_sum`.
 
     One `hurwitz_zeta` call gives zeta(1+s+i, M+1) for i <= K+1, and
     `tail_coefficients` gives each c_i as a ball (C_i, E_i) in units of
-    2^-W, W = prec + 16, which scales to mpf exactly.  The error adds
-    sum |c_i| err(zeta_i), the coefficient radii sum E_i 2^-W (zeta_i +
-    err(zeta_i)), the rounding of the sum and the truncation after c_K (four
-    times the first omitted term) to the error of `scale`.
+    2^-W, which scales to mpf exactly.  The error adds sum |c_i| err(zeta_i),
+    the coefficient radii sum E_i 2^-W (zeta_i + err(zeta_i)), the rounding
+    of the sum and the truncation after c_K (four times the first omitted
+    term) to the error of scale = t_{M+1} (M+1)^(1+s) / u_{M+1}.  Its
+    u_{M+1} = sum_{i<=K} c_i (M+1)^-i runs by Horner on ints, with a radius
+    from the E_i, one unit per floor division and the same truncation bound;
+    the radii of t_{M+1} and u_{M+1} and each rounding make its error.
     """
     W = ctx.prec_bits + 16
+    N = M + 1
     mids, rads = tail_coefficients(p, K + 2, W)
-    zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, count=K + 2)
+    zetas = mpnum.hurwitz_zeta(1 + p.margin, N, ctx, count=K + 2)
     acc = mpf(0)
     mag = mpf(0)       # sum |c_i| zeta_i, the size the rounding scales with
     zeta_err = mpf(0)  # sum |c_i| err(zeta_i)
@@ -283,8 +277,18 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
         zeta_err += abs(c) * z.err
         rad_err += E * (z.val + z.err)
     z_last = zetas[K + 1]
-    trunc = (mpmath.ldexp(abs(mids[K + 1]) + rads[K + 1], -W)
-             * (z_last.val + z_last.err))
+    cut = abs(mids[K + 1]) + rads[K + 1]    # bounds |c_{K+1}| 2^W
+    trunc = mpmath.ldexp(cut, -W) * (z_last.val + z_last.err)
+    U, U_rad = 0, 4 * cut
+    for C, E in zip(mids[K::-1], rads[K::-1]):
+        U = C + U // N
+        U_rad = E + 1 - (-U_rad // N)
+    (T, T_rad), q = t_next, 1 + p.margin
+    ulp = mpmath.ldexp(1, 1 - ctx.prec_bits)
+    t, u = mpmath.ldexp(T, -W), mpmath.ldexp(U, -W)
+    scale = (ArbReal(t, mpmath.ldexp(T_rad, -W) + abs(t) * ulp)
+             * mpnum._rounded(mpmath.root(N ** q.numerator, q.denominator))
+             / ArbReal(u, mpmath.ldexp(U_rad, -W) + abs(u) * ulp))
     val = scale.val * acc
     err = (abs(scale.val) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
                              + mag * ctx.eps * (K + 10))
@@ -293,19 +297,14 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
 
 
 def ftilde(args: FTildeArgs, ctx: PrecisionContext) -> ArbReal:
-    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1).
-
-    Gamma(a+b-1) = Gamma(a+b) / (a+b-1), so the prefactor's Gamma values
-    also give the tail's scale."""
+    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1),
+    with the Gamma values in closed form (`mpnum.rational_gamma`)."""
     a, b = args.alpha, args.beta
-    p = HypParams(a, b, a + b - 1, a + b, a + b)
     with ctx.workprec():
-        g = _gammas((a, b, a + b), ctx)
-        pre = g[a] * g[b] / g[a + b]
-        # term_scale(p) = Gamma(a+b)^2 / (Gamma(a) Gamma(b) Gamma(a+b-1))
-        # = (a+b-1) / pre; a+b = 1 makes a3 = 0, a terminating series
-        scale = None if p.terminates else (a + b - 1) / pre
-        return pre * pre * f32_unit(p, ctx, scale)
+        pre = (mpnum.rational_gamma(a, ctx) * mpnum.rational_gamma(b, ctx)
+               / mpnum.rational_gamma(a + b, ctx))
+        return pre * pre * f32_unit(HypParams(a, b, a + b - 1, a + b, a + b),
+                                    ctx)
 
 
 def rhs_main(curve_id: int, ctx: PrecisionContext) -> ArbReal:

@@ -1,9 +1,10 @@
 """Arbitrary-precision real/complex kernel with conservative error tracking.
 
-Backed by mpmath's mpf/mpc for raw arithmetic; all special functions here
-(gamma, incomplete gamma, Hurwitz zeta, AGM) are computed by our own
-series/iterations so that mpmath's implementations stay available as
-independent oracles in the tests.
+Backed by mpmath's mpf/mpc for raw arithmetic and elementary functions; the
+special functions here (incomplete gamma, Hurwitz zeta, AGM, and Gamma at
+rationals with denominator 1, 2, 3, 4 or 6 from closed forms in pi and one
+AGM) are computed by our own series/iterations so that mpmath's
+implementations stay available as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from mpmath import mpf, mpc
 
 class MpnumError(Exception):
     pass
-
-
-class GammaPoleError(MpnumError):
-    """Gamma evaluated at a nonpositive integer."""
 
 
 class DomainError(MpnumError):
@@ -57,12 +54,6 @@ class PrecisionContext:
     @property
     def target_eps(self) -> mpf:
         return mpf(10) ** (-self.digits)
-
-
-def _err_of(x) -> mpf:
-    if isinstance(x, (ArbReal, ArbComplex)):
-        return x.err
-    return mpf(0)
 
 
 def _val_of(x):
@@ -174,77 +165,6 @@ class ArbComplex:
 
     def __repr__(self):
         return f"ArbComplex({self.val!r}, err={self.err!r})"
-
-
-def _is_nonpositive_integer(z: mpc) -> bool:
-    if z.imag != 0:
-        return False
-    r = z.real
-    return r <= 0 and r == mpmath.floor(r)
-
-
-def _stirling_loggamma(z: mpc, ctx: PrecisionContext) -> mpc:
-    """log Gamma via the Stirling asymptotic series after an upward shift.
-
-    Requires Re(z) > 0.  The shift threshold scales with the working
-    precision so the asymptotic series reaches the target accuracy before
-    its terms start growing.
-    """
-    P = ctx.digits + GUARD
-    threshold = mpf(max(10, int(0.4 * P) + 6))
-    shift_prod = mpc(1)
-    n_shift = 0
-    while abs(z) < threshold:
-        shift_prod *= z
-        z = z + 1
-        n_shift += 1
-        if n_shift > 10 * P + 100:
-            raise PrecisionError("gamma argument shift failed to terminate")
-    # ln Gamma(z) ~ (z-1/2) ln z - z + ln(2*pi)/2 + sum B_2n/(2n(2n-1) z^(2n-1))
-    res = (z - mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
-    zinv2 = 1 / (z * z)
-    term_pow = 1 / z
-    eps = ctx.eps
-    prev = mpf("inf")
-    n = 1
-    while True:
-        b = mpmath.bernoulli(2 * n)
-        term = b / (2 * n * (2 * n - 1)) * term_pow
-        t = abs(term)
-        if t > prev:
-            raise PrecisionError("Stirling series diverging before target accuracy")
-        res += term
-        if t < eps * max(abs(res), mpf(1)):
-            break
-        prev = t
-        term_pow *= zinv2
-        n += 1
-        if 2 * n > MAX_TERMS:
-            raise PrecisionError("max_terms exceeded in Stirling series")
-    return res - mpmath.log(shift_prod)
-
-
-def gamma(z, ctx: PrecisionContext) -> ArbComplex:
-    """Gamma function for complex z (poles at nonpositive integers)."""
-    with ctx.workprec():
-        zv = mpc(_val_of(z))
-        if _is_nonpositive_integer(zv):
-            raise GammaPoleError(f"gamma pole at {zv}")
-        if zv.real >= mpf(1) / 2:
-            val = mpmath.exp(_stirling_loggamma(zv, ctx))
-        else:
-            # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-            g1 = mpmath.exp(_stirling_loggamma(1 - zv, ctx))
-            val = mpmath.pi / (mpmath.sin(mpmath.pi * zv) * g1)
-        err = abs(val) * mpf(10) ** (-(ctx.digits + GUARD - 3)) + _err_of(z) * (
-            abs(val) * 10)
-        res = ArbComplex(val, err)
-    return res
-
-
-def gamma_real(x, ctx: PrecisionContext) -> ArbReal:
-    g = gamma(x, ctx)
-    return ArbReal(g.val.real, g.err)
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> ArbReal:
@@ -482,3 +402,77 @@ def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
             raise PrecisionError("AGM iteration failed to converge")
         v = (av + bv) / 2
         return ArbComplex(v, abs(v) * eps * 10 + _ulp(abs(v)))
+
+
+def _rounded(v) -> ArbReal:
+    """v, the result of one mpmath elementary operation, as a ball."""
+    return ArbReal(v, _ulp(v))
+
+
+def _root(x: ArbReal, k: int) -> ArbReal:
+    """x^(1/k), x > 0: |(1+r)^(1/k) - 1| <= |r| for r > -1."""
+    v = mpmath.root(x.val, k)
+    return ArbReal(v, v * x.err / x.val + _ulp(v))
+
+
+def _agm_one(b: ArbReal, ctx: PrecisionContext) -> ArbReal:
+    """AGM(1, b), b > 0.  M is homogeneous of degree 1 and increasing, so
+    b dM/db <= M, and M/b falls as b grows: err(b) moves M by at most
+    M err(b) / (b - err(b))."""
+    m = agm(1, b.val, ctx)
+    v = m.val.real
+    return ArbReal(v, m.err + v * b.err / (b.val - b.err))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_agm(den: int, digits: int) -> ArbReal:
+    """Gamma(1/4) (den = 4) or Gamma(1/3) (den = 3) from one AGM, once per
+    precision (Borwein and Zucker, IMA J. Numer. Anal. 12 (1992) 519-526):
+
+        Gamma(1/4)^2 = (2 pi)^(3/2) / AGM(1, sqrt 2),
+        Gamma(1/3)^3 = 2^(7/3) pi K / 3^(1/4),  K = pi / (2 AGM(1, k')),
+
+    with k' = (sqrt 6 + sqrt 2) / 4 = cos(pi/12): K is the complete elliptic
+    integral at the singular value sin(pi/12)."""
+    ctx = PrecisionContext(digits)
+    with ctx.workprec():
+        pi = _rounded(mpmath.pi)
+        if den == 4:
+            m = _agm_one(_rounded(mpmath.sqrt(2)), ctx)
+            return _root(pi * 2 * _root(pi * 2, 2) / m, 2)
+        k = (_rounded(mpmath.sqrt(6)) + _rounded(mpmath.sqrt(2))) / 4
+        K = pi / (_agm_one(k, ctx) * 2)
+        return _root(_rounded(mpmath.cbrt(128)) * pi * K
+                     / _rounded(mpmath.root(3, 4)), 3)
+
+
+def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
+    """Gamma(q) for rational q with denominator d = 1, 2, 3, 4 or 6.
+
+    q = r + n with r in (0, 1].  Gamma(1) = 1, Gamma(1/2) = sqrt(pi),
+    Gamma(1/3) and Gamma(1/4) from `_gamma_agm`, Gamma(1/6) =
+    2^(-1/3) (3/pi)^(1/2) Gamma(1/3)^2, and Gamma(1 - 1/d) by reflection,
+    pi / sin(pi/d) = 2 pi / sqrt(12/d - 1); then Gamma(q+1) = q Gamma(q)
+    moves r to q by one exact rational factor."""
+    q = Fraction(q)
+    d = q.denominator
+    if d not in (1, 2, 3, 4, 6) or (d == 1 and q <= 0):
+        raise DomainError(f"Gamma({q}): a pole, or a denominator other than "
+                          f"1, 2, 3, 4 and 6")
+    n = math.ceil(q) - 1
+    r = q - n
+    with ctx.workprec():
+        pi = _rounded(mpmath.pi)
+        if d == 1:
+            g = ArbReal(1)
+        elif d == 2:
+            g = _root(pi, 2)
+        else:
+            g = _gamma_agm(4 if d == 4 else 3, ctx.digits)
+            if d == 6:
+                g = _rounded(mpmath.cbrt(0.5)) * _root(3 / pi, 2) * g * g
+            if r.numerator > 1:
+                g = pi * 2 / (_root(ArbReal(12 // d - 1), 2) * g)
+        if n >= 0:
+            return g * math.prod(r + j for j in range(n))
+        return g / math.prod(r - j for j in range(1, 1 - n))

@@ -293,6 +293,25 @@ def test_hyp_divergent_params_is_usage_error(capsys, params):
     assert out == "" and "--params" in err
 
 
+def test_hyp_unreachable_precision_is_usage_error(capsys):
+    # valid parameters whose tail expansion at the fixed head length cannot
+    # reach the target: a limit of the method, not a failed verification
+    code, out, err = run(capsys, "hyp", "--params", "50,50,50,75,76")
+    assert code == 2
+    assert out == ""
+    assert "--params" in err and "M = 84 head terms" in err
+
+
+def test_verify_identity_reports_agreement_of_equal_sides(capsys):
+    # at 43 digits the two E64 sides round to the same value; the report
+    # then gives the working precision as the agreement, not null
+    code, out, _ = run(capsys, "verify-identity", "--digits", "43",
+                       "--report", "json", "--deterministic")
+    assert code == 0
+    for r in json.loads(out)["reports"]:
+        assert isinstance(r["digits_agreed"], int) and r["digits_agreed"] > 43
+
+
 def test_verify_identity_100_digits(capsys):
     code, out, _ = run(capsys, "verify-identity", "--digits", "100",
                        "--report", "json", "--deterministic")

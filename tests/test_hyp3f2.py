@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ellhyp import hyp3f2, mpnum
+from ellhyp import hyp3f2
 from ellhyp.hyp3f2 import DivergenceError, FTildeArgs, HypParams
 from ellhyp.mpnum import PrecisionContext
 
@@ -193,7 +193,7 @@ def _check_balls(p, count, ctx):
     """Every exact c_i lies in its ball, and the radius weighted by the
     tail's (M+1)^-i stays within 2 units of 2^-bits."""
     bits = ctx.prec_bits + 16
-    M = max(60, 2 * (ctx.digits + mpnum.GUARD))   # f32_unit's head length
+    M, _ = hyp3f2.head_tail_sizes(ctx)
     mids, rads = hyp3f2.tail_coefficients(p, count, bits)
     assert len(mids) == len(rads) == count
     assert _ball_misses(mids, rads, _ref_tail_coefficients(p, count),
@@ -237,19 +237,30 @@ def test_ratio_series_is_integral(p):
             for k, r in enumerate(R)] == _ref_rho(p, 40)
 
 
-@pytest.mark.parametrize("digits", [30, 200])
-@pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
-def test_partial_sum_within_m_plus_one_units(p, digits):
-    # the fixed-point head against the exact Fraction partial sum
-    ctx = PrecisionContext(digits=digits)
+def _check_head(p, ctx):
+    """The fixed-point head and its next term t_{M+1}, the source of the
+    tail's scale, lie within their radii of the exact Fraction values;
+    returns the two radii."""
     bits = ctx.prec_bits + 16
-    M = max(60, 2 * (ctx.digits + mpnum.GUARD))   # f32_unit's head length
+    M, _ = hyp3f2.head_tail_sizes(ctx)
     t = exact = Fraction(1)
     for n in range(M):
         t *= p.term_ratio(n)
         exact += t
-    head = hyp3f2._partial_sum(p, M, bits)
-    assert abs(head - exact * 2 ** bits) <= M + 1
+    t_next = t * p.term_ratio(M)
+    head, head_rad, T, T_rad = hyp3f2._partial_sum(p, M, bits)
+    assert abs(head - exact * 2 ** bits) <= head_rad
+    assert abs(T - t_next * 2 ** bits) <= T_rad
+    return head_rad, T_rad
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
+def test_partial_sum_within_m_plus_one_units(p, digits):
+    ctx = PrecisionContext(digits=digits)
+    head_rad, T_rad = _check_head(p, ctx)
+    assert head_rad <= hyp3f2.head_tail_sizes(ctx)[0] + 1
+    assert T_rad <= 2
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -310,3 +321,25 @@ def test_f32_unit_err_bounds_dixon(a, b, c, digits):
         actual = abs(got.val - _dixon(a, b, c, digits + 20))
     assert actual <= got.err
     assert got.err <= mpmath.mpf(10) ** -digits * max(1, abs(got.val))
+
+
+# Terms that grow before they shrink: at n = 0 the term ratios are 125/48
+# and 27/16.  Both reduce to Gauss sums, 3F2(a, b, c+1; d, c; 1) =
+# 2F1(a, b; d; 1) + ab/(cd) 2F1(a+1, b+1; d+1; 1), with the exact values
+# 2233/4 and 385/8.
+GROWING = ["5,5,5,4,12", "3,3,3,2,8"]
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("params", GROWING)
+def test_f32_unit_ball_holds_when_terms_grow(params, digits):
+    p = HypParams(*map(Fraction, params.split(",")))
+    assert p.term_ratio(0) > 1
+    ctx = PrecisionContext(digits=digits)
+    _check_head(p, ctx)
+    with ctx.workprec():
+        got = hyp3f2.f32_unit(p, ctx)
+    with mpmath.workdps(digits + 40):
+        want = mpmath.hyp3f2(*map(_mp, (p.a1, p.a2, p.a3, p.b1, p.b2)), 1)
+        assert abs(got.val - want) <= got.err
+    assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val)

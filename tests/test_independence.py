@@ -47,3 +47,38 @@ def test_pipelines_do_not_import_each_other(name, other):
 @pytest.mark.parametrize("name", PIPELINES)
 def test_pipeline_does_not_mention_claims(name):
     assert "claims" not in _source(name)
+
+
+# What product code may use of mpmath: numbers, precision control, printing
+# and elementary functions.  Its special functions (gamma, loggamma,
+# bernoulli, hyp3f2, zeta, elliprf, agm, gammainc, ...) are the oracles of the
+# tests, so src/ must compute its own.
+MPMATH_ALLOWED = {
+    "mp", "mpf", "mpc", "workprec", "workdps", "nstr", "isfinite", "ldexp",
+    "pi", "euler", "inf", "bernfrac",
+    "exp", "log", "log10", "sqrt", "cbrt", "root", "power",
+    "sin", "cos", "asin", "expjpi", "floor", "nint", "re", "im", "conj",
+}
+MPMATH_ORACLES = {"gamma", "loggamma", "bernoulli", "hyp3f2", "zeta",
+                  "elliprf", "agm", "gammainc"}
+
+
+def _mpmath_names(tree):
+    """Every mpmath.<name> attribute and every name imported from mpmath."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "mpmath"):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            yield from (alias.name for alias in node.names)
+
+
+def test_src_uses_only_elementary_mpmath():
+    assert not MPMATH_ALLOWED & MPMATH_ORACLES
+    root = pathlib.Path(ellhyp.__file__).parent
+    used = {(path.relative_to(root).as_posix(), name)
+            for path in sorted(root.rglob("*.py"))
+            for name in _mpmath_names(ast.parse(path.read_text()))}
+    assert used, "the walk found no mpmath use at all"
+    assert sorted(u for u in used if u[1] not in MPMATH_ALLOWED) == []

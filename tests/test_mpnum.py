@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellhyp import hecke, mpnum
-from ellhyp.mpnum import (ArbReal, DomainError, GammaPoleError,
-                          PrecisionContext)
+from ellhyp.mpnum import ArbReal, DomainError, PrecisionContext
 
 CTX = PrecisionContext(digits=30)
 
@@ -20,35 +19,27 @@ def _close(got, want, ctx=CTX, slack=4):
     assert abs(got - want) <= tol, f"{got} vs {want}"
 
 
-def test_gamma_real_values():
-    with CTX.workprec():
-        for x in (Fraction(1, 2), Fraction(1, 3), Fraction(7, 4), 3):
-            fx = Fraction(x)
-            got = mpnum.gamma_real(x, CTX)
-            want = mpmath.gamma(mpmath.mpf(fx.numerator) / fx.denominator)
-            _close(got.val, want)
-            assert abs(got.val - want) <= got.err + mpmath.mpf(10) ** (-CTX.digits)
+# every Gamma argument of the four F~ prefactors, plus a shift up and an
+# integer
+GAMMA_ARGS = ["1/2", "1/3", "2/3", "1/4", "3/4", "5/6", "7/6", "3/2", "7/4",
+              "3"]
 
 
-def test_gamma_complex_oracle():
-    with CTX.workprec():
-        for z in (mpmath.mpc(2, 3), mpmath.mpc("0.5", "-1.25"),
-                  mpmath.mpc(-1.5, 0.5)):
-            got = mpnum.gamma(z, CTX)
-            _close(got.val, mpmath.gamma(z))
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_rational_gamma_balls_contain_oracle(digits):
+    ctx = PrecisionContext(digits=digits)
+    for q in map(Fraction, GAMMA_ARGS):
+        got = mpnum.rational_gamma(q, ctx)
+        with mpmath.workdps(digits + 40):
+            want = mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator)
+            assert abs(got.val - want) <= got.err, q
+        assert got.err <= abs(want) * mpmath.mpf(10) ** -(digits + 5), q
 
 
-def test_gamma_pole():
-    with pytest.raises(GammaPoleError):
-        mpnum.gamma(-2, CTX)
-
-
-def test_gamma_reflection_identity():
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    with CTX.workprec():
-        z = mpmath.mpf(1) / 7
-        lhs = mpnum.gamma(z, CTX).val * mpnum.gamma(1 - z, CTX).val
-        _close(lhs, mpmath.pi / mpmath.sin(mpmath.pi * z))
+@pytest.mark.parametrize("q", ["1/5", "2/7", "0", "-2"])
+def test_rational_gamma_rejects_unsupported_arguments(q):
+    with pytest.raises(DomainError):
+        mpnum.rational_gamma(Fraction(q), CTX)
 
 
 def test_upper_incomplete_gamma_oracle():
