@@ -10,14 +10,14 @@ factor h with Omega_R = h Omega.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
 
 from . import hecke, mpnum
-from .cyclo import CycloNum, ZETA3, I
-from .ecdiv import CURVE36, CURVE64, CurvePoint, law
+from .cyclo import CycloNum
+from .ecdiv import CurvePoint, law
 from .mpnum import ArbComplex, ArbReal, PrecisionContext
 
 
@@ -29,51 +29,60 @@ class LabelError(PeriodError):
     pass
 
 
-_ONE = CycloNum.from_rational(1)
+# The two facts of each curve that neither hecke.CurveId nor ecdiv.Curve
+# holds: the unit h with Omega_R = h Omega, as hecke's pair (2 + zeta_3 =
+# 1 - zeta_3^2 on conductor 36, 1 on conductor 64), and the orientation, the
+# sign of omega_E relative to +du/(2v).  The constraints (covolume pi,
+# Omega/conj(nu) real, Omega_R > 0) are invariant under omega_E -> -omega_E,
+# which negates every torsion label.  The sign is a convention anchored at
+# one published label per curve (P = (0,1) -> 1 on conductor 36, S -> 1 on
+# conductor 64); all other labels are then forced and independently
+# checkable.
+_H_AND_ORIENTATION = {36: ((2, 1), -1), 64: ((1, 0), +1)}
 
 
-@dataclass(frozen=True)
-class CurvePeriodInfo:
-    N: int
-    roots: tuple          # the curve's exact roots, largest real first
-    tau: CycloNum         # O_K = Z + Z tau (tau = zeta_3 or i)
-    covol: str            # "sqrt3/2" or "1"
-    h_unit: CycloNum      # Omega_R = h * Omega
-    nu: CycloNum          # generator of the conductor f
-    orientation: int      # sign of omega_E relative to +du/(2v)
-    hnf: tuple            # (A, s, B): nu O_K = Z (A, 0) + Z (s, B) in (1, tau)
+@functools.lru_cache(maxsize=None)
+def _tau(N: int) -> CycloNum:
+    """t = exp(2 pi i / (4 - s)) of hecke's O_K = Z[t]: zeta_3 or i."""
+    return CycloNum.zeta_pow(24 // (4 - hecke.curve(N).s))
 
 
-def _ok(pair, tau: CycloNum) -> CycloNum:
-    """The element a + b tau of O_K for hecke's integer pair (a, b)."""
-    return pair[0] + pair[1] * tau
+def _ok(N: int, pair) -> CycloNum:
+    """The element a + b t of O_K for hecke's integer pair (a, b)."""
+    return pair[0] + pair[1] * _tau(N)
 
 
-# The constraints (covolume pi, Omega/conj(nu) real, Omega_R > 0) are
-# invariant under omega_E -> -omega_E, which negates every torsion label.
-# The remaining sign is a convention anchored at one published label per
-# curve (P = (0,1) -> 1 on conductor 36, S -> 1 on conductor 64); all other
-# labels are then forced and independently checkable.
-INFO36 = CurvePeriodInfo(
-    36, CURVE36.roots, ZETA3, "sqrt3/2",
-    _ONE - ZETA3 * ZETA3, _ok(hecke.E36.nu, ZETA3), -1, (6, 4, 2))
-INFO64 = CurvePeriodInfo(
-    64, CURVE64.roots, I, "1", _ONE, _ok(hecke.E64.nu, I), +1, (4, 0, 4))
-
-_INFOS = {info.N: info for info in (INFO36, INFO64)}
-
-
-def _info(N: int) -> CurvePeriodInfo:
-    try:
-        return _INFOS[N]
-    except KeyError:
-        raise ValueError("conductor must be 36 or 64") from None
+def ok_pair(N: int, x: CycloNum):
+    """Hecke's integer pair (a, b) with x = a + b t, or None if x is not in
+    O_K; it reads the label literals of claims.json."""
+    # exact linear algebra in the zeta_24 basis: x = a + b t means the
+    # coefficient vector is a*e0 + b*t.num.  The power basis is integral,
+    # so a + b t with integers a, b has denominator 1.
+    tc = _tau(N).num
+    if x.den != 1:
+        return None
+    k = next(i for i in range(1, 8) if tc[i] != 0)
+    b, r = divmod(x.num[k], tc[k])
+    a = x.num[0] - b * tc[0]
+    if r or x != _ok(N, (a, b)):
+        return None
+    return a, b
 
 
-def _covol_value(info: CurvePeriodInfo) -> mpf:
-    if info.covol == "1":
-        return mpf(1)
-    return mpmath.sqrt(3) / 2
+@functools.lru_cache(maxsize=None)
+def _hnf(N: int) -> tuple:
+    """(A, s, B) with nu O_K = Z (A, 0) + Z (s, B) in the basis (1, t).
+
+    The Hermite normal form (Cohen, GTM 138, 2.4.2) of the lattice spanned
+    by nu and nu t, by Euclid on their t-coordinates."""
+    c = hecke.curve(N)
+    u, v = c.nu, hecke._mul(c, c.nu, (0, 1))
+    while v[1]:
+        q = u[1] // v[1]
+        u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
+    if u[1] < 0:
+        u = (-u[0], -u[1])
+    return abs(v[0]), u[0] % abs(v[0]), u[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,21 +120,23 @@ def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
     One AGM of root gaps gives omega1 = pi / agm, the period of du/(2v) over
     the real component; c = sqrt(pi / A0) for the covolume A0 of the
     unnormalized lattice O_K * (omega1 / h), and Omega_R = c * omega1."""
-    info = _info(N)
+    cm = hecke.curve(N)
+    h_unit, nu = _ok(N, _H_AND_ORIENTATION[N][0]), _ok(N, cm.nu)
     with ctx.workprec():
-        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
+        e1, e2, e3 = (_embed(r, ctx) for r in law(N).curve.roots)
         g = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
         v = mpmath.pi / g.val
         if abs(mpmath.im(v)) > ctx.eps * abs(v) * 100:
             raise PeriodError("real period came out non-real")
         omega1 = mpmath.re(v)
         rel1 = ctx.eps * 100 + g.err / abs(g.val)  # relative error of omega1
-        h = _embed(info.h_unit, ctx)
-        c = mpmath.sqrt(mpmath.pi / (_covol_value(info) * (omega1 / abs(h)) ** 2))
+        h = _embed(h_unit, ctx)
+        covol = mpmath.sqrt(4 - cm.s * cm.s) / 2  # of O_K = Z + Z t
+        c = mpmath.sqrt(mpmath.pi / (covol * (omega1 / abs(h)) ** 2))
         omega_r = ArbReal(c * omega1, abs(c * omega1) * ctx.eps * 200)
         data = PeriodData(N, ArbComplex(omega_r.val / h, omega_r.err * 4), omega_r,
-                          info.h_unit, ArbReal(c, abs(c) * (ctx.eps * 100 + rel1)),
-                          info.nu)
+                          h_unit, ArbReal(c, abs(c) * (ctx.eps * 100 + rel1)),
+                          nu)
         data.check(ctx)
         return data
 
@@ -150,7 +161,7 @@ def _near_root(x: mpc, near: mpc) -> mpc:
 
 
 @functools.lru_cache(maxsize=None)
-def _agm_log(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext):
+def _agm_log(roots: tuple, u: CycloNum, ctx: PrecisionContext):
     """(z, w) with z = int_P^inf du/(2v) for the point P = (u, w).
 
     Landen descent (Cremona and Thongjunthug, J. Number Theory 133 (2013)):
@@ -163,12 +174,12 @@ def _agm_log(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext):
     the chain also says which of the two points with this u it integrated
     from.  It depends only on u, so P and -P share one chain."""
     with ctx.workprec():
-        e1, e2, e3 = (_embed(r, ctx) for r in info.roots)
+        e1, e2, e3 = (_embed(r, ctx) for r in roots)
         a = mpmath.sqrt(e1 - e3)
         b = _near_root(e1 - e2, a)
-        c = c0 = mpmath.sqrt(_embed(u - info.roots[2], ctx))
-        d = _embed(u - info.roots[0], ctx)
-        s2 = _embed(u - info.roots[1], ctx)
+        c = c0 = mpmath.sqrt(_embed(u - roots[2], ctx))
+        d = _embed(u - roots[0], ctx)
+        s2 = _embed(u - roots[1], ctx)
         dv = mpf(1)
         for _ in range(64):  # quadratic convergence needs about 10
             if abs(a - b) <= ctx.eps * abs(a):
@@ -196,14 +207,14 @@ def _agm_log(info: CurvePeriodInfo, u: CycloNum, ctx: PrecisionContext):
         return z, c0 * dv * c * r
 
 
-def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc:
+def _std_log(roots: tuple, p: CurvePoint, ctx: PrecisionContext) -> mpc:
     """int_P^inf du/(2v) modulo the du/(2v)-period lattice.
 
     The Landen chain integrates from the point (u0, w) with w = +-v0; the
     integral from (u0, -w) is its negative."""
     if p.infinite:
         return mpc(0)
-    z, w = _agm_log(info, p.u, ctx)
+    z, w = _agm_log(roots, p.u, ctx)
     if not p.v:
         return z  # half-period: sign immaterial mod the lattice
     with ctx.workprec():
@@ -217,12 +228,13 @@ def _std_log(info: CurvePeriodInfo, p: CurvePoint, ctx: PrecisionContext) -> mpc
 
 def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
     """z with P = (integral of omega_E from the group-law origin), mod Gamma."""
-    info = _info(N)
+    lw = law(N)
+    roots = lw.curve.roots
     with ctx.workprec():
-        z_raw = _std_log(info, p, ctx) - _std_log(info, law(N).base, ctx)
+        z_raw = _std_log(roots, p, ctx) - _std_log(roots, lw.base, ctx)
         data = lattice(N, ctx)
-        z = info.orientation * data.scale_c.val * z_raw
-        tau = _embed(info.tau, ctx)
+        z = _H_AND_ORIENTATION[N][1] * data.scale_c.val * z_raw
+        tau = _embed(_tau(N), ctx)
         z = _reduce_mod_lattice(z, data.Omega.val, tau)
         return ArbComplex(z, abs(data.Omega.val) * ctx.eps * 10 ** 6)
 
@@ -231,51 +243,24 @@ def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
 class TorsionLabel:
     N: int
     point: CurvePoint
-    a: int           # label = a + b * tau in O_K
+    a: int           # label = a + b t in O_K, hecke's pair (a, b)
     b: int
 
-    def as_cyclo(self) -> CycloNum:
-        return self.a + self.b * _info(self.N).tau
-
     def equiv(self, other) -> bool:
-        """Equality in O_K / (nu)."""
+        """Equality in O_K / (nu); other is a label or hecke's pair."""
         if isinstance(other, TorsionLabel):
-            other = other.as_cyclo()
-        diff = self.as_cyclo() - other
-        return _okdivides(_info(self.N), diff)
-
-
-def _okdivides(info: CurvePeriodInfo, x: CycloNum) -> bool:
-    """Whether nu | x in O_K, by hecke's arithmetic on the pair of x."""
-    a, b = _tau_coordinates(info, x)
-    cm = hecke.curve(info.N)
-    return a is not None and hecke._divides(cm, cm.nu, (a, b))
-
-
-def _tau_coordinates(info: CurvePeriodInfo, x: CycloNum):
-    """Integer (a, b) with x = a + b tau, or (None, None)."""
-    # exact linear algebra in the zeta_24 basis: x = a + b tau means the
-    # coefficient vector is a*e0 + b*tau.num.  The power basis is integral,
-    # so a + b tau with integers a, b has denominator 1.
-    tc = info.tau.num
-    if x.den != 1:
-        return None, None
-    k = next(i for i in range(1, 8) if tc[i] != 0)
-    b, r = divmod(x.num[k], tc[k])
-    a = x.num[0] - b * tc[0]
-    if r or x != a + b * info.tau:
-        return None, None
-    return a, b
+            other = other.a, other.b
+        c = hecke.curve(self.N)
+        return hecke._divides(c, c.nu, (self.a - other[0], self.b - other[1]))
 
 
 def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
     """The class of P under E_f ~ O_K/f via x -> x conj(nu) / Omega."""
-    info = _info(N)
     with ctx.workprec():
         z = elliptic_log(N, p, ctx)
         data = lattice(N, ctx)
-        w = z.val * mpmath.conj(_embed(info.nu, ctx)) / data.Omega.val
-        tau = _embed(info.tau, ctx)
+        w = z.val * mpmath.conj(_embed(data.nu, ctx)) / data.Omega.val
+        tau = _embed(_tau(N), ctx)
         a, b = _tau_coords(w, tau)
         ai, bi = int(mpmath.nint(a)), int(mpmath.nint(b))
         dist = abs(w - (ai + bi * tau))
@@ -283,37 +268,12 @@ def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
             raise LabelError(
                 f"no O_K point within 1e-5 of {w} (distance {dist}); wrong "
                 "normalization or insufficient precision")
-        return TorsionLabel(N, p, *_residue(info, ai, bi))
+        return TorsionLabel(N, p, *_residue(N, ai, bi))
 
 
-def _residue(info: CurvePeriodInfo, a: int, b: int):
-    """The representative of a + b tau mod nu in the box [0, A) x [0, B)
+def _residue(N: int, a: int, b: int):
+    """The representative of a + b t mod nu in the box [0, A) x [0, B)
     of the Hermite normal form of nu O_K."""
-    big_a, s, big_b = info.hnf
+    big_a, s, big_b = _hnf(N)
     k, b = divmod(b, big_b)
     return (a - k * s) % big_a, b
-
-
-def _mod4_orbit(x) -> frozenset:
-    """The mu_4-orbit of x in (Z[i]/4)*, as residue pairs."""
-    c = hecke.E64
-    return frozenset(tuple(r % 4 for r in hecke._mul(c, x, u))
-                     for u in c.units)
-
-
-def chi_f_check() -> bool:
-    """Consistency of chi_f(1-2i) = 1 with a_5(E64) = 2, plus the
-    representative set (O_K/4)*/mu_4 = {1, 1-2i}."""
-    c = hecke.E64
-    # the units of Z[i]/4 fall into exactly two mu_4-orbits, and the two
-    # coset representatives lie in different ones
-    units = [(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 1]
-    (one, _), (rep, chi) = c.cosets
-    if len({_mod4_orbit(u) for u in units}) != 2 \
-            or _mod4_orbit(one) == _mod4_orbit(rep):
-        return False
-    # a_5: 5 = (2+i)(2-i); with chi_f(1-2i) = +1 the trace is 2, with -1 it
-    # would be -2, and point counting decides
-    flipped = replace(c, cosets=((one, (1, 0)), (rep, (-chi[0], -chi[1]))))
-    a5 = hecke.ap_pointcount(c, 5)
-    return hecke.ap_cm(c, 5) == a5 and hecke.ap_cm(flipped, 5) != a5

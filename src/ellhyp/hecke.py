@@ -34,28 +34,24 @@ class CurveId:
     """One curve and its CM order O_K = Z[t], t^2 = -s t - 1.
 
     s = 1 gives t = zeta_3 (conductor 36) and s = 0 gives t = i (conductor
-    64).  Elements of O_K are integer pairs (a, b) = a + b t.  The Hecke
+    64).  Elements of O_K are integer pairs (a, b) = a + b t, and the units
+    mu_K are the pairs of norm 1 (``_units``).  The bad primes are those
+    dividing N, and the root number is +1 on both curves.  The Hecke
     character is pinned by the conductor f = (nu): chi((alpha)) =
     conj(alpha) chi_f(alpha mod f) for the coset representatives of
     (O_K/f)*/mu_K in ``cosets``, given with their chi_f values."""
     N: int
     weierstrass: tuple  # (a, b) with y^2 = x^3 + a x + b
-    bad_primes: frozenset
     s: int
-    units: tuple        # mu_K
     nu: tuple           # generator of the conductor f
     cosets: tuple       # ((representative, chi_f(representative)), ...)
-    root_number: int = 1
 
 
 # For E36, nu = 2(1 - t^2) = 4 + 2t and (O_K/f)*/mu_6 is trivial.  For E64
 # the quotient (O_K/4)*/mu_4 is {1, 1-2i}, and chi_f(1-2i) = 1 is
-# calibrated once against ap_pointcount(E64, 5) = 2 (see ellper.chi_f_check).
-E36 = CurveId(36, (0, 1), frozenset({2, 3}), 1,
-              ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)), (4, 2),
-              (((1, 0), (1, 0)),))
-E64 = CurveId(64, (-4, 0), frozenset({2}), 0,
-              ((1, 0), (0, 1), (-1, 0), (0, -1)), (4, 0),
+# calibrated once against ap_pointcount(E64, 5) = 2 (see chi_f_check).
+E36 = CurveId(36, (0, 1), 1, (4, 2), (((1, 0), (1, 0)),))
+E64 = CurveId(64, (-4, 0), 0, (4, 0),
               (((1, 0), (1, 0)), ((1, -2), (1, 0))))
 
 CURVES = {36: E36, 64: E64}
@@ -70,7 +66,7 @@ def curve(N: int) -> CurveId:
 
 def ap_pointcount(c: CurveId, p: int) -> int:
     """a_p = p + 1 - #E(F_p) by exhaustive enumeration over F_p."""
-    if p in c.bad_primes:
+    if c.N % p == 0:
         raise BadPrimeError(f"{p} is a bad prime for conductor {c.N}")
     a, b = c.weierstrass
     # chi(t) = t^((p-1)/2) mod p in {0, 1, p-1}
@@ -106,6 +102,12 @@ def _norm(c: CurveId, x):
     return a * a - c.s * a * b + b * b
 
 
+def _units(c: CurveId) -> tuple:
+    """mu_K: the pairs of norm 1, all with |a|, |b| <= 1."""
+    return tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                 if _norm(c, (a, b)) == 1)
+
+
 def _divides(c: CurveId, d, x) -> bool:
     # d | x in O_K  <=>  x * conj(d) = 0 mod N(d) componentwise
     prod = _mul(c, x, _conj(c, d))
@@ -131,19 +133,43 @@ def ap_cm(c: CurveId, p: int) -> int:
 
     Some unit multiple pi' of a prime above a split p lies in the class of a
     coset representative r mod f; then chi((pi)) = conj(pi') chi_f(r)."""
-    if p in c.bad_primes:
+    if c.N % p == 0:
         raise BadPrimeError(f"{p} is a bad prime for conductor {c.N}")
     # p splits in K exactly when the discriminant s^2 - 4 is a square mod p
     if pow((c.s * c.s - 4) % p, (p - 1) // 2, p) != 1:
         return 0
     pi = _generator(c, p)
-    for u in c.units:
+    for u in _units(c):
         cand = _mul(c, pi, u)
         for rep, chi in c.cosets:
             if _divides(c, c.nu, (cand[0] - rep[0], cand[1] - rep[1])):
                 a, b = _mul(c, _conj(c, cand), chi)
                 return 2 * a - c.s * b  # the trace
     raise HeckeError(f"no normalized generator found for p={p}")
+
+
+def _mod4_orbit(x) -> frozenset:
+    """The mu_4-orbit of x in (Z[i]/4)*, as residue pairs."""
+    return frozenset(tuple(r % 4 for r in _mul(E64, x, u))
+                     for u in _units(E64))
+
+
+def chi_f_check() -> bool:
+    """Consistency of chi_f(1-2i) = 1 with a_5(E64) = 2, plus the
+    representative set (O_K/4)*/mu_4 = {1, 1-2i}."""
+    c = E64
+    # the units of Z[i]/4 fall into exactly two mu_4-orbits, and the two
+    # coset representatives lie in different ones
+    units = [(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 1]
+    (one, _), (rep, chi) = c.cosets
+    if len({_mod4_orbit(u) for u in units}) != 2 \
+            or _mod4_orbit(one) == _mod4_orbit(rep):
+        return False
+    # a_5: 5 = (2+i)(2-i); with chi_f(1-2i) = +1 the trace is 2, with -1 it
+    # would be -2, and point counting decides
+    flipped = replace(c, cosets=((one, (1, 0)), (rep, (-chi[0], -chi[1]))))
+    a5 = ap_pointcount(c, 5)
+    return ap_cm(c, 5) == a5 and ap_cm(flipped, 5) != a5
 
 
 @dataclass
@@ -182,14 +208,15 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
         raise ValueError(f"unknown coefficient source {source!r}")
     a = {1: 1}
     for p in _primes_up_to(n_max):
-        apv = 0 if p in c.bad_primes else ap(c, p)
-        if p not in c.bad_primes and apv * apv > 4 * p:
+        bad = c.N % p == 0
+        apv = 0 if bad else ap(c, p)
+        if not bad and apv * apv > 4 * p:
             raise HeckeError(f"Hasse bound violated at p={p}")
         # prime powers via the Hecke recursion a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}}
         pk = p
         prev2, prev1 = 1, apv
         while pk <= n_max:
-            a[pk] = 0 if p in c.bad_primes else prev1
+            a[pk] = 0 if bad else prev1
             pk *= p
             prev2, prev1 = prev1, apv * prev1 - p * prev2
     # smallest-prime-factor sieve, then fill multiplicatively
@@ -285,7 +312,6 @@ def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
         acc = mpf(0)
         g0_err = mpf(0)   # sum |a_n| err(E1(x_n))
         ln10 = math.log(10)
-        w = c.root_number
         for n in range(1, needed + 1):
             an = tbl[n]
             if an == 0:
@@ -296,8 +322,8 @@ def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
             # absolute error.  Rounding x to them moves E1 by under (x+1)
             # ulps relative, since |E1'(x)/E1(x)| < 1 + 1/x.
             ctx_n = replace(ctx, digits=max(ctx.digits - int(x / ln10), 10))
-            g0 = mpnum.upper_incomplete_gamma(0, x, ctx_n)
-            acc += an * ((sqrtN / (two_pi * n)) ** 2 * g2 + w * g0.val)
+            g0 = mpnum.upper_incomplete_gamma(x, ctx_n)
+            acc += an * ((sqrtN / (two_pi * n)) ** 2 * g2 + g0.val)
             x_ulps = (x + 1) * mpmath.ldexp(1, 1 - ctx_n.prec_bits)
             g0_err += abs(an) * (g0.err + g0.val * x_ulps)
         scale = (two_pi / sqrtN) ** 2

@@ -167,14 +167,11 @@ class ArbComplex:
         return f"ArbComplex({self.val!r}, err={self.err!r})"
 
 
-def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> ArbReal:
+def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
     """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0, the kernel of
     the approximate functional equation that needs more than exp (its
     Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``)."""
     with ctx.workprec():
-        if mpf(_val_of(s)) != 0:
-            raise DomainError(f"upper_incomplete_gamma supports s = 0, "
-                              f"not {s}")
         xv = mpf(_val_of(x))
         if xv < 0:
             raise DomainError("upper_incomplete_gamma requires x >= 0")

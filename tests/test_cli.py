@@ -312,6 +312,20 @@ def test_verify_identity_reports_agreement_of_equal_sides(capsys):
         assert isinstance(r["digits_agreed"], int) and r["digits_agreed"] > 43
 
 
+@pytest.mark.parametrize("argv", [["verify-all", "--digits", "30"],
+                                  ["verify-periods", "--digits", "100"]])
+def test_every_numeric_row_reports_an_integer_agreement(capsys, argv):
+    # rows whose sides match exactly (the E64 period, Omega / conj(nu) on
+    # E64) report the working precision, not null
+    code, out, _ = run(capsys, *argv, "--report", "json", "--deterministic")
+    assert code == 0
+    numeric = [r for r in json.loads(out)["reports"] if r["kind"] == "numeric"]
+    assert len(numeric) >= 4
+    for r in numeric:
+        assert isinstance(r["digits_agreed"], int), r["claim_id"]
+        assert r["digits_agreed"] >= int(argv[-1]), r["claim_id"]
+
+
 def test_verify_identity_100_digits(capsys):
     code, out, _ = run(capsys, "verify-identity", "--digits", "100",
                        "--report", "json", "--deterministic")

@@ -5,9 +5,9 @@ import math
 import mpmath
 import pytest
 
-from ellhyp.hecke import (BadPrimeError, CoefficientFileError, afe_n_max,
-                          ap_cm, ap_pointcount, build_coeffs, curve, l_two,
-                          lstar_zero)
+from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _units,
+                          afe_n_max, ap_cm, ap_pointcount, build_coeffs,
+                          curve, l_two, lstar_zero)
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -29,11 +29,29 @@ def test_curve_registry():
         curve(37)
 
 
+def test_derived_units_and_bad_primes():
+    # the units are the pairs of norm 1 and the bad primes divide N; these
+    # are the sets the two curves were first written down with
+    assert set(_units(curve(36))) == {(1, 0), (-1, 0), (0, 1), (0, -1),
+                                      (-1, -1), (1, 1)}
+    assert set(_units(curve(64))) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for N, bad in ((36, {2, 3}), (64, {2})):
+        c = curve(N)
+        for ap in (ap_cm, ap_pointcount):
+            raised = set()
+            for p in _primes(50):
+                try:
+                    ap(c, p)
+                except BadPrimeError:
+                    raised.add(p)
+            assert raised == bad, (N, ap.__name__, raised)
+
+
 def test_cross_oracle_ap_under_500():
     for N in (36, 64):
         c = curve(N)
         for p in _primes(499):
-            if p in c.bad_primes:
+            if c.N % p == 0:
                 continue
             assert ap_cm(c, p) == ap_pointcount(c, p), (N, p)
 
@@ -49,7 +67,7 @@ def test_hasse_bound():
     for N in (36, 64):
         c = curve(N)
         for p in _primes(200):
-            if p in c.bad_primes:
+            if c.N % p == 0:
                 continue
             assert abs(ap_cm(c, p)) <= 2 * math.isqrt(p) + 1
 

@@ -44,18 +44,17 @@ def test_rational_gamma_rejects_unsupported_arguments(q):
 
 def test_upper_incomplete_gamma_oracle():
     with CTX.workprec():
-        for s, x in ((0, mpmath.mpf(3)), (0, mpmath.mpf(25))):
-            got = mpnum.upper_incomplete_gamma(s, x, CTX)
-            want = mpmath.gammainc(s, x, mpmath.inf)
+        for x in (mpmath.mpf(3), mpmath.mpf(25)):
+            got = mpnum.upper_incomplete_gamma(x, CTX)
+            want = mpmath.gammainc(0, x, mpmath.inf)
             _close(got.val, want)
 
 
-@pytest.mark.parametrize("s, x", [(1, mpmath.mpf("0.7")), (0, 0),
-                                  (2, -1)])
-def test_upper_incomplete_gamma_domain(s, x):
-    # the approximate functional equation takes only Gamma(0, x) from here
+@pytest.mark.parametrize("x", [0, -1])
+def test_upper_incomplete_gamma_domain(x):
+    # Gamma(0, x) diverges at 0 and is not real below it
     with pytest.raises(DomainError):
-        mpnum.upper_incomplete_gamma(s, x, CTX)
+        mpnum.upper_incomplete_gamma(x, CTX)
 
 
 def test_hurwitz_zeta_oracle():
@@ -127,7 +126,7 @@ def test_e1_both_sides_of_the_crossover(digits):
               "20", "34.6", "34.8", "60", "200", "400"):
         with ctx.workprec():
             xv = mpmath.mpf(x)
-            got = mpnum.upper_incomplete_gamma(0, xv, ctx)
+            got = mpnum.upper_incomplete_gamma(xv, ctx)
         with mpmath.workdps(digits + 40):
             want = mpmath.e1(xv)
             actual = abs(got.val - want)
@@ -154,7 +153,7 @@ def test_e1_balls_contain_oracle_at_every_afe_point(digits):
             ctx_n = replace(ctx, digits=max(digits - int(x / math.log(10)),
                                             10))
             with ctx_n.workprec():
-                got = mpnum.upper_incomplete_gamma(0, x, ctx_n)
+                got = mpnum.upper_incomplete_gamma(x, ctx_n)
                 x_n = mpmath.mpf(x)
             with mpmath.workdps(ctx_n.digits + 60):
                 actual = abs(got.val - mpmath.e1(x_n))

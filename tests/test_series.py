@@ -325,15 +325,6 @@ def test_weil_reciprocity_on_claim_pairs(N):
         assert prod == one(), (N, a.name, b.name)
 
 
-def test_verify_divisor_all_claims():
-    for N in (36, 64):
-        for claim in claims.divisor_claims(N):
-            rep = []
-            assert verify_divisor(claim.function, claim.divisor, rep,
-                                  up_to_two_torsion=claim.up_to_two_torsion), \
-                (N, claim.name, rep)
-
-
 def test_verify_divisor_literal_f2_display_fails_strict():
     # the published display for f2 regroups a 2-torsion zero; read literally
     # it is not div(f2), and strict verification must say so
