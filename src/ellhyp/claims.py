@@ -17,7 +17,7 @@ from importlib import resources
 from .cyclo import parse_cyclo
 from .ecdiv import CurvePoint, Divisor, law, torsion_Ef
 from .ksym.ffield import ELLIPTIC, FFElem, ff_parse
-from .ksym.symbols import PolyFF
+from .ksym.ratfunc import Poly
 
 
 def _raw() -> dict:
@@ -98,8 +98,8 @@ def divisor_claims(N: int) -> list:
 
 def rosset_tate_input():
     data = raw()["rosset_tate"]
-    g0 = PolyFF(ELLIPTIC[64], [_function(64, c) for c in data["g0"]])
-    g1 = PolyFF(ELLIPTIC[64], [_function(64, c) for c in data["g1"]])
+    g0 = Poly([_function(64, c) for c in data["g0"]])
+    g1 = Poly([_function(64, c) for c in data["g1"]])
     g2 = _function(64, data["g2"])
     expected = [(_function(64, f), _function(64, g))
                 for f, g in data["expected_symbols"]]

@@ -172,8 +172,8 @@ def cmd_rosset_tate(args) -> list:
                       chain[2].degree == 0 and g2 == g2_expected))
     trace = rosset_tate(g0, g1)
     # rewrite each -{a, b} as {a^-1, b} and compare with the published pair
-    rewritten = [sym.inv_first().terms[0][1] if coef == -1 else sym
-                 for coef, sym in trace.terms]
+    rewritten = [sym.inv_first() if coef == -1 else sym
+                 for coef, sym in trace]
     ok = (len(rewritten) == len(expected_symbols)
           and all(s.f == f and s.g == g
                   for s, (f, g) in zip(rewritten, expected_symbols)))
@@ -306,6 +306,9 @@ def cmd_coeffs(args) -> list:
         if args.an_file is None:
             raise UsageError("--source file requires --an-file")
         tbl = _file_coeffs(c, args.n_max, args.an_file)
+    elif args.an_file is not None:
+        raise UsageError(f"--an-file needs --source file, not --source "
+                         f"{args.source}")
     else:
         tbl = hecke.build_coeffs(c, args.n_max, args.source)
     for n in range(1, args.n_max + 1):

@@ -27,10 +27,6 @@ import math
 import re
 from fractions import Fraction
 
-import mpmath
-
-from .mpnum import ArbComplex, PrecisionContext, _ulp
-
 DEGREE = 8
 ORDER = 24
 _ZEROS = (0,) * DEGREE
@@ -216,16 +212,6 @@ class CycloNum:
     def conj(self) -> "CycloNum":
         """Complex conjugation (the automorphism zeta |-> zeta^-1)."""
         return self.galois(-1 % ORDER)
-
-    def embed(self, ctx: PrecisionContext) -> ArbComplex:
-        """Numerical value at zeta_24 = exp(2 pi i / 24)."""
-        with ctx.workprec():
-            z = mpmath.expjpi(mpmath.mpf(2) / ORDER)
-            acc = mpmath.mpc(0)
-            # Horner, fixed order
-            for n, d in reversed(self._reduced()):
-                acc = acc * z + mpmath.mpf(n) / d
-            return ArbComplex(acc, _ulp(abs(acc)) * 64)
 
     def sort_key(self):
         return self._reduced()

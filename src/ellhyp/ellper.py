@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from . import hecke, mpnum
-from .cyclo import CycloNum
+from .cyclo import ORDER, CycloNum
 from .ecdiv import CurvePoint, law
 from .mpnum import ArbComplex, ArbReal, PrecisionContext
 
@@ -87,8 +87,15 @@ def _hnf(N: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
-    """The value of x at working precision, built once per (x, ctx)."""
-    return x.embed(ctx).val
+    """The value of x at zeta_24 = exp(2 pi i / 24) at working precision,
+    built once per (x, ctx)."""
+    with ctx.workprec():
+        z = mpmath.expjpi(mpf(2) / ORDER)
+        acc = mpc(0)
+        # Horner, fixed order
+        for c in reversed(x.coeffs):
+            acc = acc * z + mpf(c.numerator) / c.denominator
+        return acc
 
 
 @dataclass(frozen=True)

@@ -176,21 +176,9 @@ def chi_f_check() -> bool:
 class CoeffTable:
     n_max: int
     a: dict = field(default_factory=dict)
-    source: str = "cm"
 
     def __getitem__(self, n: int) -> int:
         return self.a[n]
-
-
-def _primes_up_to(n: int):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
@@ -206,8 +194,17 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
         ap = ap_pointcount
     else:
         raise ValueError(f"unknown coefficient source {source!r}")
+    # smallest-prime-factor sieve: the primes are its fixed points
+    spf = list(range(n_max + 1))
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
     a = {1: 1}
-    for p in _primes_up_to(n_max):
+    for p in range(2, n_max + 1):
+        if spf[p] != p:
+            continue
         bad = c.N % p == 0
         apv = 0 if bad else ap(c, p)
         if not bad and apv * apv > 4 * p:
@@ -219,13 +216,7 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
             a[pk] = 0 if bad else prev1
             pk *= p
             prev2, prev1 = prev1, apv * prev1 - p * prev2
-    # smallest-prime-factor sieve, then fill multiplicatively
-    spf = list(range(n_max + 1))
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n_max + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    # fill the rest multiplicatively
     for n in range(2, n_max + 1):
         if n in a:
             continue
@@ -236,7 +227,7 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
             pk *= p
             m //= p
         a[n] = a[pk] * a[m]
-    return CoeffTable(n_max=n_max, a=a, source=source)
+    return CoeffTable(n_max=n_max, a=a)
 
 
 def _read_coeff_file(path: str | None, n_max: int) -> CoeffTable:
@@ -265,7 +256,7 @@ def _read_coeff_file(path: str | None, n_max: int) -> CoeffTable:
     if len(a) < n_max:
         raise CoefficientFileError(
             f"{path}: only {len(a)} coefficients, need {n_max}")
-    tbl = CoeffTable(n_max=n_max, a=a, source="file")
+    tbl = CoeffTable(n_max=n_max, a=a)
     _check_file_consistency(tbl)
     return tbl
 

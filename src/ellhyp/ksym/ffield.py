@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..cyclo import CycloNum, cyclo_atom, parse_expression
-from ..cyclo import zero as cy_zero
 from ..ecdiv import CURVES, Curve
 from .ratfunc import Poly, RatFunc, reduce_fraction
 
@@ -69,10 +68,7 @@ class FunctionField:
 
 
 def _fermat_m(n: int) -> Poly:
-    cs = [cy_zero()] * (n + 1)
-    cs[0] = CycloNum.from_rational(1)
-    cs[n] = CycloNum.from_rational(-1)
-    return Poly(cs)
+    return Poly([1] + [0] * (n - 1) + [-1])
 
 
 FERMAT4 = FunctionField("fermat4", "x", "y", 4, _fermat_m(4))
@@ -89,8 +85,6 @@ def _elliptic(curve: Curve) -> FunctionField:
 ELLIPTIC = {N: _elliptic(c) for N, c in CURVES.items()}
 E36FF = ELLIPTIC[36]
 E64FF = ELLIPTIC[64]
-
-FIELDS = {f.name: f for f in (FERMAT4, FERMAT6, INTERC, E36FF, E64FF)}
 
 _POLY_ONE = Poly.const(1)
 
@@ -281,16 +275,14 @@ class QuotientMap:
     def __post_init__(self):
         # the images must satisfy the source relation
         rel = self.ext_image ** self.source.degree \
-            - _eval_poly_ff(self.source.m, self.base_image)
+            - self.source.m.eval(self.base_image)
         if not rel.is_zero():
             raise FieldError(f"map {self.name} does not satisfy the curve relation")
 
 
-def _eval_poly_ff(p: Poly, x: FFElem) -> FFElem:
-    acc = x.field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * x + x.field.scalar(c)
-    return acc
+def _substitute(nums, den: Poly, base: FFElem, ext: FFElem) -> FFElem:
+    """sum_k nums[k](base) ext^k / den(base), by Horner in each variable."""
+    return Poly([n.eval(base) for n in nums]).eval(ext) / den.eval(base)
 
 
 def substitute_quotient(curve_map: QuotientMap, f: FFElem) -> FFElem:
@@ -298,19 +290,13 @@ def substitute_quotient(curve_map: QuotientMap, f: FFElem) -> FFElem:
     if f.field is not curve_map.source:
         raise FieldError(
             f"element lives on {f.field.name}, map starts at {curve_map.source.name}")
-    acc = curve_map.cover.zero()
-    for n in reversed(f.nums):
-        acc = acc * curve_map.ext_image + _eval_poly_ff(n, curve_map.base_image)
-    return acc / _eval_poly_ff(f.den, curve_map.base_image)
+    return _substitute(f.nums, f.den, curve_map.base_image,
+                       curve_map.ext_image)
 
 
 def _build_maps():
     x2 = Poly([0, 0, 1])
     x3 = Poly([0, 0, 0, 1])
-    # E36 quotient of the Fermat sextic: (x, y) -> (u, v) = (-y^2, x^3)
-    p36 = QuotientMap("p36", E36FF, FERMAT6,
-                      base_image=FFElem(FERMAT6, [0, 0, -1]),
-                      ext_image=FERMAT6.scalar(x3))
     # E64 quotient of the Fermat quartic:
     # (x, y) -> (u, v) = (2(y^2+1)/x^2, 4y(y^2+1)/x^3)
     p64 = QuotientMap("p64", E64FF, FERMAT4,
@@ -324,7 +310,7 @@ def _build_maps():
     r = QuotientMap("r", E36FF, INTERC,
                     base_image=INTERC.scalar(Poly([0, 0, -1])),
                     ext_image=INTERC.ext_gen())
-    return {"p36": p36, "p64": p64, "q": q, "r": r}
+    return {"p64": p64, "q": q, "r": r}
 
 
 MAPS = _build_maps()
@@ -373,12 +359,7 @@ def project_fermat6_to_interC(f: FFElem) -> FFElem:
     if f.field is not FERMAT6:
         raise FieldError("expected an element of fermat6")
     nums, den = _invariant_parts(f, 3, "x -> zeta_3 x")
-    y_base = INTERC.base_gen()
-    v_gen = INTERC.ext_gen()
-    acc = INTERC.zero()
-    for n in reversed(nums):
-        acc = acc * y_base + _eval_poly_ff(n, v_gen)
-    return acc / _eval_poly_ff(den, v_gen)
+    return _substitute(nums, den, INTERC.ext_gen(), INTERC.base_gen())
 
 
 def project_interC_to_e36(f: FFElem) -> FFElem:

@@ -1,4 +1,10 @@
-"""Dense univariate polynomials over Q(zeta_24) and their fractions.
+"""Dense univariate polynomials and fractions of them over Q(zeta_24).
+
+``Poly`` is the one polynomial type of ``ksym``.  Its coefficients are
+``CycloNum`` for function-field numerators and norms, or ``FFElem`` for the
+Rosset-Tate polynomials over a function field; the arithmetic only asks the
+coefficients for +, -, *, ==, ``inv`` and truth, and a zero it needs comes
+from a coefficient.
 
 A fraction is kept as numerators over one common denominator, normalised by
 ``reduce_fraction``: the denominator is monic and has no common factor with
@@ -10,32 +16,45 @@ is the one-numerator case that norms return.
 
 from __future__ import annotations
 
-from ..cyclo import CycloNum, one as cy_one, zero as cy_zero
+from fractions import Fraction
+
+from ..cyclo import CycloNum, one as cy_one
 
 
 _ONE = cy_one()
 
 
-def _cy(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    return CycloNum.from_rational(x)
+def _coeff(c):
+    """A coefficient as stored: literal ints and Fractions become CycloNum."""
+    if isinstance(c, (int, Fraction)):
+        return CycloNum.from_rational(c)
+    return c
+
+
+def _zero_filled(cs: list, c) -> list:
+    """cs with every slot that received no term (None) set to c - c, the
+    zero of the coefficient ring."""
+    if any(s is None for s in cs):
+        zero = c - c
+        cs = [zero if s is None else s for s in cs]
+    return cs
 
 
 class Poly:
-    """Polynomial with CycloNum coefficients, little-endian, trimmed."""
+    """Polynomial with CycloNum or FFElem coefficients, little-endian,
+    trimmed."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_cy(c) for c in coeffs]
+        cs = [_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([_cy(c)])
+        return Poly([c])
 
     @staticmethod
     def var() -> "Poly":
@@ -49,7 +68,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> CycloNum:
+    def leading(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -67,9 +86,9 @@ class Poly:
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else cy_zero())
-                     + (b[i] if i < len(b) else cy_zero()) for i in range(n)])
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
@@ -78,40 +97,42 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, CycloNum):
+        if not isinstance(other, Poly):
             return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly()
-        out = [cy_zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        out = [None] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(out)
+            for j, y in enumerate(b):
+                if y:
+                    s = out[i + j]
+                    out[i + j] = x * y if s is None else s + x * y
+        return Poly(_zero_filled(out, a[-1]))
 
-    def __rmul__(self, other):
-        return self * _cy(other) if not isinstance(other, Poly) else other * self
+    __rmul__ = __mul__
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [cy_zero()] * max(0, self.degree - other.degree + 1)
+        b = other.coeffs
+        q = [None] * max(0, len(self.coeffs) - len(b) + 1)
         r = list(self.coeffs)
-        lead = other.leading()
+        lead = b[-1]
         inv_lead = lead if lead == _ONE else lead.inv()
-        while len(r) >= len(other.coeffs):
+        while len(r) >= len(b):
             while r and not r[-1]:
                 r.pop()
-            if len(r) < len(other.coeffs):
+            if len(r) < len(b):
                 break
-            d = len(r) - len(other.coeffs)
+            d = len(r) - len(b)
             c = r[-1] * inv_lead
             q[d] = c
-            for i, bc in enumerate(other.coeffs):
+            for i, bc in enumerate(b):
                 r[d + i] = r[d + i] - c * bc
-        return Poly(q), Poly(r)
+        return Poly(_zero_filled(q, lead)), Poly(r)
 
     def gcd(self, other) -> "Poly":
         """Monic gcd (zero only for gcd(0, 0)).
@@ -132,9 +153,10 @@ class Poly:
             return self
         return self * self.leading().inv()
 
-    def eval(self, x: CycloNum) -> CycloNum:
-        """Horner evaluation."""
-        acc = cy_zero()
+    def eval(self, x):
+        """Horner evaluation at x, a CycloNum or an FFElem; the value lies
+        in x's ring."""
+        acc = x - x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

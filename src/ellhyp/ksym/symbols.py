@@ -1,8 +1,9 @@
 """Steinberg symbols, the Rosset-Tate trace, and the norm pushforward chain.
 
-Symbol sums carry no silent normalization: bilinearity, antisymmetry and
-inverse moves are explicit rewriting operations, so a claimed equality is
-always exhibited as a concrete move sequence.
+The trace is a plain list of (coefficient, Symbol) terms with no silent
+normalization: a claimed equality is exhibited as a concrete move sequence,
+and ``Symbol.inv_first`` is the explicit move {f, g} = -{f^-1, g}.  The
+polynomials g_i of the trace are ``Poly`` with ``FFElem`` coefficients.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from .ffield import (E36FF, FERMAT6, INTERC, MAPS, FFElem, FieldError,
                      ff_parse, kummer_norm, project_fermat6_to_interC,
                      project_interC_to_e36, substitute_quotient)
+from .ratfunc import Poly
 
 
 class SymbolError(Exception):
@@ -39,196 +41,68 @@ class Symbol:
     def field(self):
         return self.f.field
 
-    def inv_first(self) -> "SymbolSum":
-        """{f, g} = -{f^-1, g}."""
-        return SymbolSum([(-1, Symbol(self.f.inv(), self.g))])
+    def inv_first(self) -> "Symbol":
+        """{f^-1, g}, which equals -{f, g}."""
+        return Symbol(self.f.inv(), self.g)
 
 
-class SymbolSum:
-    """Integer combination of symbols; equality is exact slot-wise."""
+# the Rosset-Tate polynomials over a function field --------------------------
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        out = []
-        for c, s in terms:
-            c = int(c)
-            if c:
-                out.append((c, s))
-        self.terms = tuple(out)
-
-    def __add__(self, other):
-        return SymbolSum(self.terms + other.terms)
-
-    def __neg__(self):
-        return SymbolSum(tuple((-c, s) for c, s in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def collect(self) -> "SymbolSum":
-        """Merge coefficients of exactly-equal symbols (an explicit move)."""
-        acc = []
-        for c, s in self.terms:
-            for i, (c0, s0) in enumerate(acc):
-                if s0 == s:
-                    acc[i] = (c0 + c, s0)
-                    break
-            else:
-                acc.append((c, s))
-        return SymbolSum(acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolSum):
-            return NotImplemented
-        return self.collect().terms == other.collect().terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "SymbolSum(0)"
-        return "SymbolSum(" + " + ".join(
-            f"{c}*{{{s.f!r}, {s.g!r}}}" for c, s in self.terms) + ")"
+def trailing(f: Poly):
+    """(a_m, m) with a_m the lowest-order nonzero coefficient."""
+    for m, c in enumerate(f.coeffs):
+        if c:
+            return c, m
+    raise SymbolError("zero polynomial has no trailing term")
 
 
-# polynomials over a function field ------------------------------------------
-
-class PolyFF:
-    """Polynomial in T with FFElem coefficients."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=()):
-        cs = [c if isinstance(c, FFElem) else field.scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> FFElem:
-        if self.is_zero():
-            raise SymbolError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def trailing(self):
-        """(a_m, m) with a_m the lowest-order nonzero coefficient."""
-        for m, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return c, m
-        raise SymbolError("zero polynomial has no trailing term")
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == self.field.one()
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyFF) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"PolyFF[{self.field.name}]({list(self.coeffs)!r})"
-
-    def __mul__(self, other):
-        if isinstance(other, FFElem):
-            return PolyFF(self.field, [c * other for c in self.coeffs])
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PolyFF(self.field, out)
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return PolyFF(self.field, [x - y for x, y in zip(a, b)])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        q = [self.field.zero()] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        inv_lead = other.leading().inv()
-        while len(r) >= len(other.coeffs):
-            while r and r[-1].is_zero():
-                r.pop()
-            if len(r) < len(other.coeffs):
-                break
-            d = len(r) - len(other.coeffs)
-            c = r[-1] * inv_lead
-            q[d] = c
-            for i, bc in enumerate(other.coeffs):
-                r[d + i] = r[d + i] - c * bc
-        return PolyFF(self.field, q), PolyFF(self.field, r)
-
-    def star(self) -> "PolyFF":
-        """f*(T) = (a_m T^m)^{-1} f(T), a_m the trailing coefficient."""
-        a_m, m = self.trailing()
-        inv = a_m.inv()
-        return PolyFF(self.field, [c * inv for c in self.coeffs[m:]])
-
-    def content_sign(self) -> FFElem:
-        """c(f) = (-1)^n a_n with n the degree and a_n the leading term."""
-        lead = self.leading()
-        return lead if self.degree % 2 == 0 else -lead
-
-    def eval(self, x: FFElem) -> FFElem:
-        acc = x.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + _transport(c, x.field)
-        return acc
+def star(f: Poly) -> Poly:
+    """f*(T) = (a_m T^m)^{-1} f(T), a_m the trailing coefficient."""
+    a_m, m = trailing(f)
+    return Poly(f.coeffs[m:]) * a_m.inv()
 
 
-def _transport(c: FFElem, target) -> FFElem:
-    if c.field is target:
-        return c
-    raise FieldError("coefficient lives on the wrong curve; pull it back first")
+def content_sign(f: Poly) -> FFElem:
+    """c(f) = (-1)^n a_n with n the degree and a_n the leading term."""
+    lead = f.leading()
+    return lead if f.degree % 2 == 0 else -lead
 
 
-def pullback_polyff(curve_map, g: PolyFF) -> PolyFF:
-    """Pull back every coefficient of g through the quotient map."""
-    return PolyFF(curve_map.cover,
-                  [substitute_quotient(curve_map, c) for c in g.coeffs])
-
-
-def verify_annihilation(g: PolyFF, curve_map, generator: FFElem) -> bool:
+def verify_annihilation(g: Poly, curve_map, generator: FFElem) -> bool:
     """True iff g, pulled back through the map, vanishes at the generator."""
     return evaluate_pullback(g, curve_map, generator).is_zero()
 
 
-def evaluate_pullback(g: PolyFF, curve_map, generator: FFElem) -> FFElem:
+def evaluate_pullback(g: Poly, curve_map, generator: FFElem) -> FFElem:
+    """g with every coefficient pulled back through the map, at the
+    generator of the covering curve."""
     if generator.field is not curve_map.cover:
         raise FieldError("generator must live on the covering curve")
-    return pullback_polyff(curve_map, g).eval(generator)
+    return Poly([substitute_quotient(curve_map, c)
+                 for c in g.coeffs]).eval(generator)
 
 
-def rosset_tate(g0: PolyFF, g1: PolyFF) -> SymbolSum:
+def rosset_tate(g0: Poly, g1: Poly) -> list:
     """Trace of {c(g1-root), generator} down the extension cut out by g0.
 
     Builds the chain g_{i+1} = g*_{i-1} mod g_i of strictly decreasing degree
-    and returns -sum_{i=1}^{m} {c(g*_{i-1}), c(g_i)}.
+    and returns -sum_{i=1}^{m} {c(g*_{i-1}), c(g_i)} as the terms
+    [(-1, {c(g*_{i-1}), c(g_i)}) for i = 1..m].
     """
     if g0.is_zero() or g1.is_zero():
         raise SymbolError("Rosset-Tate inputs must be nonzero")
-    if not g0.is_monic() or g0.degree < 1:
+    lead = g0.leading()
+    if lead != lead.field.one() or g0.degree < 1:
         raise SymbolError("g0 must be monic of degree >= 1")
     if g1.degree >= g0.degree:
         raise SymbolError("g1 must have degree smaller than g0")
     chain = rosset_tate_chain(g0, g1)
-    return SymbolSum([(-1, Symbol(chain[i - 1].star().content_sign(),
-                                  chain[i].content_sign()))
-                      for i in range(1, len(chain))])
+    return [(-1, Symbol(content_sign(star(chain[i - 1])),
+                        content_sign(chain[i])))
+            for i in range(1, len(chain))]
 
 
-def rosset_tate_chain(g0: PolyFF, g1: PolyFF):
+def rosset_tate_chain(g0: Poly, g1: Poly):
     """The nonzero g_i sequence g_0, g_1, ..., g_m, ending in a constant.
 
     Raises NonterminationError if the degree fails to decrease or a
@@ -236,7 +110,7 @@ def rosset_tate_chain(g0: PolyFF, g1: PolyFF):
     bounds the chain by deg g1 + 2 entries."""
     chain = [g0, g1]
     while not chain[-1].is_zero() and chain[-1].degree >= 1:
-        nxt = chain[-2].star().divmod(chain[-1])[1]
+        nxt = star(chain[-2]).divmod(chain[-1])[1]
         if nxt.is_zero():
             raise NonterminationError(
                 "degenerate Rosset-Tate step: zero remainder below degree 1")

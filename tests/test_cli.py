@@ -117,6 +117,18 @@ def test_coeffs_file_source_without_path_is_usage_error(capsys):
     assert "--an-file" in err
 
 
+@pytest.mark.parametrize("source", [[], ["--source", "cm"],
+                                    ["--source", "pointcount"]],
+                         ids=["default", "cm", "pointcount"])
+def test_coeffs_an_file_without_file_source_is_usage_error(capsys, tmp_path,
+                                                           source):
+    # a coefficient file that would be ignored is refused, not dropped
+    code, out, err = run(capsys, "coeffs", "--curve", "36", "--n-max", "3",
+                         *source, "--an-file", str(tmp_path / "a.csv"))
+    assert code == 2 and out == ""
+    assert "--an-file" in err and "--source" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--curve", "36", "--n-max", "5", "--source", "file"],
     ["verify-identity", "--curve", "36"],

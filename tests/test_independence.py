@@ -4,6 +4,7 @@ numerics of mpnum, and neither reads the published claims."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -47,6 +48,17 @@ def test_pipelines_do_not_import_each_other(name, other):
 @pytest.mark.parametrize("name", PIPELINES)
 def test_pipeline_does_not_mention_claims(name):
     assert "claims" not in _source(name)
+
+
+def test_exact_layers_do_not_load_the_numeric_kernel():
+    # claims pulls in cyclo, ecdiv and all of ksym: exact arithmetic only
+    probe = ("import sys, ellhyp.claims; "
+             "print(sorted({'mpmath', 'ellhyp.mpnum'} & set(sys.modules)))")
+    src = str(pathlib.Path(ellhyp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # What product code may use of mpmath: numbers, precision control, printing

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from ellhyp import claims, cyclo
 from ellhyp.cyclo import CycloNum, one, parse_cyclo
 from ellhyp.ksym import (E36FF, E64FF, FERMAT4, FERMAT6, INTERC, MAPS, FFElem,
-                         Poly, PolyFF, RatFunc, SubfieldError, Symbol,
-                         evaluate_pullback, ff_parse, kummer_norm,
+                         FieldError, Poly, QuotientMap, RatFunc, SubfieldError,
+                         Symbol, evaluate_pullback, ff_parse, kummer_norm,
                          project_fermat6_to_interC, project_interC_to_e36,
                          pushforward_e36, rosset_tate, rosset_tate_chain,
                          substitute_quotient, verify_annihilation)
 from ellhyp.ksym import ffield
+from ellhyp.ksym.symbols import content_sign, star, trailing
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 polys = st.builds(
@@ -36,6 +37,22 @@ def test_poly_ring_axioms(a, b, c):
 @settings(max_examples=50, deadline=None)
 def test_poly_divmod(a, b):
     if b.degree < 0:
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+# the Rosset-Tate ring: polynomials over the function field of E64
+ff_polys = st.lists(st.sampled_from(
+    ["0", "1", "-2", "u", "v", "1-v", "1/u", "v/(u+1)"]).map(
+        lambda t: ff_parse(E64FF, t)), max_size=3).map(Poly)
+
+
+@given(ff_polys, ff_polys)
+@settings(max_examples=30, deadline=None)
+def test_poly_divmod_over_function_field(a, b):
+    if b.is_zero():
         return
     q, r = a.divmod(b)
     assert q * b + r == a
@@ -188,7 +205,6 @@ def test_norm_is_product_with_the_conjugate():
 
 
 def test_norm_needs_a_quadratic_field():
-    from ellhyp.ksym import FieldError
     norm = ff_parse(INTERC, "1-v").norm_to_rational_subfield()
     # (1-v)(1+v) = y^6
     assert (norm.num, norm.den) == (Poly([0, 0, 0, 0, 0, 0, 1]), Poly.const(1))
@@ -418,14 +434,25 @@ def test_relation_is_respected():
     assert y ** 6 == FERMAT6.one() - x ** 6
 
 
+def _p36():
+    """E36 as a quotient of the Fermat sextic: (x, y) -> (-y^2, x^3)."""
+    return QuotientMap("p36", E36FF, FERMAT6,
+                       base_image=ff_parse(FERMAT6, "-y^2"),
+                       ext_image=ff_parse(FERMAT6, "x^3"))
+
+
 def test_quotient_maps_relations():
-    # every registered covering validates the target curve's equation
-    for name in ("p36", "p64", "q", "r"):
-        assert name in MAPS
+    # every covering validates the target curve's equation on construction
+    assert sorted(MAPS) == ["p64", "q", "r"]
+    _p36()
+    with pytest.raises(FieldError, match="curve relation"):
+        QuotientMap("bad", E36FF, FERMAT6,
+                    base_image=ff_parse(FERMAT6, "y^2"),
+                    ext_image=ff_parse(FERMAT6, "x^3"))
 
 
 def test_pullbacks_are_exact():
-    p36 = MAPS["p36"]
+    p36 = _p36()
     u_pull = substitute_quotient(p36, ff_parse(E36FF, "u"))
     v_pull = substitute_quotient(p36, ff_parse(E36FF, "v"))
     assert u_pull == ff_parse(FERMAT6, "-y^2")
@@ -459,7 +486,6 @@ def test_norm_chain_to_e36():
 
 
 def test_kummer_norm_requires_base_twist():
-    from ellhyp.ksym import FieldError
     with pytest.raises(FieldError):
         kummer_norm(ff_parse(FERMAT6, "x"), 6, "y")
 
@@ -485,8 +511,7 @@ def test_symbol_rewriting_moves():
     g = ff_parse(E64FF, "v")
     s = Symbol(f, g)
     # {f, g} = -{f^-1, g}
-    iv = s.inv_first()
-    assert iv.terms[0][0] == -1 and iv.terms[0][1] == Symbol(f.inv(), g)
+    assert s.inv_first() == Symbol(f.inv(), g)
 
 
 def test_rosset_tate_reproduces_published_data():
@@ -496,9 +521,9 @@ def test_rosset_tate_reproduces_published_data():
     assert chain[2].coeffs[0] == g2_expected
     trace = rosset_tate(g0, g1)
     rewritten = []
-    for coef, sym in trace.terms:
+    for coef, sym in trace:
         assert coef in (1, -1)
-        rewritten.append(sym.inv_first().terms[0][1] if coef == -1 else sym)
+        rewritten.append(sym.inv_first() if coef == -1 else sym)
     assert [(s.f, s.g) for s in rewritten] == expected
 
 
@@ -509,40 +534,49 @@ def test_verify_annihilation_and_evaluation():
     assert evaluate_pullback(g1, MAPS["p64"], gen) == \
         ff_parse(MAPS["p64"].cover, "1-y")
     # a polynomial that does not kill the generator must be rejected
-    t_minus_1 = PolyFF(E64FF, [ff_parse(E64FF, "-1"), ff_parse(E64FF, "1")])
+    t_minus_1 = Poly([ff_parse(E64FF, "-1"), ff_parse(E64FF, "1")])
     assert not verify_annihilation(t_minus_1, MAPS["p64"], gen)
 
 
-def test_polyff_star_and_content():
+def test_star_and_content_sign():
     g0, g1, _, _ = claims.rosset_tate_input()
     # reciprocal polynomial: f*(T) = (a_m T^m)^{-1} f(T)
-    star = g1.star()
-    a_m, m = g1.trailing()
-    assert star.degree == g1.degree - m
+    g1_star = star(g1)
+    a_m, m = trailing(g1)
+    assert g1_star.degree == g1.degree - m
     inv = a_m.inv()
-    assert list(star.coeffs) == [c * inv for c in g1.coeffs[m:]]
+    assert list(g1_star.coeffs) == [c * inv for c in g1.coeffs[m:]]
+    # a zero low coefficient is skipped: T^2 (T - u) has trailing term T^2
+    t2_shift = Poly([ff_parse(E64FF, "0"), ff_parse(E64FF, "0"),
+                     ff_parse(E64FF, "-u"), ff_parse(E64FF, "1")])
+    assert trailing(t2_shift) == (ff_parse(E64FF, "-u"), 2)
+    assert star(t2_shift) == Poly([ff_parse(E64FF, "1"),
+                                   ff_parse(E64FF, "-1/u")])
     # c(f) = (-1)^n a_n
-    assert g0.content_sign() == g0.leading()  # even degree
+    assert content_sign(g0) == g0.leading()  # even degree
+    assert content_sign(g1) == -g1.leading()  # odd degree
 
 
 def test_single_step_rosset_tate():
     # when g1 is constant the trace is -{c(g0*), c(g1)} directly
-    g0 = PolyFF(E64FF, [ff_parse(E64FF, "-u"), ff_parse(E64FF, "0"),
-                        ff_parse(E64FF, "1")])
-    g1 = PolyFF(E64FF, [ff_parse(E64FF, "v")])
+    g0 = Poly([ff_parse(E64FF, "-u"), ff_parse(E64FF, "0"),
+               ff_parse(E64FF, "1")])
+    g1 = Poly([ff_parse(E64FF, "v")])
     out = rosset_tate(g0, g1)
-    assert len(out.terms) == 1
-    coef, sym = out.terms[0]
+    assert len(out) == 1
+    coef, sym = out[0]
     assert coef == -1
+    # g0* = -(T^2 - u)/u has leading coefficient -1/u and even degree
+    assert sym == Symbol(ff_parse(E64FF, "-1/u"), ff_parse(E64FF, "v"))
 
 
 def test_degenerate_rosset_tate_step_is_rejected_by_both_callers():
     from ellhyp.ksym import NonterminationError
     # g1 = T - u divides g0* = -(T^2 - u^2)/u^2, so the first remainder is
     # zero while g1 still has degree 1
-    g0 = PolyFF(E64FF, [ff_parse(E64FF, "-u^2"), ff_parse(E64FF, "0"),
-                        ff_parse(E64FF, "1")])
-    g1 = PolyFF(E64FF, [ff_parse(E64FF, "-u"), ff_parse(E64FF, "1")])
+    g0 = Poly([ff_parse(E64FF, "-u^2"), ff_parse(E64FF, "0"),
+               ff_parse(E64FF, "1")])
+    g1 = Poly([ff_parse(E64FF, "-u"), ff_parse(E64FF, "1")])
     for build in (rosset_tate_chain, rosset_tate):
         with pytest.raises(NonterminationError, match="degenerate"):
             build(g0, g1)
