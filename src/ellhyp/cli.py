@@ -90,13 +90,17 @@ def _curves(args):
 
 def cmd_verify_identity(args) -> list:
     ctx = _ctx(args)
+    an_file = getattr(args, "an_file", None)
+    if an_file and not args.curve:
+        raise UsageError("--an-file holds one curve's coefficients: name "
+                         "that curve with --curve")
     out = []
     for N in _curves(args):
         t0 = time.monotonic()
         c = hecke.curve(N)
         tbl = None
-        if getattr(args, "an_file", None):
-            tbl = _file_coeffs(c, hecke.afe_n_max(c, ctx), args.an_file)
+        if an_file:
+            tbl = _file_coeffs(c, hecke.afe_n_max(c, ctx), an_file)
         with ctx.workprec():
             lhs = hecke.lstar_zero(c, ctx, tbl)
             rhs = hyp3f2.rhs_main(N, ctx)
@@ -235,7 +239,7 @@ def cmd_verify_periods(args) -> list:
                 f"real_period_E{N}", got.val, want, abs(got.val - want), tol,
                 notes=f"closed form {form}", t=time.monotonic() - t0,
                 resolution=mpmath.ldexp(abs(want), -ctx.prec_bits)))
-            ratio = data.Omega.val / mpmath.conj(ellper._embed(data.nu, ctx))
+            ratio = data.Omega.val / data.nu_bar
             out.append(_numeric(
                 f"omega_over_nubar_real_E{N}", mpmath.im(ratio), mpmath.mpf(0),
                 abs(mpmath.im(ratio)), tol,
@@ -250,6 +254,7 @@ def cmd_verify_torsion_labels(args) -> list:
     chi_ok = hecke.chi_f_check()
     for N in _curves(args):
         t0 = time.monotonic()
+        c = hecke.curve(N)
         lw = law(N)
         pts = claims.points(N)
         tor = torsion_Ef(N)
@@ -260,21 +265,18 @@ def cmd_verify_torsion_labels(args) -> list:
             anchor = claims.anchor_label_point(N) == name
             pair = ellper.ok_pair(N, expected)
             out.append(_exact(
-                f"label_{name}_E{N}", f"{lab.a}+{lab.b}*tau", str(expected),
-                pair is not None and lab.equiv(pair),
+                f"label_{name}_E{N}", f"{lab[0]}+{lab[1]}*tau", str(expected),
+                pair is not None and hecke.residue(c, pair) == lab,
                 notes="orientation anchor" if anchor else ""))
-        items = list(labels.items())
-        bijective = all(not items[i][1].equiv(items[j][1])
-                        for i in range(len(items))
-                        for j in range(i + 1, len(items)))
+        bijective = len(set(labels.values())) == len(labels)
         # label(P+g) = label(P) + label(g) for every P in T and generator g
         # is full additivity: P = base gives label(base) = 0, and if Q is
         # additive, so is Q+g, since label(P+Q+g) = label(P+Q) + label(g)
         # = label(P) + label(Q) + label(g) = label(P) + label(Q+g).  Every
         # Q in T is the base plus a word in the generators.
         additive = all(
-            labels[lw.add(p, g)].equiv((labels[p].a + labels[g].a,
-                                        labels[p].b + labels[g].b))
+            labels[lw.add(p, g)] == hecke.residue(
+                c, (labels[p][0] + labels[g][0], labels[p][1] + labels[g][1]))
             for p in tor for g in gens)
         out.append(_exact(f"labels_bijective_E{N}", f"{len(tor)} labels",
                           "pairwise distinct mod nu", bijective))

@@ -70,22 +70,6 @@ def ok_pair(N: int, x: CycloNum):
 
 
 @functools.lru_cache(maxsize=None)
-def _hnf(N: int) -> tuple:
-    """(A, s, B) with nu O_K = Z (A, 0) + Z (s, B) in the basis (1, t).
-
-    The Hermite normal form (Cohen, GTM 138, 2.4.2) of the lattice spanned
-    by nu and nu t, by Euclid on their t-coordinates."""
-    c = hecke.curve(N)
-    u, v = c.nu, hecke._mul(c, c.nu, (0, 1))
-    while v[1]:
-        q = u[1] // v[1]
-        u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
-    if u[1] < 0:
-        u = (-u[0], -u[1])
-    return abs(v[0]), u[0] % abs(v[0]), u[1]
-
-
-@functools.lru_cache(maxsize=None)
 def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
     """The value of x at zeta_24 = exp(2 pi i / 24) at working precision,
     built once per (x, ctx)."""
@@ -105,7 +89,7 @@ class PeriodData:
     OmegaR: ArbReal       # real period of omega_E
     h_unit: CycloNum
     scale_c: ArbReal      # omega_E = scale_c * du/(2v)
-    nu: CycloNum
+    nu_bar: mpc           # conj(nu) at working precision
 
     def check(self, ctx: PrecisionContext) -> None:
         with ctx.workprec():
@@ -113,7 +97,7 @@ class PeriodData:
             h = _embed(self.h_unit, ctx)
             if abs(h * self.Omega.val - self.OmegaR.val) > tol:
                 raise PeriodError("h * Omega does not reproduce Omega_R")
-            ratio = self.Omega.val / mpmath.conj(_embed(self.nu, ctx))
+            ratio = self.Omega.val / self.nu_bar
             if abs(mpmath.im(ratio)) > tol:
                 raise PeriodError("Omega / conj(nu) is not real")
             if self.OmegaR.val <= 0:
@@ -128,7 +112,7 @@ def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
     the real component; c = sqrt(pi / A0) for the covolume A0 of the
     unnormalized lattice O_K * (omega1 / h), and Omega_R = c * omega1."""
     cm = hecke.curve(N)
-    h_unit, nu = _ok(N, _H_AND_ORIENTATION[N][0]), _ok(N, cm.nu)
+    h_unit = _ok(N, _H_AND_ORIENTATION[N][0])
     with ctx.workprec():
         e1, e2, e3 = (_embed(r, ctx) for r in law(N).curve.roots)
         g = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
@@ -143,7 +127,7 @@ def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
         omega_r = ArbReal(c * omega1, abs(c * omega1) * ctx.eps * 200)
         data = PeriodData(N, ArbComplex(omega_r.val / h, omega_r.err * 4), omega_r,
                           h_unit, ArbReal(c, abs(c) * (ctx.eps * 100 + rel1)),
-                          nu)
+                          mpmath.conj(_embed(_ok(N, cm.nu), ctx)))
         data.check(ctx)
         return data
 
@@ -246,27 +230,13 @@ def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
         return ArbComplex(z, abs(data.Omega.val) * ctx.eps * 10 ** 6)
 
 
-@dataclass(frozen=True)
-class TorsionLabel:
-    N: int
-    point: CurvePoint
-    a: int           # label = a + b t in O_K, hecke's pair (a, b)
-    b: int
-
-    def equiv(self, other) -> bool:
-        """Equality in O_K / (nu); other is a label or hecke's pair."""
-        if isinstance(other, TorsionLabel):
-            other = other.a, other.b
-        c = hecke.curve(self.N)
-        return hecke._divides(c, c.nu, (self.a - other[0], self.b - other[1]))
-
-
-def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
-    """The class of P under E_f ~ O_K/f via x -> x conj(nu) / Omega."""
+def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> tuple:
+    """The class of P under E_f ~ O_K/f via x -> x conj(nu) / Omega, as
+    its hecke.residue pair."""
     with ctx.workprec():
         z = elliptic_log(N, p, ctx)
         data = lattice(N, ctx)
-        w = z.val * mpmath.conj(_embed(data.nu, ctx)) / data.Omega.val
+        w = z.val * data.nu_bar / data.Omega.val
         tau = _embed(_tau(N), ctx)
         a, b = _tau_coords(w, tau)
         ai, bi = int(mpmath.nint(a)), int(mpmath.nint(b))
@@ -275,12 +245,4 @@ def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> TorsionLabel:
             raise LabelError(
                 f"no O_K point within 1e-5 of {w} (distance {dist}); wrong "
                 "normalization or insufficient precision")
-        return TorsionLabel(N, p, *_residue(N, ai, bi))
-
-
-def _residue(N: int, a: int, b: int):
-    """The representative of a + b t mod nu in the box [0, A) x [0, B)
-    of the Hermite normal form of nu O_K."""
-    big_a, s, big_b = _hnf(N)
-    k, b = divmod(b, big_b)
-    return (a - k * s) % big_a, b
+        return hecke.residue(hecke.curve(N), (ai, bi))

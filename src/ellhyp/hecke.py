@@ -7,6 +7,7 @@ incomplete-gamma approximate functional equation with root number +1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -108,11 +109,28 @@ def _units(c: CurveId) -> tuple:
                  if _norm(c, (a, b)) == 1)
 
 
-def _divides(c: CurveId, d, x) -> bool:
-    # d | x in O_K  <=>  x * conj(d) = 0 mod N(d) componentwise
-    prod = _mul(c, x, _conj(c, d))
-    n = _norm(c, d)
-    return prod[0] % n == 0 and prod[1] % n == 0
+@functools.lru_cache(maxsize=None)
+def _hnf(c: CurveId) -> tuple:
+    """(A, s, B) with nu O_K = Z (A, 0) + Z (s, B) in the basis (1, t).
+
+    The Hermite normal form (Cohen, GTM 138, 2.4.2) of the lattice spanned
+    by nu and nu t, by Euclid on their t-coordinates."""
+    u, v = c.nu, _mul(c, c.nu, (0, 1))
+    while v[1]:
+        q = u[1] // v[1]
+        u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
+    if u[1] < 0:
+        u = (-u[0], -u[1])
+    return abs(v[0]), u[0] % abs(v[0]), u[1]
+
+
+def residue(c: CurveId, x) -> tuple:
+    """The representative of the pair x mod nu in the box [0, A) x [0, B)
+    of the Hermite normal form of nu O_K: two pairs are equal in O_K/(nu)
+    exactly when their residues are."""
+    big_a, s, big_b = _hnf(c)
+    k, b = divmod(x[1], big_b)
+    return (x[0] - k * s) % big_a, b
 
 
 def _generator(c: CurveId, p: int):
@@ -139,19 +157,19 @@ def ap_cm(c: CurveId, p: int) -> int:
     if pow((c.s * c.s - 4) % p, (p - 1) // 2, p) != 1:
         return 0
     pi = _generator(c, p)
+    chi_of = {residue(c, rep): chi for rep, chi in c.cosets}
     for u in _units(c):
         cand = _mul(c, pi, u)
-        for rep, chi in c.cosets:
-            if _divides(c, c.nu, (cand[0] - rep[0], cand[1] - rep[1])):
-                a, b = _mul(c, _conj(c, cand), chi)
-                return 2 * a - c.s * b  # the trace
+        chi = chi_of.get(residue(c, cand))
+        if chi is not None:
+            a, b = _mul(c, _conj(c, cand), chi)
+            return 2 * a - c.s * b  # the trace
     raise HeckeError(f"no normalized generator found for p={p}")
 
 
 def _mod4_orbit(x) -> frozenset:
     """The mu_4-orbit of x in (Z[i]/4)*, as residue pairs."""
-    return frozenset(tuple(r % 4 for r in _mul(E64, x, u))
-                     for u in _units(E64))
+    return frozenset(residue(E64, _mul(E64, x, u)) for u in _units(E64))
 
 
 def chi_f_check() -> bool:

@@ -244,7 +244,7 @@ def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
             if n > mpnum.MAX_TERMS:
                 raise mpnum.PrecisionError("terminating series did not terminate")
         v = mpf(acc.numerator) / acc.denominator
-        return ArbReal(v, mpnum._ulp(v))
+        return ArbReal(v, mpnum.ulp(v))
 
 
 def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
@@ -287,7 +287,7 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     ulp = mpmath.ldexp(1, 1 - ctx.prec_bits)
     t, u = mpmath.ldexp(T, -W), mpmath.ldexp(U, -W)
     scale = (ArbReal(t, mpmath.ldexp(T_rad, -W) + abs(t) * ulp)
-             * mpnum._rounded(mpmath.root(N ** q.numerator, q.denominator))
+             * mpnum.rounded(mpmath.root(N ** q.numerator, q.denominator))
              / ArbReal(u, mpmath.ldexp(U_rad, -W) + abs(u) * ulp))
     val = scale.val * acc
     err = (abs(scale.val) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
@@ -320,4 +320,4 @@ def rhs_main(curve_id: int, ctx: PrecisionContext) -> ArbReal:
             pref = 1 / (8 * mpmath.pi)
         else:
             raise ValueError("curve_id must be 36 or 64")
-        return ArbReal(pref, mpnum._ulp(pref) * 8) * d
+        return ArbReal(pref, mpnum.ulp(pref) * 8) * d

@@ -64,7 +64,8 @@ def _val_of(x):
     return x
 
 
-def _ulp(v) -> mpf:
+def ulp(v) -> mpf:
+    """A bound on the rounding error of one mpmath operation with result v."""
     return abs(mpf(2)) ** (-mpmath.mp.prec + 4) * (abs(v) + 1)
 
 
@@ -101,7 +102,7 @@ class ArbReal:
         if o is NotImplemented:
             return NotImplemented
         v = self.val + o.val
-        return ArbReal(v, self.err + o.err + _ulp(v))
+        return ArbReal(v, self.err + o.err + ulp(v))
 
     __radd__ = __add__
 
@@ -123,7 +124,7 @@ class ArbReal:
             return NotImplemented
         v = self.val * o.val
         err = (abs(self.val) * o.err + abs(o.val) * self.err
-               + self.err * o.err + _ulp(v))
+               + self.err * o.err + ulp(v))
         return ArbReal(v, err)
 
     __rmul__ = __mul__
@@ -137,7 +138,7 @@ class ArbReal:
         v = self.val / o.val
         err = (self.err / abs(o.val)
                + abs(self.val) * o.err / (o.val * o.val)
-               + _ulp(v))
+               + ulp(v))
         return ArbReal(v, err)
 
     def __rtruediv__(self, other):
@@ -345,7 +346,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
                     heads[i] += p
                     p /= b
         pw = mpmath.power(xv, 1 - mpf(s0.numerator) / s0.denominator)
-        ulp = mpmath.ldexp(1, 1 - prec)
+        eps = mpmath.ldexp(1, 1 - prec)
         out = []
         for i in range(count):
             si = s0 + i
@@ -372,7 +373,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
             tail = pw * mpmath.ldexp(mpf(S), -W)
             val = heads[i] + tail
             err = (pw * mpmath.ldexp(mpf(tail_err), -W)
-                   + abs(val) * (i + N + 8) * ulp)
+                   + abs(val) * (i + N + 8) * eps)
             out.append(ArbReal(val, err))
             pw /= xv
         return out
@@ -398,18 +399,18 @@ def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
         else:
             raise PrecisionError("AGM iteration failed to converge")
         v = (av + bv) / 2
-        return ArbComplex(v, abs(v) * eps * 10 + _ulp(abs(v)))
+        return ArbComplex(v, abs(v) * eps * 10 + ulp(abs(v)))
 
 
-def _rounded(v) -> ArbReal:
+def rounded(v) -> ArbReal:
     """v, the result of one mpmath elementary operation, as a ball."""
-    return ArbReal(v, _ulp(v))
+    return ArbReal(v, ulp(v))
 
 
 def _root(x: ArbReal, k: int) -> ArbReal:
     """x^(1/k), x > 0: |(1+r)^(1/k) - 1| <= |r| for r > -1."""
     v = mpmath.root(x.val, k)
-    return ArbReal(v, v * x.err / x.val + _ulp(v))
+    return ArbReal(v, v * x.err / x.val + ulp(v))
 
 
 def _agm_one(b: ArbReal, ctx: PrecisionContext) -> ArbReal:
@@ -433,14 +434,14 @@ def _gamma_agm(den: int, digits: int) -> ArbReal:
     integral at the singular value sin(pi/12)."""
     ctx = PrecisionContext(digits)
     with ctx.workprec():
-        pi = _rounded(mpmath.pi)
+        pi = rounded(mpmath.pi)
         if den == 4:
-            m = _agm_one(_rounded(mpmath.sqrt(2)), ctx)
+            m = _agm_one(rounded(mpmath.sqrt(2)), ctx)
             return _root(pi * 2 * _root(pi * 2, 2) / m, 2)
-        k = (_rounded(mpmath.sqrt(6)) + _rounded(mpmath.sqrt(2))) / 4
+        k = (rounded(mpmath.sqrt(6)) + rounded(mpmath.sqrt(2))) / 4
         K = pi / (_agm_one(k, ctx) * 2)
-        return _root(_rounded(mpmath.cbrt(128)) * pi * K
-                     / _rounded(mpmath.root(3, 4)), 3)
+        return _root(rounded(mpmath.cbrt(128)) * pi * K
+                     / rounded(mpmath.root(3, 4)), 3)
 
 
 def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
@@ -459,7 +460,7 @@ def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
     n = math.ceil(q) - 1
     r = q - n
     with ctx.workprec():
-        pi = _rounded(mpmath.pi)
+        pi = rounded(mpmath.pi)
         if d == 1:
             g = ArbReal(1)
         elif d == 2:
@@ -467,7 +468,7 @@ def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
         else:
             g = _gamma_agm(4 if d == 4 else 3, ctx.digits)
             if d == 6:
-                g = _rounded(mpmath.cbrt(0.5)) * _root(3 / pi, 2) * g * g
+                g = rounded(mpmath.cbrt(0.5)) * _root(3 / pi, 2) * g * g
             if r.numerator > 1:
                 g = pi * 2 / (_root(ArbReal(12 // d - 1), 2) * g)
         if n >= 0:

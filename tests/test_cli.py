@@ -186,6 +186,19 @@ def test_failed_verification_exit_code(capsys, tmp_path):
     assert out.startswith("[FAIL] identity_L36:")
 
 
+@pytest.mark.parametrize("command", ["verify-identity", "verify-all"])
+def test_an_file_without_curve_is_usage_error(capsys, tmp_path, command):
+    # one file holds one curve's coefficients: without --curve it would be
+    # checked against both curves, and E64 would fail on E36's table
+    code, out, _ = run(capsys, "coeffs", "--curve", "36", "--n-max", "200")
+    assert code == 0
+    path = tmp_path / "a36.csv"
+    path.write_text(out)
+    code, out, err = run(capsys, command, "--an-file", str(path))
+    assert code == 2 and out == ""
+    assert "--an-file" in err and "--curve" in err
+
+
 def _period_status(capsys):
     code, out, _ = run(capsys, "verify-periods", "--report", "json",
                        "--deterministic")

@@ -94,3 +94,36 @@ def test_src_uses_only_elementary_mpmath():
             for name in _mpmath_names(ast.parse(path.read_text()))}
     assert used, "the walk found no mpmath use at all"
     assert sorted(u for u in used if u[1] not in MPMATH_ALLOWED) == []
+
+
+def _private_reads(tree):
+    """Every underscore name the module reads from another ellhyp module:
+    `from .mod import _x`, and `mod._x` for a module bound by
+    `from . import mod`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ellhyp"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+                if node.module in (None, "ellhyp"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_modules_read_no_private_name_of_another():
+    # an underscore name is its module's own; another module that needs it
+    # needs a public name (tests may still read private names)
+    probe = ast.parse("from . import a as b\nfrom .c import _d, e\n"
+                      "b._f, b.g, h._i\n")
+    assert sorted(_private_reads(probe)) == ["b._f", "c._d"]
+    root = pathlib.Path(ellhyp.__file__).parent
+    reads = sorted((path.relative_to(root).as_posix(), name)
+                   for path in sorted(root.rglob("*.py"))
+                   for name in _private_reads(ast.parse(path.read_text())))
+    assert reads == []
