@@ -20,19 +20,11 @@ from .ksym.ffield import ELLIPTIC, FFElem, ff_parse
 from .ksym.ratfunc import Poly
 
 
-def _raw() -> dict:
+@functools.cache
+def raw() -> dict:
+    """claims.json, read once per process."""
     path = resources.files("ellhyp").joinpath("claims.json")
     return json.loads(path.read_text())
-
-
-_CACHE: dict | None = None
-
-
-def raw() -> dict:
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = _raw()
-    return _CACHE
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ reductions are reproduced literally.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNum, ZETA3, one, zero
@@ -173,9 +173,6 @@ class GroupLaw:
     def sub(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         return self.add(p, self.neg(q))
 
-    def is_two_torsion(self, p: CurvePoint) -> bool:
-        return self.add(p, p) == self.base
-
 
 @functools.cache
 def law(N: int) -> GroupLaw:
@@ -281,9 +278,9 @@ class FormalSum:
             q = Fraction(q)
             if q == 0:
                 continue
-            if law.is_two_torsion(p):
-                continue
             neg = law.neg(p)
+            if neg == p:  # p (+) p = base: a 2-torsion class
+                continue
             if neg.sort_key() < p.sort_key():
                 p, q = neg, -q
             acc[p] = acc.get(p, Fraction(0)) + q
@@ -319,48 +316,6 @@ class FormalSum:
             f"{q}*[{p!r}]" for p, q in self.items()) + ")"
 
 
-@dataclass
-class RelationContext:
-    """Registered Bloch-group relations (formal sums declared zero)."""
-
-    law: GroupLaw
-    relations: list = field(default_factory=list)
-
-    def register(self, s: FormalSum):
-        if not s.is_zero():
-            self.relations.append(s)
-
-    def reduce(self, s: FormalSum) -> FormalSum:
-        """Canonical form of s modulo the span of the registered relations.
-
-        Gaussian elimination over Q on the (tiny) space spanned by the
-        relation sums, eliminating the lexicographically largest point of
-        each pivot relation.
-        """
-        rows = [dict(r.coeffs) for r in self.relations]
-        pivots = []
-        for row in rows:
-            # eliminate previous pivots from this row
-            for pivot_p, pivot_row in pivots:
-                c = row.get(pivot_p)
-                if c:
-                    f = c / pivot_row[pivot_p]
-                    for p, q in pivot_row.items():
-                        row[p] = row.get(p, Fraction(0)) - f * q
-                    row = {p: q for p, q in row.items() if q != 0}
-            if row:
-                pivot_p = max(row, key=CurvePoint.sort_key)
-                pivots.append((pivot_p, row))
-        target = dict(s.coeffs)
-        for pivot_p, pivot_row in pivots:
-            c = target.get(pivot_p)
-            if c:
-                f = c / pivot_row[pivot_p]
-                for p, q in pivot_row.items():
-                    target[p] = target.get(p, Fraction(0)) - f * q
-        return FormalSum(self.law, list(target.items()))
-
-
 def beta_map(law: GroupLaw, div_f: Divisor, div_g: Divisor) -> FormalSum:
     """Bloch map: (sum m_i [p_i], sum n_j [q_j]) -> sum m_i n_j [p_i - q_j]."""
     for d, name in ((div_f, "f"), (div_g, "g")):
@@ -373,14 +328,29 @@ def beta_map(law: GroupLaw, div_f: Divisor, div_g: Divisor) -> FormalSum:
     return FormalSum(law, terms)
 
 
-def steinberg_relation(relctx: RelationContext, div_f: Divisor,
-                       div_one_minus_f: Divisor) -> FormalSum:
-    """beta(f (x) (1-f)), registered as a zero relation."""
-    s = beta_map(relctx.law, div_f, div_one_minus_f)
-    relctx.register(s)
-    return s
+def _clear(row: dict, pivots: list) -> dict:
+    """row, a dict {point: coefficient}, minus the multiple of each pivot row
+    in turn that zeroes it at that row's pivot point."""
+    for pivot_p, pivot_row in pivots:
+        c = row.get(pivot_p)
+        if c:
+            f = c / pivot_row[pivot_p]
+            for p, q in pivot_row.items():
+                row[p] = row.get(p, Fraction(0)) - f * q
+    return {p: q for p, q in row.items() if q != 0}
 
 
-def b3_reduce(s: FormalSum, relctx: RelationContext) -> FormalSum:
-    """Canonical form modulo [p]+[(-)p], 2-torsion classes, and relations."""
-    return relctx.reduce(s)
+def b3_reduce(s: FormalSum, relations=()) -> FormalSum:
+    """Canonical form of s modulo [p]+[(-)p], 2-torsion classes and the span
+    of the formal sums in `relations`.
+
+    Gaussian elimination over Q on the (tiny) space the relations span: each
+    relation, in the given order, is cleared of the earlier pivots, and its
+    lexicographically largest point becomes its pivot; then s is cleared of
+    every pivot."""
+    pivots = []
+    for r in relations:
+        row = _clear(dict(r.coeffs), pivots)
+        if row:
+            pivots.append((max(row, key=CurvePoint.sort_key), row))
+    return FormalSum(s.law, _clear(dict(s.coeffs), pivots).items())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import mpmath
 from mpmath import mpf
@@ -190,18 +190,10 @@ def chi_f_check() -> bool:
     return ap_cm(c, 5) == a5 and ap_cm(flipped, 5) != a5
 
 
-@dataclass
-class CoeffTable:
-    n_max: int
-    a: dict = field(default_factory=dict)
-
-    def __getitem__(self, n: int) -> int:
-        return self.a[n]
-
-
 def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
-                 an_file: str | None = None) -> CoeffTable:
-    """Multiplicative coefficient table a_1..a_{n_max} from the given source."""
+                 an_file: str | None = None) -> dict:
+    """Multiplicative coefficient table {n: a_n} for n = 1..n_max from the
+    given source."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if source == "file":
@@ -245,10 +237,10 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
             pk *= p
             m //= p
         a[n] = a[pk] * a[m]
-    return CoeffTable(n_max=n_max, a=a)
+    return a
 
 
-def _read_coeff_file(path: str | None, n_max: int) -> CoeffTable:
+def _read_coeff_file(path: str | None, n_max: int) -> dict:
     if path is None:
         raise CoefficientFileError("source=file requires a coefficient file path")
     a = {}
@@ -274,22 +266,23 @@ def _read_coeff_file(path: str | None, n_max: int) -> CoeffTable:
     if len(a) < n_max:
         raise CoefficientFileError(
             f"{path}: only {len(a)} coefficients, need {n_max}")
-    tbl = CoeffTable(n_max=n_max, a=a)
-    _check_file_consistency(tbl)
-    return tbl
+    _check_file_consistency(a)
+    return a
 
 
-def _check_file_consistency(tbl: CoeffTable):
-    """Hecke multiplicativity on (at least) a 1% sample of coprime pairs."""
-    if tbl.a.get(1) != 1:
+def _check_file_consistency(a: dict):
+    """Hecke multiplicativity on (at least) a 1% sample of coprime pairs of
+    the table {n: a_n}, n = 1..len(a)."""
+    if a.get(1) != 1:
         raise CoefficientFileError("a_1 must be 1")
+    n_max = len(a)
     checked = 0
-    target = max(10, tbl.n_max // 100)
+    target = max(10, n_max // 100)
     m = 2
-    while checked < target and m * m <= tbl.n_max:
-        for n in range(m + 1, tbl.n_max // m + 1):
+    while checked < target and m * m <= n_max:
+        for n in range(m + 1, n_max // m + 1):
             if math.gcd(m, n) == 1:
-                if tbl.a[m * n] != tbl.a[m] * tbl.a[n]:
+                if a[m * n] != a[m] * a[n]:
                     raise CoefficientFileError(
                         f"multiplicativity violated at ({m},{n})")
                 checked += 1
@@ -304,17 +297,18 @@ def afe_n_max(c: CurveId, ctx: PrecisionContext) -> int:
     return math.ceil(sqrtN / (2 * math.pi) * ((ctx.digits + mpnum.GUARD) * math.log(10) + 10)) + 10
 
 
-def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
-    """L(E, 2) by the incomplete-gamma approximate functional equation.
+def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
+    """L(E, 2) by the incomplete-gamma approximate functional equation, from
+    the coefficient table tbl = {n: a_n}, n = 1..len(tbl).
 
     L(2) = (2 pi / sqrt(N))^2 sum_n a_n [ (sqrt(N)/(2 pi n))^2 Gamma(2, x_n)
            + w Gamma(0, x_n) ],   x_n = 2 pi n / sqrt(N),  w = +1.
     """
     needed = afe_n_max(c, ctx)
-    if tbl.n_max < needed:
+    if len(tbl) < needed:
         raise HeckeError(
             f"need at least {needed} coefficients for digits={ctx.digits}, "
-            f"got {tbl.n_max}")
+            f"got {len(tbl)}")
     with ctx.workprec():
         sqrtN = mpmath.sqrt(c.N)
         two_pi = 2 * mpmath.pi
@@ -353,7 +347,7 @@ def l_two(c: CurveId, tbl: CoeffTable, ctx: PrecisionContext) -> ArbReal:
 
 
 def lstar_zero(c: CurveId, ctx: PrecisionContext,
-               tbl: CoeffTable | None = None) -> ArbReal:
+               tbl: dict | None = None) -> ArbReal:
     """L*(E, 0) = N / (2 pi)^2 * L(E, 2), positive for both curves."""
     with ctx.workprec():
         if tbl is None:

@@ -76,18 +76,6 @@ class HypParams:
         return Fraction(num) / Fraction(den)
 
 
-@dataclass(frozen=True)
-class FTildeArgs:
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        # a pole of Gamma at alpha, beta or alpha+beta raises in
-        # mpnum.rational_gamma
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-
-
 def _common_denominator(p: HypParams) -> int:
     return lcm(*(x.denominator for x in (p.a1, p.a2, p.a3, p.b1, p.b2)))
 
@@ -296,10 +284,11 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     return val, err
 
 
-def ftilde(args: FTildeArgs, ctx: PrecisionContext) -> ArbReal:
-    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1),
-    with the Gamma values in closed form (`mpnum.rational_gamma`)."""
-    a, b = args.alpha, args.beta
+def ftilde(a, b, ctx: PrecisionContext) -> ArbReal:
+    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1)
+    for rationals a, b, with the Gamma values in closed form
+    (`mpnum.rational_gamma`, which raises at a pole)."""
+    a, b = Fraction(a), Fraction(b)
     with ctx.workprec():
         pre = (mpnum.rational_gamma(a, ctx) * mpnum.rational_gamma(b, ctx)
                / mpnum.rational_gamma(a + b, ctx))
@@ -311,12 +300,12 @@ def rhs_main(curve_id: int, ctx: PrecisionContext) -> ArbReal:
     """Hypergeometric side of the L-value identity for conductor 36 or 64."""
     with ctx.workprec():
         if curve_id == 36:
-            d = (ftilde(FTildeArgs(Fraction(1, 2), Fraction(1, 3)), ctx)
-                 - ftilde(FTildeArgs(Fraction(1, 2), Fraction(2, 3)), ctx))
+            d = (ftilde(Fraction(1, 2), Fraction(1, 3), ctx)
+                 - ftilde(Fraction(1, 2), Fraction(2, 3), ctx))
             pref = 1 / (2 * mpmath.sqrt(3) * mpmath.pi)
         elif curve_id == 64:
-            d = (ftilde(FTildeArgs(Fraction(1, 4), Fraction(1, 4)), ctx)
-                 - ftilde(FTildeArgs(Fraction(3, 4), Fraction(3, 4)), ctx))
+            d = (ftilde(Fraction(1, 4), Fraction(1, 4), ctx)
+                 - ftilde(Fraction(3, 4), Fraction(3, 4), ctx))
             pref = 1 / (8 * mpmath.pi)
         else:
             raise ValueError("curve_id must be 36 or 64")

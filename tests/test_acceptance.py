@@ -20,7 +20,7 @@ from grouplaw import mul
 from ellhyp import claims, hecke, hyp3f2
 from ellhyp.cli import build_parser
 from ellhyp.ecdiv import law, torsion_Ef
-from ellhyp.hyp3f2 import FTildeArgs, HypParams
+from ellhyp.hyp3f2 import HypParams
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -222,10 +222,10 @@ def test_acceptance_12_hypergeometric_machinery():
             want = g(d) * g(d - a - b) / (g(d - a) * g(d - b))
             worst = max(worst, abs(got.val - want))
             checked += 1
-        f1 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 2), Fraction(1, 3)), CTX)
-        f2 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 2), Fraction(2, 3)), CTX)
-        f3 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 4), Fraction(1, 4)), CTX)
-        f4 = hyp3f2.ftilde(FTildeArgs(Fraction(3, 4), Fraction(3, 4)), CTX)
+        f1 = hyp3f2.ftilde(Fraction(1, 2), Fraction(1, 3), CTX)
+        f2 = hyp3f2.ftilde(Fraction(1, 2), Fraction(2, 3), CTX)
+        f3 = hyp3f2.ftilde(Fraction(1, 4), Fraction(1, 4), CTX)
+        f4 = hyp3f2.ftilde(Fraction(3, 4), Fraction(3, 4), CTX)
         mono = (f1.val - f2.val > 2 * (f1.err + f2.err)
                 and f3.val - f4.val > 2 * (f3.err + f4.err))
     ok = worst < mpmath.mpf(10) ** -25 and mono

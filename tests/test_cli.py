@@ -219,7 +219,7 @@ def test_verify_periods_fails_on_changed_exponent(capsys, monkeypatch, N,
                                                   base, exponent):
     data = copy.deepcopy(claims.raw())
     data["periods"][N][base] = exponent
-    monkeypatch.setattr(claims, "_CACHE", data)
+    monkeypatch.setattr(claims, "raw", lambda: data)
     code, e36, e64 = _period_status(capsys)
     changed, kept = (e36, e64) if N == "36" else (e64, e36)
     assert code == 1

@@ -5,11 +5,11 @@ import random
 
 import pytest
 from grouplaw import mul, order
+from hypothesis import given, settings, strategies as st
 
 from ellhyp import claims
 from ellhyp.ecdiv import (CURVE36, CURVE64, CurveError, Divisor, FormalSum,
-                          OffCurveError, RelationContext, b3_reduce, beta_map,
-                          law, steinberg_relation, torsion_Ef)
+                          OffCurveError, b3_reduce, beta_map, law, torsion_Ef)
 
 
 def test_point_validation():
@@ -23,7 +23,7 @@ def test_point_validation():
 def test_off_curve_claims_point_raises(monkeypatch):
     data = copy.deepcopy(claims.raw())
     data["points"]["36"]["P"] = ["0", "2"]
-    monkeypatch.setattr(claims, "_CACHE", data)
+    monkeypatch.setattr(claims, "raw", lambda: data)
     with pytest.raises(OffCurveError):
         claims.points(36)
 
@@ -76,7 +76,16 @@ def test_point_orders():
     pts = claims.points(36)
     assert order(lw, pts["P"]) == 6
     assert order(lw, lw.base) == 1
-    assert lw.is_two_torsion(pts["Q"])
+    assert order(lw, pts["Q"]) == 2
+
+
+def test_two_torsion_classes_vanish_exactly():
+    # FormalSum drops [p] iff (-)p = p; compare with the roots of the cubic
+    for N in (36, 64):
+        lw = law(N)
+        two = set(lw.curve.two_torsion())
+        for p in torsion_Ef(N):
+            assert FormalSum(lw, [(p, 1)]).is_zero() == (p in two), (N, p)
 
 
 def test_e64_point_identities():
@@ -137,31 +146,71 @@ def test_beta_map_bilinearity():
 
 
 def test_bloch_reductions_exact():
-    # beta(e0) reduces as published without any registered relation
+    # beta(e0) reduces as published without any relation
     for N in (36, 64):
         lw = law(N)
         claim = claims.bloch_claim(N)
-        got = b3_reduce(beta_map(lw, claim.f_alpha, claim.f_beta),
-                        RelationContext(lw))
+        got = b3_reduce(beta_map(lw, claim.f_alpha, claim.f_beta))
         assert got == FormalSum(lw, claim.beta_e0), N
+
+
+def _relations(N):
+    """The E36 Steinberg sum beta(f (x) (1-f)), and [S] + [T] on E64."""
+    lw = law(N)
+    if N == 36:
+        stein = claims.bloch_claim(36).steinberg
+        return (beta_map(lw, stein.f.divisor, stein.one_minus_f),)
+    p = claims.points(64)
+    return (FormalSum(lw, [(p["S"], 1), (p["T"], 1)]),)
 
 
 def test_steinberg_relation_kills_R():
     lw = law(36)
     p = claims.points(36)
-    st = claims.bloch_claim(36).steinberg
-    relctx = RelationContext(lw)
-    s = steinberg_relation(relctx, st.f.divisor, st.one_minus_f)
-    assert s == FormalSum(lw, st.beta)
-    reduced = relctx.reduce(FormalSum(lw, [(p[st.kills], 5), (p["P"], 1)]))
+    stein = claims.bloch_claim(36).steinberg
+    rels = _relations(36)
+    assert rels[0] == FormalSum(lw, stein.beta)
+    reduced = b3_reduce(FormalSum(lw, [(p[stein.kills], 5), (p["P"], 1)]),
+                        rels)
     assert reduced == FormalSum(lw, [(p["P"], 1)])
 
 
-def test_relation_context_linear_algebra():
+def test_b3_reduce_linear_algebra():
     lw = law(64)
     p = claims.points(64)
-    relctx = RelationContext(lw)
-    relctx.register(FormalSum(lw, [(p["S"], 1), (p["T"], 1)]))
-    got = relctx.reduce(FormalSum(lw, [(p["S"], 2), (p["T"], 2), (p["R"], 1)]))
-    # R is 2-torsion so vanishes; the registered relation kills the rest
+    got = b3_reduce(FormalSum(lw, [(p["S"], 2), (p["T"], 2), (p["R"], 1)]),
+                    _relations(64))
+    # R is 2-torsion so vanishes; the relation kills the rest
     assert got.is_zero()
+
+
+def test_b3_reduce_skips_zero_and_dependent_relations():
+    lw = law(64)
+    p = claims.points(64)
+    (r,) = _relations(64)
+    s = FormalSum(lw, [(p["S"], 3), (p["P1"], 1)])
+    want = b3_reduce(s, (r,))
+    assert b3_reduce(s, (FormalSum(lw), r, 2 * r)) == want
+    assert b3_reduce(s) == s
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@pytest.mark.parametrize("N", [36, 64])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_b3_reduce_is_a_projection_mod_relations(N, data):
+    # s + q r has the canonical form of s, and the canonical form is fixed;
+    # a drawn second relation (possibly zero or dependent) exercises the
+    # elimination between relations
+    lw = law(N)
+    pts = st.sampled_from(torsion_Ef(N))
+    sums = st.lists(st.tuples(pts, _RATIONALS), max_size=6)
+    rels = _relations(N) + (FormalSum(lw, data.draw(sums)),)
+    s = FormalSum(lw, data.draw(sums))
+    q = data.draw(_RATIONALS)
+    red = b3_reduce(s, rels)
+    assert b3_reduce(red, rels) == red
+    for r in rels:
+        assert b3_reduce(s + q * r, rels) == red

@@ -49,14 +49,6 @@ def test_real_period_closed_forms():
         assert abs(got64.val - mpmath.sqrt(mpmath.pi)) < tol
 
 
-def test_lattice_consistency():
-    for N in (36, 64):
-        data = lattice(N, CTX)
-        data.check(CTX)  # h*Omega = Omega_R, Omega/conj(nu) real, Omega_R > 0
-        with CTX.workprec():
-            assert data.OmegaR.val > 0
-
-
 def test_derived_curve_facts_match_the_published_ones():
     # t, nu and the HNF come from hecke's record; these are the values the
     # two conductors were first written down with

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from ellhyp import hyp3f2
-from ellhyp.hyp3f2 import DivergenceError, FTildeArgs, HypParams
+from ellhyp.hyp3f2 import DivergenceError, HypParams
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -103,8 +103,7 @@ def test_tail_split_invariance():
 
 def test_ftilde_oracle():
     with CTX.workprec():
-        args = FTildeArgs(Fraction(1, 2), Fraction(1, 3))
-        got = hyp3f2.ftilde(args, CTX)
+        got = hyp3f2.ftilde(Fraction(1, 2), Fraction(1, 3), CTX)
         a, b = mpmath.mpf(1) / 2, mpmath.mpf(1) / 3
         g = mpmath.gamma(a) * mpmath.gamma(b) / mpmath.gamma(a + b)
         want = g ** 2 * mpmath.hyp3f2(a, b, a + b - 1, a + b, a + b, 1)
@@ -113,10 +112,10 @@ def test_ftilde_oracle():
 
 def test_monotonicity_spot_checks():
     with CTX.workprec():
-        f12_13 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 2), Fraction(1, 3)), CTX)
-        f12_23 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 2), Fraction(2, 3)), CTX)
-        f14_14 = hyp3f2.ftilde(FTildeArgs(Fraction(1, 4), Fraction(1, 4)), CTX)
-        f34_34 = hyp3f2.ftilde(FTildeArgs(Fraction(3, 4), Fraction(3, 4)), CTX)
+        f12_13 = hyp3f2.ftilde(Fraction(1, 2), Fraction(1, 3), CTX)
+        f12_23 = hyp3f2.ftilde(Fraction(1, 2), Fraction(2, 3), CTX)
+        f14_14 = hyp3f2.ftilde(Fraction(1, 4), Fraction(1, 4), CTX)
+        f34_34 = hyp3f2.ftilde(Fraction(3, 4), Fraction(3, 4), CTX)
         assert f12_13.val - f12_23.val > 2 * (f12_13.err + f12_23.err)
         assert f14_14.val - f34_34.val > 2 * (f14_14.err + f34_34.err)
 
