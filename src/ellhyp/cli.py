@@ -232,20 +232,18 @@ def cmd_verify_periods(args) -> list:
     for N in _curves(args):
         t0 = time.monotonic()
         with ctx.workprec():
-            data = ellper.lattice(N, ctx)
-            got = data.OmegaR
+            got = ellper.real_period(N, ctx)
             want, form = _closed_form(claims.period_exponents(N))
             tol = mpmath.mpf(10) ** (-(ctx.digits - 5))
             out.append(_numeric(
-                f"real_period_E{N}", got.val, want, abs(got.val - want), tol,
+                f"real_period_E{N}", got, want, abs(got - want), tol,
                 notes=f"closed form {form}", t=time.monotonic() - t0,
                 resolution=mpmath.ldexp(abs(want), -ctx.prec_bits)))
-            ratio = data.Omega.val / data.nu_bar
-            out.append(_numeric(
-                f"omega_over_nubar_real_E{N}", mpmath.im(ratio), mpmath.mpf(0),
-                abs(mpmath.im(ratio)), tol,
-                notes="Omega / conj(nu) must be real",
-                resolution=mpmath.ldexp(abs(ratio), -ctx.prec_bits)))
+        h_nu_bar = ellper.h_nu_bar(N)
+        out.append(_exact(
+            f"omega_over_nubar_real_E{N}", h_nu_bar, h_nu_bar.conj(),
+            h_nu_bar == h_nu_bar.conj(),
+            notes="Omega / conj(nu) = Omega_R / (h*conj(nu)) must be real"))
     return out
 
 

@@ -1,16 +1,18 @@
 """Periods, elliptic logarithms, and the torsion labeling E_f = O_K / f.
 
-The curve differential du/(2v) is rescaled to omega_E = c du/(2v) with
-int omega ^ conj(omega) / (2 pi i) = -1, i.e. the period lattice has
-covolume pi.  With Gamma = O_K Omega this forces |Omega| = sqrt(pi /
-covol(O_K)), and the real period is Omega_R = |h| |Omega| for the unit
-factor h with Omega_R = h Omega.
+The curve differential du/(2v) is rescaled to omega_E = o c du/(2v), with o
+the orientation sign, so that int omega ^ conj(omega) / (2 pi i) = -1, i.e.
+the period lattice Gamma = O_K Omega has covolume pi.  With the real period
+omega1 of du/(2v) and the unit h with Omega_R = h Omega, this gives
+Omega = c omega1 / h and Omega_R = |h| sqrt(pi / covol(O_K)).  A point whose
+du/(2v) logarithm is z is labelled by w = z_E conj(nu) / Omega
+= o (h conj(nu)) z / omega1, so c cancels: omega1, one AGM, is the only
+transcendental input, and h conj(nu) is exact.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
@@ -18,7 +20,7 @@ from mpmath import mpc, mpf
 from . import hecke, mpnum
 from .cyclo import ORDER, CycloNum
 from .ecdiv import CurvePoint, law
-from .mpnum import ArbComplex, ArbReal, PrecisionContext
+from .mpnum import ArbReal, PrecisionContext
 
 
 class PeriodError(Exception):
@@ -82,68 +84,39 @@ def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
         return acc
 
 
-@dataclass(frozen=True)
-class PeriodData:
-    N: int
-    Omega: ArbComplex     # generator with Gamma = O_K * Omega
-    OmegaR: ArbReal       # real period of omega_E
-    h_unit: CycloNum
-    scale_c: ArbReal      # omega_E = scale_c * du/(2v)
-    nu_bar: mpc           # conj(nu) at working precision
-
-    def check(self, ctx: PrecisionContext) -> None:
-        with ctx.workprec():
-            tol = mpf(10) ** (-(ctx.digits - 5))
-            h = _embed(self.h_unit, ctx)
-            if abs(h * self.Omega.val - self.OmegaR.val) > tol:
-                raise PeriodError("h * Omega does not reproduce Omega_R")
-            ratio = self.Omega.val / self.nu_bar
-            if abs(mpmath.im(ratio)) > tol:
-                raise PeriodError("Omega / conj(nu) is not real")
-            if self.OmegaR.val <= 0:
-                raise PeriodError("Omega_R must be positive")
-
-
 @functools.lru_cache(maxsize=None)
-def lattice(N: int, ctx: PrecisionContext) -> PeriodData:
-    """The checked period data of curve N, built once per curve and precision.
-
-    One AGM of root gaps gives omega1 = pi / agm, the period of du/(2v) over
-    the real component; c = sqrt(pi / A0) for the covolume A0 of the
-    unnormalized lattice O_K * (omega1 / h), and Omega_R = c * omega1."""
-    cm = hecke.curve(N)
-    h_unit = _ok(N, _H_AND_ORIENTATION[N][0])
+def lattice(N: int, ctx: PrecisionContext) -> ArbReal:
+    """omega1 = pi / agm of the root gaps, the period of du/(2v) over the real
+    component, built once per curve and precision.  The du/(2v)-period
+    lattice is O_K * (omega1 / h)."""
     with ctx.workprec():
         e1, e2, e3 = (_embed(r, ctx) for r in law(N).curve.roots)
-        g = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
-        v = mpmath.pi / g.val
+        g, g_err = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
+        v = mpmath.pi / g
         if abs(mpmath.im(v)) > ctx.eps * abs(v) * 100:
             raise PeriodError("real period came out non-real")
         omega1 = mpmath.re(v)
-        rel1 = ctx.eps * 100 + g.err / abs(g.val)  # relative error of omega1
-        h = _embed(h_unit, ctx)
-        covol = mpmath.sqrt(4 - cm.s * cm.s) / 2  # of O_K = Z + Z t
-        c = mpmath.sqrt(mpmath.pi / (covol * (omega1 / abs(h)) ** 2))
-        omega_r = ArbReal(c * omega1, abs(c * omega1) * ctx.eps * 200)
-        data = PeriodData(N, ArbComplex(omega_r.val / h, omega_r.err * 4), omega_r,
-                          h_unit, ArbReal(c, abs(c) * (ctx.eps * 100 + rel1)),
-                          mpmath.conj(_embed(_ok(N, cm.nu), ctx)))
-        data.check(ctx)
-        return data
+        if omega1 <= 0:
+            raise PeriodError("real period must be positive")
+        return ArbReal(omega1, omega1 * (ctx.eps * 100 + g_err / abs(g)))
+
+
+def h_nu_bar(N: int) -> CycloNum:
+    """h conj(nu), exact: w = o h conj(nu) z / omega1.  Omega / conj(nu) =
+    Omega_R / (h conj(nu)) is real iff this is."""
+    return _ok(N, _H_AND_ORIENTATION[N][0]) * _ok(N, hecke.curve(N).nu).conj()
+
+
+def real_period(N: int, ctx: PrecisionContext) -> mpf:
+    """Omega_R = |h| sqrt(pi / covol(O_K)), which the covolume pi fixes
+    without an AGM; covol(Z + Z t) = sqrt(4 - s^2) / 2."""
+    s = hecke.curve(N).s
+    with ctx.workprec():
+        h = _embed(_ok(N, _H_AND_ORIENTATION[N][0]), ctx)
+        return abs(h) * mpmath.sqrt(mpmath.pi / (mpmath.sqrt(4 - s * s) / 2))
 
 
 # elliptic logarithms ---------------------------------------------------------
-
-def _tau_coords(w: mpc, tau: mpc):
-    """Real coordinates (a, b) of w = a + b tau in the basis (1, tau)."""
-    b = mpmath.im(w) / mpmath.im(tau)
-    return mpmath.re(w) - b * mpmath.re(tau), b
-
-
-def _reduce_mod_lattice(z: mpc, omega: mpc, tau: mpc) -> mpc:
-    a, b = _tau_coords(z / omega, tau)
-    return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
-
 
 def _near_root(x: mpc, near: mpc) -> mpc:
     """The square root of x nearer `near`."""
@@ -217,28 +190,25 @@ def _std_log(roots: tuple, p: CurvePoint, ctx: PrecisionContext) -> mpc:
         return sign * z
 
 
-def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> ArbComplex:
-    """z with P = (integral of omega_E from the group-law origin), mod Gamma."""
+def elliptic_log(N: int, p: CurvePoint, ctx: PrecisionContext) -> mpc:
+    """z = the integral of du/(2v) from the group-law origin to P, defined
+    modulo the du/(2v)-period lattice and returned unreduced."""
     lw = law(N)
     roots = lw.curve.roots
     with ctx.workprec():
-        z_raw = _std_log(roots, p, ctx) - _std_log(roots, lw.base, ctx)
-        data = lattice(N, ctx)
-        z = _H_AND_ORIENTATION[N][1] * data.scale_c.val * z_raw
-        tau = _embed(_tau(N), ctx)
-        z = _reduce_mod_lattice(z, data.Omega.val, tau)
-        return ArbComplex(z, abs(data.Omega.val) * ctx.eps * 10 ** 6)
+        return _std_log(roots, p, ctx) - _std_log(roots, lw.base, ctx)
 
 
 def torsion_label(N: int, p: CurvePoint, ctx: PrecisionContext) -> tuple:
-    """The class of P under E_f ~ O_K/f via x -> x conj(nu) / Omega, as
-    its hecke.residue pair."""
+    """The class of P under E_f ~ O_K/f via z_E -> z_E conj(nu) / Omega, as
+    its hecke.residue pair.  A period added to z moves w by an element of
+    conj(nu) O_K, which is nu O_K on both curves, so the class is the same."""
     with ctx.workprec():
-        z = elliptic_log(N, p, ctx)
-        data = lattice(N, ctx)
-        w = z.val * data.nu_bar / data.Omega.val
+        w = (_H_AND_ORIENTATION[N][1] * _embed(h_nu_bar(N), ctx)
+             * elliptic_log(N, p, ctx) / lattice(N, ctx).val)
         tau = _embed(_tau(N), ctx)
-        a, b = _tau_coords(w, tau)
+        b = mpmath.im(w) / mpmath.im(tau)
+        a = mpmath.re(w) - b * mpmath.re(tau)
         ai, bi = int(mpmath.nint(a)), int(mpmath.nint(b))
         dist = abs(w - (ai + bi * tau))
         if dist > mpf("1e-5"):

@@ -245,7 +245,9 @@ def _read_coeff_file(path: str | None, n_max: int) -> dict:
         raise CoefficientFileError("source=file requires a coefficient file path")
     a = {}
     expected = 1
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as U+FFFD, which int() rejects, so the
+    # line is reported as malformed
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -57,7 +57,7 @@ class PrecisionContext:
 
 
 def _val_of(x):
-    if isinstance(x, (ArbReal, ArbComplex)):
+    if isinstance(x, ArbReal):
         return x.val
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
@@ -147,25 +147,6 @@ class ArbReal:
 
     def __abs__(self):
         return ArbReal(abs(self.val), self.err)
-
-
-class ArbComplex:
-    """Complex value with an error estimate on the modulus of its error.  The
-    numeric layers read and build .val and .err directly."""
-
-    __slots__ = ("val", "err")
-
-    def __init__(self, val, err=0):
-        if isinstance(val, ArbReal):
-            err = max(mpf(err), val.err)
-            val = val.val
-        if isinstance(val, Fraction):
-            val = mpf(val.numerator) / val.denominator
-        self.val = mpc(val)
-        self.err = mpf(err)
-
-    def __repr__(self):
-        return f"ArbComplex({self.val!r}, err={self.err!r})"
 
 
 def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
@@ -379,8 +360,9 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
         return out
 
 
-def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
-    """Arithmetic-geometric mean with the right-choice branch rule."""
+def agm(a, b, ctx: PrecisionContext) -> tuple:
+    """(value, err) of the arithmetic-geometric mean with the right-choice
+    branch rule; the value is an mpc."""
     with ctx.workprec():
         av = mpc(_val_of(a))
         bv = mpc(_val_of(b))
@@ -399,7 +381,7 @@ def agm(a, b, ctx: PrecisionContext) -> ArbComplex:
         else:
             raise PrecisionError("AGM iteration failed to converge")
         v = (av + bv) / 2
-        return ArbComplex(v, abs(v) * eps * 10 + ulp(abs(v)))
+        return v, abs(v) * eps * 10 + ulp(abs(v))
 
 
 def rounded(v) -> ArbReal:
@@ -417,9 +399,9 @@ def _agm_one(b: ArbReal, ctx: PrecisionContext) -> ArbReal:
     """AGM(1, b), b > 0.  M is homogeneous of degree 1 and increasing, so
     b dM/db <= M, and M/b falls as b grows: err(b) moves M by at most
     M err(b) / (b - err(b))."""
-    m = agm(1, b.val, ctx)
-    v = m.val.real
-    return ArbReal(v, m.err + v * b.err / (b.val - b.err))
+    m, err = agm(1, b.val, ctx)
+    v = m.real
+    return ArbReal(v, err + v * b.err / (b.val - b.err))
 
 
 @functools.lru_cache(maxsize=None)

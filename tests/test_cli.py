@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import ellhyp
-from ellhyp import claims, ellper
+from ellhyp import claims, ellper, mpnum
 from ellhyp.cli import main, reports_to_json, VerificationReport
 from ellhyp.ecdiv import law, torsion_Ef
 
@@ -140,15 +141,17 @@ def test_missing_an_file_is_usage_error(capsys, tmp_path, argv):
     assert "cannot read --an-file" in err and "no-such.csv" in err
 
 
-@pytest.mark.parametrize("text", ["1,1\nx,y\n", "1,1\n3,0\n", "1,1\n2,0\n"],
-                         ids=["not-integers", "gap-in-n", "too-few-rows"])
+@pytest.mark.parametrize("data", [b"1,1\nx,y\n", b"1,1\n3,0\n", b"1,1\n2,0\n",
+                                  b"\xff\xfe1,1\n"],
+                         ids=["not-integers", "gap-in-n", "too-few-rows",
+                              "not-utf-8"])
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--curve", "36", "--n-max", "5", "--source", "file"],
     ["verify-identity", "--curve", "36"],
 ])
-def test_malformed_an_file_is_usage_error(capsys, tmp_path, argv, text):
+def test_malformed_an_file_is_usage_error(capsys, tmp_path, argv, data):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(data)
     code, out, err = run(capsys, *argv, "--an-file", str(path))
     assert code == 2 and out == ""
     assert "bad --an-file" in err and "bad.csv" in err
@@ -224,6 +227,34 @@ def test_verify_periods_fails_on_changed_exponent(capsys, monkeypatch, N,
     changed, kept = (e36, e64) if N == "36" else (e64, e36)
     assert code == 1
     assert changed["status"] == "fail" and kept["status"] == "pass"
+
+
+def test_verify_periods_fails_on_a_wrong_unit(capsys, monkeypatch):
+    # h = 1 + i is no unit: |h| moves the real period off its closed form,
+    # and h conj(nu) = 4 + 4i is not real
+    monkeypatch.setitem(ellper._H_AND_ORIENTATION, 64, ((1, 1), +1))
+    code, out, err = run(capsys, "verify-periods", "--curve", "64")
+    assert code == 1 and err == ""
+    assert "[FAIL] real_period_E64" in out
+    assert "[FAIL] omega_over_nubar_real_E64" in out
+
+
+@pytest.fixture
+def fresh_lattice():
+    ellper.lattice.cache_clear()
+    yield
+    ellper.lattice.cache_clear()
+
+
+def test_torsion_labels_guard_the_agm(capsys, monkeypatch, fresh_lattice):
+    # verify-periods reads no AGM; a wrong omega1 moves every label off O_K
+    real_agm = mpnum.agm
+    monkeypatch.setattr(mpnum, "agm", lambda a, b, ctx: tuple(
+        x * mpmath.mpf("1.37") for x in real_agm(a, b, ctx)))
+    code, _, _ = run(capsys, "verify-periods")
+    assert code == 0
+    code, _, err = run(capsys, "verify-torsion-labels")
+    assert code == 1 and "error:" in err
 
 
 def test_verify_torsion_labels_curve36(capsys):
@@ -340,12 +371,13 @@ def test_verify_identity_reports_agreement_of_equal_sides(capsys):
 @pytest.mark.parametrize("argv", [["verify-all", "--digits", "30"],
                                   ["verify-periods", "--digits", "100"]])
 def test_every_numeric_row_reports_an_integer_agreement(capsys, argv):
-    # rows whose sides match exactly (the E64 period, Omega / conj(nu) on
-    # E64) report the working precision, not null
+    # rows whose sides match exactly (the E64 period) report the working
+    # precision, not null; the two identities and the two real periods are
+    # the numeric rows
     code, out, _ = run(capsys, *argv, "--report", "json", "--deterministic")
     assert code == 0
     numeric = [r for r in json.loads(out)["reports"] if r["kind"] == "numeric"]
-    assert len(numeric) >= 4
+    assert len(numeric) >= {"verify-all": 4, "verify-periods": 2}[argv[0]]
     for r in numeric:
         assert isinstance(r["digits_agreed"], int), r["claim_id"]
         assert r["digits_agreed"] >= int(argv[-1]), r["claim_id"]

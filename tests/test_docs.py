@@ -1,7 +1,12 @@
-"""Figures that README.md states about the source tree match the tree."""
+"""What README.md states about the source tree and the command line holds."""
 
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
+
+from ellhyp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -12,3 +17,17 @@ def test_readme_states_the_src_line_count():
     actual = sum(len(path.read_text().splitlines())
                  for path in ROOT.glob("src/**/*.py"))
     assert stated == [str(actual)]
+
+
+def test_readme_quick_start_commands_exit_0():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```sh\n(.*?)```", text, re.S)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "ellhyp" for argv in lines)
+    failed = []
+    for argv in lines:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv[1:])
+        if code != 0:
+            failed.append((argv, code))
+    assert failed == []

@@ -1,7 +1,5 @@
 """Periods, elliptic logarithms, torsion labels, character consistency."""
 
-import dataclasses
-
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,25 +13,36 @@ from ellhyp.mpnum import PrecisionContext
 CTX = PrecisionContext(digits=30)
 
 
+def _h(N):
+    return ellper._ok(N, ellper._H_AND_ORIENTATION[N][0])
+
+
 def _omega_u(N, ctx):
-    """Omega_R / (c h): the lattice of du/(2v) is O_K times this."""
-    data = lattice(N, ctx)
-    return data.OmegaR.val / data.scale_c.val / ellper._embed(data.h_unit, ctx)
+    """omega1 / h: the lattice of du/(2v) is O_K times this."""
+    return lattice(N, ctx).val / ellper._embed(_h(N), ctx)
+
+
+def _reduce(z, N, ctx):
+    """z minus the du/(2v)-period nearest it in the coordinates (1, tau)."""
+    omega = _omega_u(N, ctx)
+    tau = ellper._embed(ellper._tau(N), ctx)
+    w = z / omega
+    b = mpmath.im(w) / mpmath.im(tau)
+    a = mpmath.re(w) - b * mpmath.re(tau)
+    return ((a - mpmath.nint(a)) + (b - mpmath.nint(b)) * tau) * omega
 
 
 def _off_lattice(z, N, ctx):
     """Distance from z to the nearest point of the du/(2v)-period lattice."""
-    tau = ellper._embed(ellper._tau(N), ctx)
-    return abs(ellper._reduce_mod_lattice(z, _omega_u(N, ctx), tau))
+    return abs(_reduce(z, N, ctx))
 
 
 def test_raw_real_period_against_carlson_oracle():
-    # the period of du/(2v), Omega_R / c = pi / agm(...), must match the
+    # the period of du/(2v), omega1 = pi / agm(...), must match the
     # Carlson-form complete integral
     with CTX.workprec():
         for N in (36, 64):
-            data = lattice(N, CTX)
-            got = data.OmegaR.val / data.scale_c.val
+            got = lattice(N, CTX).val
             e1, e2, e3 = (ellper._embed(r, CTX) for r in law(N).curve.roots)
             want = 2 * mpmath.elliprf(0, e1 - e3, e1 - e2)
             assert abs(got - want) < mpmath.mpf(10) ** -25, N
@@ -42,11 +51,10 @@ def test_raw_real_period_against_carlson_oracle():
 def test_real_period_closed_forms():
     with CTX.workprec():
         tol = mpmath.mpf(10) ** -25
-        got36 = lattice(36, CTX).OmegaR
-        assert abs(got36.val -
-                   mpmath.sqrt(6 * mpmath.pi / mpmath.sqrt(3))) < tol
-        got64 = lattice(64, CTX).OmegaR
-        assert abs(got64.val - mpmath.sqrt(mpmath.pi)) < tol
+        got36 = ellper.real_period(36, CTX)
+        assert abs(got36 - mpmath.sqrt(6 * mpmath.pi / mpmath.sqrt(3))) < tol
+        got64 = ellper.real_period(64, CTX)
+        assert abs(got64 - mpmath.sqrt(mpmath.pi)) < tol
 
 
 def test_derived_curve_facts_match_the_published_ones():
@@ -57,8 +65,15 @@ def test_derived_curve_facts_match_the_published_ones():
     assert ellper._ok(64, hecke.E64.nu) == 4
     assert hecke._hnf(hecke.E36) == (6, 4, 2)
     assert hecke._hnf(hecke.E64) == (4, 0, 4)
-    assert lattice(36, CTX).h_unit == 1 - ZETA3 * ZETA3
-    assert lattice(64, CTX).h_unit == 1
+    assert _h(36) == 1 - ZETA3 * ZETA3
+    assert _h(64) == 1
+
+
+def test_h_nu_bar_is_real():
+    # Omega / conj(nu) = Omega_R / (h conj(nu)) is real because h conj(nu) is
+    assert ellper.h_nu_bar(36) == 6 and ellper.h_nu_bar(64) == 4
+    for N in (36, 64):
+        assert ellper.h_nu_bar(N).conj() == ellper.h_nu_bar(N)
 
 
 def test_ok_pair_reads_o_k_literals():
@@ -69,13 +84,11 @@ def test_ok_pair_reads_o_k_literals():
     assert ellper.ok_pair(36, parse_cyclo("1/2")) is None
 
 
-def test_lattice_is_cached_and_frozen():
+def test_lattice_is_cached():
     for N in (36, 64):
-        data = lattice(N, CTX)
-        assert lattice(N, CTX) is data
-        assert lattice(N, PrecisionContext(digits=CTX.digits)) is data
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            data.N = 0
+        omega1 = lattice(N, CTX)
+        assert lattice(N, CTX) is omega1
+        assert lattice(N, PrecisionContext(digits=CTX.digits)) is omega1
 
 
 def test_elliptic_log_of_origin_is_zero():
@@ -83,7 +96,7 @@ def test_elliptic_log_of_origin_is_zero():
         lw = law(N)
         with CTX.workprec():
             z = elliptic_log(N, lw.base, CTX)
-            assert abs(z.val) < mpmath.mpf(10) ** -20
+            assert abs(z) < mpmath.mpf(10) ** -20
 
 
 def test_elliptic_log_additive_mod_lattice():
@@ -91,14 +104,13 @@ def test_elliptic_log_additive_mod_lattice():
     for N in (36, 64):
         lw = law(N)
         tor = torsion_Ef(N)
-        data = lattice(N, CTX)
         with CTX.workprec():
             tau = ellper._embed(ellper._tau(N), CTX)
             for p, q in [(tor[1], tor[2]), (tor[3], tor[5])]:
-                zp = elliptic_log(N, p, CTX).val
-                zq = elliptic_log(N, q, CTX).val
-                zs = elliptic_log(N, lw.add(p, q), CTX).val
-                w = (zp + zq - zs) / data.Omega.val
+                zp = elliptic_log(N, p, CTX)
+                zq = elliptic_log(N, q, CTX)
+                zs = elliptic_log(N, lw.add(p, q), CTX)
+                w = (zp + zq - zs) / _omega_u(N, CTX)
                 b = mpmath.im(w) / mpmath.im(tau)
                 a = mpmath.re(w) - b * mpmath.re(tau)
                 assert abs(a - mpmath.nint(a)) < 1e-15
@@ -196,7 +208,7 @@ def _carlson_log(N, p, ctx):
         v0 = complex(ellper._embed(p.v, ctx))
         omega_u = _omega_u(N, ctx)
         tau = ellper._embed(ellper._tau(N), ctx)
-        z = complex(ellper._reduce_mod_lattice(m, omega_u, tau))
+        z = complex(_reduce(m, N, ctx))
         wp = _wp_prime(z, complex(omega_u), complex(tau))
         # p' is odd, so p'(-s m) = -s p'(m)
         residual, sign = min((abs(-s * wp - 2 * v0), s) for s in (1, -1))

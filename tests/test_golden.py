@@ -28,6 +28,8 @@ REPORTS = {
     "verify-divisors": ["verify-divisors"] + JSON_FLAGS,
     "verify-torsion-labels-30": ["verify-torsion-labels", "--digits", "30"]
                                 + JSON_FLAGS,
+    "verify-torsion-labels-100": ["verify-torsion-labels", "--digits", "100"]
+                                 + JSON_FLAGS,
 }
 
 COEFFS = {f"coeffs-{N}": ["coeffs", "--curve", str(N), "--n-max", "1000"]
