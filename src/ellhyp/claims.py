@@ -1,9 +1,10 @@
 """Loader for the versioned constants file claims.json.
 
 Every published value the package verifies (point coordinates, divisor
-displays, the Rosset-Tate data, expected symbols, torsion labels, closed-form
-periods, the divisors and results of the Bloch-map checks) is read from that
-single file, so tests and the CLI cite one source of truth.
+displays, the Rosset-Tate data, expected symbols, torsion labels, the real
+periods as Beta values, the divisors and results of the Bloch-map checks)
+is read from that single file, so tests and the CLI cite one source of
+truth.
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ def anchor_label_point(N: int) -> str:
     return raw()["anchor_labels"][str(N)]
 
 
-def period_exponents(N: int) -> dict:
-    """{base: exponent} of the closed-form real period, a product of powers
-    of the bases "2", "3" and "pi"."""
-    return {base: Fraction(e) for base, e in raw()["periods"][str(N)].items()}
+def period_form(N: int) -> tuple:
+    """(a, b, q) with omega1 = q B(a, b), the Chowla-Selberg form of the
+    real period of du/(2v)."""
+    entry = raw()["periods"][str(N)]
+    a, b = (Fraction(x) for x in entry["beta"])
+    return a, b, Fraction(entry["factor"])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import claims, ecdiv, ellper, hecke, hyp3f2
+from . import claims, ecdiv, ellper, hecke, hyp3f2, mpnum
 from .cyclo import parse_cyclo
 from .ecdiv import Divisor, FormalSum, beta_map, b3_reduce, law, \
     torsion_Ef, torsion_generators
@@ -61,14 +61,20 @@ def _exact(claim_id, lhs, rhs, ok, notes="", t=None):
                               "pass" if ok else "fail", notes=notes, timing=t)
 
 
-def _numeric(claim_id, lhs, rhs, diff, tol, notes="", t=None, resolution=0):
-    """A numeric report; `resolution` bounds the agreement of equal sides."""
+def _numeric(claim_id, lhs, rhs, notes="", t=None):
+    """A numeric report on two balls, run at working precision.  Each side's
+    err bounds its own error, so the sides must agree within the sum of the
+    two; sides equal to the last bit agree to the working precision."""
+    diff = abs(lhs.val - rhs.val)
+    tol = lhs.err + rhs.err
+    resolution = mpmath.ldexp(abs(lhs.val), -mpmath.mp.prec)
     ok = diff <= tol
     digits = None
     if max(diff, resolution) > 0:
         digits = int(mpmath.floor(-mpmath.log10(max(diff, resolution))))
     return VerificationReport(
-        claim_id, "numeric", mpmath.nstr(lhs, 25), mpmath.nstr(rhs, 25),
+        claim_id, "numeric", mpmath.nstr(lhs.val, 25),
+        mpmath.nstr(rhs.val, 25),
         "pass" if ok else "fail", abs_err=mpmath.nstr(diff, 5),
         digits_agreed=digits, tolerance=mpmath.nstr(tol, 5), notes=notes,
         timing=t)
@@ -104,16 +110,10 @@ def cmd_verify_identity(args) -> list:
         with ctx.workprec():
             lhs = hecke.lstar_zero(c, ctx, tbl)
             rhs = hyp3f2.rhs_main(N, ctx)
-            diff = abs(lhs.val - rhs.val)
-            # each side's err bounds its own error, so the sides must
-            # agree within the sum of the two
-            tol = lhs.err + rhs.err
-            # sides equal to the last bit agree to the working precision
             out.append(_numeric(
-                f"identity_L{N}", lhs.val, rhs.val, diff, tol,
+                f"identity_L{N}", lhs, rhs,
                 notes="L*(E,0) from the Hecke L-series vs the "
-                      "hypergeometric combination", t=time.monotonic() - t0,
-                resolution=mpmath.ldexp(abs(lhs.val), -ctx.prec_bits)))
+                      "hypergeometric combination", t=time.monotonic() - t0))
     return out
 
 
@@ -214,36 +214,19 @@ def cmd_verify_divisors(args) -> list:
     return out
 
 
-def _closed_form(exponents: dict):
-    """(value at working precision, display) of prod base^e over the
-    bases "2", "3" and "pi"."""
-    bases = {"2": mpmath.mpf(2), "3": mpmath.mpf(3), "pi": mpmath.pi}
-    value = mpmath.mpf(1)
-    for base, e in exponents.items():
-        value *= mpmath.power(bases[base],
-                              mpmath.mpf(e.numerator) / e.denominator)
-    form = " * ".join(f"{base}^({e})" for base, e in exponents.items() if e)
-    return value, form
-
-
 def cmd_verify_periods(args) -> list:
     ctx = _ctx(args)
     out = []
     for N in _curves(args):
         t0 = time.monotonic()
+        a, b, q = claims.period_form(N)
         with ctx.workprec():
-            got = ellper.real_period(N, ctx)
-            want, form = _closed_form(claims.period_exponents(N))
-            tol = mpmath.mpf(10) ** (-(ctx.digits - 5))
             out.append(_numeric(
-                f"real_period_E{N}", got, want, abs(got - want), tol,
-                notes=f"closed form {form}", t=time.monotonic() - t0,
-                resolution=mpmath.ldexp(abs(want), -ctx.prec_bits)))
-        h_nu_bar = ellper.h_nu_bar(N)
-        out.append(_exact(
-            f"omega_over_nubar_real_E{N}", h_nu_bar, h_nu_bar.conj(),
-            h_nu_bar == h_nu_bar.conj(),
-            notes="Omega / conj(nu) = Omega_R / (h*conj(nu)) must be real"))
+                f"real_period_E{N}", ellper.lattice(N, ctx),
+                q * mpnum.beta(a, b, ctx),
+                notes=f"omega1 = pi / AGM of the root gaps vs its "
+                      f"Chowla-Selberg form {q} * B({a}, {b})",
+                t=time.monotonic() - t0))
     return out
 
 

@@ -2,12 +2,13 @@
 
 The curve differential du/(2v) is rescaled to omega_E = o c du/(2v), with o
 the orientation sign, so that int omega ^ conj(omega) / (2 pi i) = -1, i.e.
-the period lattice Gamma = O_K Omega has covolume pi.  With the real period
-omega1 of du/(2v) and the unit h with Omega_R = h Omega, this gives
-Omega = c omega1 / h and Omega_R = |h| sqrt(pi / covol(O_K)).  A point whose
-du/(2v) logarithm is z is labelled by w = z_E conj(nu) / Omega
+the period lattice Gamma = O_K Omega has covolume pi.  With omega1 the real
+period of du/(2v), Omega_R = c omega1 is that of omega_E, and the unit h with
+Omega_R = h Omega gives Omega = c omega1 / h.  A point whose du/(2v)
+logarithm is z is labelled by w = z_E conj(nu) / Omega
 = o (h conj(nu)) z / omega1, so c cancels: omega1, one AGM, is the only
-transcendental input, and h conj(nu) is exact.
+transcendental input, and h conj(nu) is exact.  By Chowla-Selberg omega1 is
+also a Beta value, the form verify-periods checks it against.
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ def h_nu_bar(N: int) -> CycloNum:
     """h conj(nu), exact: w = o h conj(nu) z / omega1.  Omega / conj(nu) =
     Omega_R / (h conj(nu)) is real iff this is."""
     return _ok(N, _H_AND_ORIENTATION[N][0]) * _ok(N, hecke.curve(N).nu).conj()
-
-
-def real_period(N: int, ctx: PrecisionContext) -> mpf:
-    """Omega_R = |h| sqrt(pi / covol(O_K)), which the covolume pi fixes
-    without an AGM; covol(Z + Z t) = sqrt(4 - s^2) / 2."""
-    s = hecke.curve(N).s
-    with ctx.workprec():
-        h = _embed(_ok(N, _H_AND_ORIENTATION[N][0]), ctx)
-        return abs(h) * mpmath.sqrt(mpmath.pi / (mpmath.sqrt(4 - s * s) / 2))
 
 
 # elliptic logarithms ---------------------------------------------------------

@@ -285,13 +285,11 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
 
 
 def ftilde(a, b, ctx: PrecisionContext) -> ArbReal:
-    """(Gamma(a) Gamma(b) / Gamma(a+b))^2 * 3F2(a, b, a+b-1; a+b, a+b; 1)
-    for rationals a, b, with the Gamma values in closed form
-    (`mpnum.rational_gamma`, which raises at a pole)."""
+    """B(a, b)^2 * 3F2(a, b, a+b-1; a+b, a+b; 1) for rationals a, b, with
+    the Beta value in closed form (`mpnum.beta`)."""
     a, b = Fraction(a), Fraction(b)
     with ctx.workprec():
-        pre = (mpnum.rational_gamma(a, ctx) * mpnum.rational_gamma(b, ctx)
-               / mpnum.rational_gamma(a + b, ctx))
+        pre = mpnum.beta(a, b, ctx)
         return pre * pre * f32_unit(HypParams(a, b, a + b - 1, a + b, a + b),
                                     ctx)
 

@@ -456,3 +456,11 @@ def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
         if n >= 0:
             return g * math.prod(r + j for j in range(n))
         return g / math.prod(r - j for j in range(1, 1 - n))
+
+
+def beta(a, b, ctx: PrecisionContext) -> ArbReal:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for rationals a, b whose
+    Gamma values `rational_gamma` takes (it raises at a pole)."""
+    with ctx.workprec():
+        return (rational_gamma(a, ctx) * rational_gamma(b, ctx)
+                / rational_gamma(a + b, ctx))

@@ -185,14 +185,12 @@ def test_acceptance_10_periods():
     reports, _ = _run("verify-periods", "--digits", str(CTX.digits))
     tol = mpmath.mpf(10) ** -25
     periods = _claims(reports, "real_period_E36", "real_period_E64")
-    real = _claims(reports, "omega_over_nubar_real_E36",
-                   "omega_over_nubar_real_E64")
     d36, d64 = (mpmath.mpf(r.abs_err) for r in periods)
-    ok = (_all_pass(periods + real) and d36 < tol and d64 < tol
-          and all(r.kind == "exact" for r in real))
-    _report(10, ok, f"real periods match sqrt(6*pi/sqrt(3)) and sqrt(pi) to "
-                    f"25 digits (errors {mpmath.nstr(d36, 2)}, "
-                    f"{mpmath.nstr(d64, 2)}); Omega/conj(nu) real, exactly")
+    ok = (len(reports) == 2 and _all_pass(periods) and d36 < tol
+          and d64 < tol and all(r.kind == "numeric" for r in periods))
+    _report(10, ok, f"real periods omega1 match B(1/2, 1/3) and "
+                    f"B(1/4, 1/4)/4 to 25 digits (errors "
+                    f"{mpmath.nstr(d36, 2)}, {mpmath.nstr(d64, 2)})")
 
 
 def test_acceptance_11_torsion_labels():

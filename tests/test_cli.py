@@ -1,10 +1,12 @@
 """CLI harness: exit codes, report formats, determinism."""
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -13,7 +15,8 @@ import pytest
 import ellhyp
 from ellhyp import claims, ellper, mpnum
 from ellhyp.cli import main, reports_to_json, VerificationReport
-from ellhyp.ecdiv import law, torsion_Ef
+from ellhyp.cyclo import I
+from ellhyp.ecdiv import GroupLaw, law, torsion_Ef
 
 
 def run(capsys, *argv):
@@ -212,16 +215,20 @@ def _period_status(capsys):
 def test_verify_periods_reads_claimed_exponents(capsys):
     code, e36, e64 = _period_status(capsys)
     assert code == 0 and e36["status"] == e64["status"] == "pass"
-    assert e36["notes"] == "closed form 2^(1/2) * 3^(1/4) * pi^(1/2)"
-    assert e64["notes"] == "closed form pi^(1/2)"
+    assert e36["notes"] == ("omega1 = pi / AGM of the root gaps vs its "
+                            "Chowla-Selberg form 1 * B(1/2, 1/3)")
+    assert e64["notes"] == ("omega1 = pi / AGM of the root gaps vs its "
+                            "Chowla-Selberg form 1/4 * B(1/4, 1/4)")
 
 
-@pytest.mark.parametrize("N, base, exponent", [
-    ("36", "3", "1/3"), ("36", "pi", "1/4"), ("64", "2", "1/2")])
-def test_verify_periods_fails_on_changed_exponent(capsys, monkeypatch, N,
-                                                  base, exponent):
+@pytest.mark.parametrize("N, key, value", [
+    ("36", "beta", ["1/2", "2/3"]), ("36", "factor", "2"),
+    ("64", "beta", ["1/4", "3/4"]), ("64", "factor", "1/2")],
+    ids=["36-beta", "36-factor", "64-beta", "64-factor"])
+def test_verify_periods_fails_on_a_changed_beta_form(capsys, monkeypatch, N,
+                                                     key, value):
     data = copy.deepcopy(claims.raw())
-    data["periods"][N][base] = exponent
+    data["periods"][N][key] = value
     monkeypatch.setattr(claims, "raw", lambda: data)
     code, e36, e64 = _period_status(capsys)
     changed, kept = (e36, e64) if N == "36" else (e64, e36)
@@ -229,25 +236,64 @@ def test_verify_periods_fails_on_changed_exponent(capsys, monkeypatch, N,
     assert changed["status"] == "fail" and kept["status"] == "pass"
 
 
-def test_verify_periods_fails_on_a_wrong_unit(capsys, monkeypatch):
-    # h = 1 + i is no unit: |h| moves the real period off its closed form,
-    # and h conj(nu) = 4 + 4i is not real
-    monkeypatch.setitem(ellper._H_AND_ORIENTATION, 64, ((1, 1), +1))
-    code, out, err = run(capsys, "verify-periods", "--curve", "64")
-    assert code == 1 and err == ""
-    assert "[FAIL] real_period_E64" in out
-    assert "[FAIL] omega_over_nubar_real_E64" in out
-
-
 @pytest.fixture
 def fresh_lattice():
     ellper.lattice.cache_clear()
+    mpnum._gamma_agm.cache_clear()
     yield
     ellper.lattice.cache_clear()
+    mpnum._gamma_agm.cache_clear()
+
+
+def _shifted_root(monkeypatch, N, k, shift):
+    """law(N) with its k-th root (largest real first) moved by `shift`."""
+    real = ellper.law
+    curve = real(N).curve
+    roots = list(curve.roots)
+    roots[k] = roots[k] + shift
+    moved = GroupLaw(dataclasses.replace(curve, roots=tuple(roots)))
+    monkeypatch.setattr(ellper, "law",
+                        lambda n: moved if n == N else real(n))
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("N", [36, 64])
+def test_verify_periods_fails_on_a_moved_root(capsys, monkeypatch,
+                                              fresh_lattice, N, digits):
+    # the AGM of the root gaps against the Beta value: a real root moved by
+    # 10^-12 moves omega1 far outside the two balls
+    _shifted_root(monkeypatch, N, 0, Fraction(1, 10 ** 12))
+    code, out, err = run(capsys, "verify-periods", "--digits", str(digits))
+    assert code == 1 and err == ""
+    other = 100 - N
+    assert f"[FAIL] real_period_E{N}" in out
+    assert f"[PASS] real_period_E{other}" in out
+
+
+def test_verify_periods_rejects_a_non_real_period(capsys, monkeypatch,
+                                                  fresh_lattice):
+    # a complex shift of e2 leaves omega1 off the real line
+    _shifted_root(monkeypatch, 64, 1, Fraction(1, 10 ** 12) * I)
+    code, out, err = run(capsys, "verify-periods", "--curve", "64")
+    assert code == 1 and out == ""
+    assert "error: real period came out non-real" in err
+
+
+def test_verify_periods_fails_on_a_wrong_unit(capsys, monkeypatch):
+    # h = 1 + i is no unit: it multiplies every label by 1 + i, which is
+    # not invertible mod nu = 4, so published labels move and labels collide
+    monkeypatch.setitem(ellper._H_AND_ORIENTATION, 64, ((1, 1), +1))
+    code, out, err = run(capsys, "verify-torsion-labels", "--curve", "64")
+    assert code == 1 and err == ""
+    for row in ("label_S_E64", "label_T_E64", "label_P0_E64",
+                "labels_bijective_E64"):
+        assert f"[FAIL] {row}" in out
 
 
 def test_torsion_labels_guard_the_agm(capsys, monkeypatch, fresh_lattice):
-    # verify-periods reads no AGM; a wrong omega1 moves every label off O_K
+    # both sides of verify-periods go through mpnum.agm (the lattice and the
+    # Gamma values of the Beta form), so a scaled AGM kernel moves them
+    # together; a wrong omega1 still moves every label off O_K
     real_agm = mpnum.agm
     monkeypatch.setattr(mpnum, "agm", lambda a, b, ctx: tuple(
         x * mpmath.mpf("1.37") for x in real_agm(a, b, ctx)))
@@ -371,9 +417,9 @@ def test_verify_identity_reports_agreement_of_equal_sides(capsys):
 @pytest.mark.parametrize("argv", [["verify-all", "--digits", "30"],
                                   ["verify-periods", "--digits", "100"]])
 def test_every_numeric_row_reports_an_integer_agreement(capsys, argv):
-    # rows whose sides match exactly (the E64 period) report the working
-    # precision, not null; the two identities and the two real periods are
-    # the numeric rows
+    # rows whose sides match exactly (the E64 period at 30 and 100 digits)
+    # report the working precision, not null; the two identities and the
+    # two real periods are the numeric rows
     code, out, _ = run(capsys, *argv, "--report", "json", "--deterministic")
     assert code == 0
     numeric = [r for r in json.loads(out)["reports"] if r["kind"] == "numeric"]

@@ -49,12 +49,15 @@ def test_raw_real_period_against_carlson_oracle():
 
 
 def test_real_period_closed_forms():
+    # Chowla-Selberg: omega1 = B(1/2, 1/3) on E36 and B(1/4, 1/4) / 4 on E64,
+    # here with mpmath's beta as the oracle
     with CTX.workprec():
         tol = mpmath.mpf(10) ** -25
-        got36 = ellper.real_period(36, CTX)
-        assert abs(got36 - mpmath.sqrt(6 * mpmath.pi / mpmath.sqrt(3))) < tol
-        got64 = ellper.real_period(64, CTX)
-        assert abs(got64 - mpmath.sqrt(mpmath.pi)) < tol
+        got36 = lattice(36, CTX).val
+        assert abs(got36 - mpmath.beta(mpmath.mpf(1) / 2,
+                                       mpmath.mpf(1) / 3)) < tol
+        got64 = lattice(64, CTX).val
+        assert abs(got64 - mpmath.beta(0.25, 0.25) / 4) < tol
 
 
 def test_derived_curve_facts_match_the_published_ones():
