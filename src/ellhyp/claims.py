@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .cyclo import parse_cyclo
-from .ecdiv import CurvePoint, Divisor, law, torsion_Ef
+from .ecdiv import CurvePoint, law, torsion_Ef
 from .ksym.ffield import ELLIPTIC, FFElem, ff_parse
 from .ksym.ratfunc import Poly
 
@@ -51,7 +51,7 @@ class DivisorClaim:
     N: int
     name: str
     text: str                 # the function literal
-    divisor: Divisor
+    divisor: dict             # {point: multiplicity}
     up_to_two_torsion: bool
     note: str
 
@@ -66,13 +66,17 @@ def _formal(terms: list, pts: dict) -> list:
     return [(pts[name], mult) for mult, name in terms]
 
 
-def _divisor(N: int, entry: dict, pts: dict) -> Divisor:
-    """The terms [mult, point name] of entry["divisor"], plus
-    entry["torsion_mult"] times every point of E_f when that key is set."""
+def _divisor(N: int, entry: dict, pts: dict) -> dict:
+    """{point: mult} from the terms [mult, point name] of entry["divisor"],
+    plus entry["torsion_mult"] times every point of E_f when that key is set;
+    repeated points merge and zero multiplicities drop."""
     terms = _formal(entry["divisor"], pts)
     if "torsion_mult" in entry:
         terms += [(x, entry["torsion_mult"]) for x in torsion_Ef(N)]
-    return Divisor(terms)
+    div = {}
+    for x, mult in terms:
+        div[x] = div.get(x, 0) + mult
+    return {x: mult for x, mult in div.items() if mult}
 
 
 def _divisor_claim(N: int, entry: dict, pts: dict) -> DivisorClaim:
@@ -124,7 +128,7 @@ def period_form(N: int) -> tuple:
 @dataclass(frozen=True)
 class SteinbergClaim:
     f: DivisorClaim
-    one_minus_f: Divisor
+    one_minus_f: dict
     beta: list                # [(point, coefficient)]
     kills: str                # name of the point whose class becomes 0
     note: str
@@ -133,8 +137,8 @@ class SteinbergClaim:
 @dataclass(frozen=True)
 class BlochClaim:
     """Inputs and published results of the Bloch-map checks on one curve."""
-    f_alpha: Divisor
-    f_beta: Divisor
+    f_alpha: dict             # {point: multiplicity}
+    f_beta: dict
     pushforward: tuple        # two DivisorClaims
     beta_e0: list             # [(point, coefficient)]
     beta_pushforward: list

@@ -219,47 +219,7 @@ def torsion_Ef(N: int) -> tuple:
     return members
 
 
-# divisors and formal sums --------------------------------------------------
-
-class Divisor:
-    """Z-linear combination of curve points, canonically merged and sorted."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        for p, m in terms:
-            if m == 0:
-                continue
-            acc[p] = acc.get(p, 0) + int(m)
-        self.terms = tuple(sorted(
-            ((p, m) for p, m in acc.items() if m != 0),
-            key=lambda t: t[0].sort_key()))
-
-    def degree(self) -> int:
-        return sum(m for _, m in self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Divisor) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __add__(self, other):
-        return Divisor(self.terms + other.terms)
-
-    def __neg__(self):
-        return Divisor(tuple((p, -m) for p, m in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        return "Divisor(" + " + ".join(f"{m}*{p!r}" for p, m in self.terms) + ")"
-
+# formal sums and the Bloch map ---------------------------------------------
 
 class FormalSum:
     """Q-linear combination of points, canonical modulo [p] + [(-)p] = 0.
@@ -316,16 +276,15 @@ class FormalSum:
             f"{q}*[{p!r}]" for p, q in self.items()) + ")"
 
 
-def beta_map(law: GroupLaw, div_f: Divisor, div_g: Divisor) -> FormalSum:
-    """Bloch map: (sum m_i [p_i], sum n_j [q_j]) -> sum m_i n_j [p_i - q_j]."""
+def beta_map(law: GroupLaw, div_f: dict, div_g: dict) -> FormalSum:
+    """Bloch map: (sum m_i [p_i], sum n_j [q_j]) -> sum m_i n_j [p_i - q_j],
+    on divisors given as {point: multiplicity}; zero entries add nothing."""
     for d, name in ((div_f, "f"), (div_g, "g")):
-        if d.degree() != 0:
+        if sum(d.values()) != 0:
             raise CurveError(f"divisor of {name} must have degree 0")
-    terms = []
-    for p, m in div_f:
-        for q, n in div_g:
-            terms.append((law.sub(p, q), Fraction(m * n)))
-    return FormalSum(law, terms)
+    return FormalSum(law, [(law.sub(p, q), Fraction(m * n))
+                           for p, m in div_f.items() if m
+                           for q, n in div_g.items() if n])
 
 
 def _clear(row: dict, pivots: list) -> dict:

@@ -9,7 +9,7 @@ from .ffield import (E36FF, E64FF, ELLIPTIC, FERMAT4, FERMAT6, INTERC, MAPS,
 from .symbols import (NonterminationError, Symbol, SymbolError,
                       evaluate_pullback, pushforward_e36, rosset_tate,
                       rosset_tate_chain, verify_annihilation)
-from .series import Place, ord_at, tame_symbol, verify_divisor
+from .series import Place, divisor, ord_at, tame_symbol, verify_divisor
 
 __all__ = [
     "Poly", "RatFunc", "E36FF", "E64FF", "ELLIPTIC", "FERMAT4", "FERMAT6",
@@ -18,5 +18,6 @@ __all__ = [
     "project_interC_to_e36", "substitute_quotient", "NonterminationError",
     "Symbol", "SymbolError", "evaluate_pullback", "pushforward_e36",
     "rosset_tate", "rosset_tate_chain",
-    "verify_annihilation", "Place", "ord_at", "tame_symbol", "verify_divisor",
+    "verify_annihilation", "Place", "divisor", "ord_at", "tame_symbol",
+    "verify_divisor",
 ]

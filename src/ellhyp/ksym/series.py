@@ -1,4 +1,4 @@
-"""Valuations, leading coefficients, tame symbols, and divisor verification.
+"""Valuations, leading coefficients, tame symbols, and divisors.
 
 Places on the elliptic curves v^2 = m(u) carry the standard uniformizers:
 u - u0 at finite points with v != 0, v at the finite 2-torsion points, and
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cyclo import CycloNum
-from ..ecdiv import CurvePoint, Divisor
+from ..ecdiv import CurvePoint
 from .ffield import FFElem, FieldError, FunctionField
 from .ratfunc import Poly
 
@@ -146,10 +146,20 @@ def tame_symbol(f: FFElem, g: FFElem, pl: Place) -> tuple:
     return m, n, val
 
 
-def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
-                   up_to_two_torsion: bool = False) -> bool:
-    """Check div(f) == claimed: orders match at the claimed support, the
-    degree is 0, and the claimed poles exhaust the pole bound from the norm.
+def divisor(f: FFElem, claimed: dict, up_to_two_torsion: bool = False) -> dict:
+    """{point: ord f} read at the claimed support, in the claimed order, and
+    with up_to_two_torsion=True also at every 2-torsion point not claimed."""
+    points = list(claimed)
+    if up_to_two_torsion:
+        points += [p for p in f.field.curve.two_torsion() if p not in claimed]
+    return {p: ord_at(f, Place(f.field, p)) for p in points}
+
+
+def verify_divisor(f: FFElem, claimed: dict,
+                   up_to_two_torsion: bool = False) -> list:
+    """Notes on where div(f) and the claimed {point: order} disagree, [] when
+    they agree: orders match at the claimed support, the claimed degree is 0,
+    and the computed zeros sum to the pole bound from the norm.
 
     With up_to_two_torsion=True, multiplicities are allowed to be regrouped
     among 2-torsion points (where classes vanish in the Bloch group) as long
@@ -157,42 +167,24 @@ def verify_divisor(f: FFElem, claimed: Divisor, report: list | None = None,
     is exact.  This accepts published displays that split a 2-torsion
     multiplicity across equivalent points.
     """
-    ok = True
-
-    def note(msg):
-        nonlocal ok
-        ok = False
-        if report is not None:
-            report.append(msg)
-
-    if claimed.degree() != 0:
-        note(f"claimed divisor has degree {claimed.degree()}, expected 0")
-    two_torsion_delta = 0
-    pos_claimed = 0
-    pos_computed = 0
-    support = {point: mult for point, mult in claimed}
-    if up_to_two_torsion:
-        for point in f.field.curve.two_torsion():
-            support.setdefault(point, 0)
-    for point, mult in support.items():
-        pl = Place(f.field, point)
-        got = ord_at(f, pl)
-        if got != mult:
-            if up_to_two_torsion and (point.infinite or not point.v):
-                two_torsion_delta += got - mult
-            else:
-                note(f"ord at {point!r}: claimed {mult}, computed {got}")
-        if mult > 0:
-            pos_claimed += mult
-        if got > 0:
-            pos_computed += got
-    if up_to_two_torsion:
-        if two_torsion_delta != 0:
-            note(f"2-torsion regrouping does not balance "
-                 f"(net {two_torsion_delta})")
+    bad = []
+    degree = sum(claimed.values())
+    if degree != 0:
+        bad.append(f"claimed divisor has degree {degree}, expected 0")
+    got = divisor(f, claimed, up_to_two_torsion)
+    regrouped = 0
+    for point, order in got.items():
+        want = claimed.get(point, 0)
+        if order == want:
+            continue
+        if up_to_two_torsion and (point.infinite or not point.v):
+            regrouped += order - want
+        else:
+            bad.append(f"ord at {point!r}: claimed {want}, computed {order}")
+    if regrouped:
+        bad.append(f"2-torsion regrouping does not balance (net {regrouped})")
+    zeros = sum(order for order in got.values() if order > 0)
     bound = f.norm_to_rational_subfield().max_degree()
-    pos = pos_computed if up_to_two_torsion else pos_claimed
-    if pos != bound:
-        note(f"{'computed' if up_to_two_torsion else 'claimed'} zeros sum to "
-             f"{pos}, norm pole bound is {bound}")
-    return ok
+    if zeros != bound:
+        bad.append(f"computed zeros sum to {zeros}, norm pole bound is {bound}")
+    return bad

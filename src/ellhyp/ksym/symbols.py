@@ -82,11 +82,11 @@ def evaluate_pullback(g: Poly, curve_map, generator: FFElem) -> FFElem:
                  for c in g.coeffs]).eval(generator)
 
 
-def rosset_tate(g0: Poly, g1: Poly) -> list:
+def rosset_tate(g0: Poly, g1: Poly) -> tuple:
     """Trace of {c(g1-root), generator} down the extension cut out by g0.
 
     Builds the chain g_{i+1} = g*_{i-1} mod g_i of strictly decreasing degree
-    and returns -sum_{i=1}^{m} {c(g*_{i-1}), c(g_i)} as the terms
+    and returns it with -sum_{i=1}^{m} {c(g*_{i-1}), c(g_i)} as the terms
     [(-1, {c(g*_{i-1}), c(g_i)}) for i = 1..m].
     """
     if g0.is_zero() or g1.is_zero():
@@ -97,9 +97,9 @@ def rosset_tate(g0: Poly, g1: Poly) -> list:
     if g1.degree >= g0.degree:
         raise SymbolError("g1 must have degree smaller than g0")
     chain = rosset_tate_chain(g0, g1)
-    return [(-1, Symbol(content_sign(star(chain[i - 1])),
-                        content_sign(chain[i])))
-            for i in range(1, len(chain))]
+    return chain, [(-1, Symbol(content_sign(star(chain[i - 1])),
+                               content_sign(chain[i])))
+                   for i in range(1, len(chain))]
 
 
 def rosset_tate_chain(g0: Poly, g1: Poly):

@@ -516,10 +516,10 @@ def test_symbol_rewriting_moves():
 
 def test_rosset_tate_reproduces_published_data():
     g0, g1, g2_expected, expected = claims.rosset_tate_input()
-    chain = rosset_tate_chain(g0, g1)
+    chain, trace = rosset_tate(g0, g1)
+    assert chain == rosset_tate_chain(g0, g1)
     assert [g.degree for g in chain] == [2, 1, 0]
     assert chain[2].coeffs[0] == g2_expected
-    trace = rosset_tate(g0, g1)
     rewritten = []
     for coef, sym in trace:
         assert coef in (1, -1)
@@ -562,7 +562,8 @@ def test_single_step_rosset_tate():
     g0 = Poly([ff_parse(E64FF, "-u"), ff_parse(E64FF, "0"),
                ff_parse(E64FF, "1")])
     g1 = Poly([ff_parse(E64FF, "v")])
-    out = rosset_tate(g0, g1)
+    chain, out = rosset_tate(g0, g1)
+    assert chain == [g0, g1]
     assert len(out) == 1
     coef, sym = out[0]
     assert coef == -1

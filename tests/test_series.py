@@ -5,13 +5,19 @@ v^2 = m(u).  The truncated Laurent series below, with local coordinates found
 by Newton iteration, is the former product path; it stays here as the oracle
 for those closed forms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ellhyp
 from ellhyp import claims
 from ellhyp.cyclo import CycloNum, one, zero
-from ellhyp.ecdiv import CURVE36, CURVE64, CurvePoint, Divisor, torsion_Ef
-from ellhyp.ksym import (E36FF, E64FF, Place, ff_parse, ord_at, tame_symbol,
-                         verify_divisor)
+from ellhyp.ecdiv import CURVE36, CURVE64, CurvePoint, torsion_Ef
+from ellhyp.ksym import (E36FF, E64FF, Place, divisor, ff_parse, ord_at,
+                         tame_symbol, verify_divisor)
 from ellhyp.ksym.ratfunc import Poly
 from ellhyp.ksym.series import _leading
 
@@ -316,7 +322,7 @@ def test_weil_reciprocity_on_claim_pairs(N):
     assert len(pairs) == 6
     field, curve = (E36FF, CURVE36) if N == 36 else (E64FF, CURVE64)
     for a, b in pairs:
-        support = {p for p, _ in a.divisor} | {p for p, _ in b.divisor}
+        support = set(a.divisor) | set(b.divisor)
         support.update(curve.two_torsion())
         prod = one()
         for point in support:
@@ -330,35 +336,62 @@ def test_verify_divisor_literal_f2_display_fails_strict():
     # it is not div(f2), and strict verification must say so
     claim = next(c for c in claims.divisor_claims(64) if c.name == "f2")
     assert claim.up_to_two_torsion
-    assert not verify_divisor(claim.function, claim.divisor, [],
-                              up_to_two_torsion=False)
-    # the true divisor passes strictly
+    assert verify_divisor(claim.function, claim.divisor) != []
+    assert verify_divisor(claim.function, claim.divisor, True) == []
+    # the true divisor passes strictly, and is what divisor() reads
     p = claims.points(64)
-    true_div = Divisor([(p["P0"], 4), (p["Q0"], -1), (p["mQ0"], -1),
-                        (p["Q3"], -1), (p["mQ3"], -1)])
-    assert verify_divisor(claim.function, true_div, [])
+    true_div = {p["P0"]: 4, p["Q0"]: -1, p["mQ0"]: -1, p["Q3"]: -1,
+                p["mQ3"]: -1}
+    assert verify_divisor(claim.function, true_div) == []
+    literal = divisor(claim.function, claim.divisor, True)
+    assert {x: m for x, m in literal.items() if m} == true_div
 
 
 def test_verify_divisor_rejects_wrong_claims():
     f = ff_parse(E36FF, "1-v")
     p = claims.points(36)
-    wrong_mult = Divisor([(p["P"], 2), (p["Q"], -2)])
-    assert not verify_divisor(f, wrong_mult, [])
-    wrong_support = Divisor([(p["O"], 3), (p["Q"], -3)])
-    assert not verify_divisor(f, wrong_support, [])
+    wrong_mult = {p["P"]: 2, p["Q"]: -2}
+    assert verify_divisor(f, wrong_mult) != []
+    wrong_support = {p["O"]: 3, p["Q"]: -3}
+    assert verify_divisor(f, wrong_support) != []
     # the 2-torsion escape hatch must not bless genuinely wrong divisors
-    assert not verify_divisor(f, wrong_mult, [], up_to_two_torsion=True)
-    nonzero_degree = Divisor([(p["P"], 3)])
-    assert not verify_divisor(f, nonzero_degree, [])
+    assert verify_divisor(f, wrong_mult, True) != []
+    nonzero_degree = {p["P"]: 3}
+    assert verify_divisor(f, nonzero_degree) != []
 
 
 def test_verify_divisor_reports():
     claim = next(c for c in claims.divisor_claims(36) if c.name == "1-v")
-    rep = []
-    assert verify_divisor(claim.function, claim.divisor, rep)
-    assert rep == []  # no failure notes on success
+    assert verify_divisor(claim.function, claim.divisor) == []
     p = claims.points(36)
-    rep = []
-    assert not verify_divisor(claim.function,
-                              Divisor([(p["P"], 2), (p["Q"], -2)]), rep)
-    assert rep  # failures come with a human-readable trail
+    # failures come with a human-readable trail, in the claim's order
+    assert verify_divisor(claim.function, {p["P"]: 2, p["Q"]: -2}) == [
+        "ord at CurvePoint(0, 1): claimed 2, computed 3",
+        "ord at CurvePoint(inf): claimed -2, computed -3"]
+
+
+_NOTES_SCRIPT = """
+from ellhyp import claims
+from ellhyp.ksym import ff_parse, ELLIPTIC, verify_divisor
+p = claims.points(36)
+print(verify_divisor(ff_parse(ELLIPTIC[36], "1-v"), {p["P"]: 2, p["Q"]: -2}))
+f2 = next(c for c in claims.divisor_claims(64) if c.name == "f2")
+wrong = dict(f2.divisor)
+wrong[claims.point(64, "O")] += 1
+print(verify_divisor(f2.function, wrong, True))
+"""
+
+
+def test_verify_divisor_notes_independent_of_hash_seed():
+    # CurvePoint.infinity() hashes as hash("inf"), which the seed moves; the
+    # notes must follow the claim's order, not a set's
+    src = str(Path(ellhyp.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _NOTES_SCRIPT], env=env,
+            capture_output=True, check=True, text=True, timeout=300).stdout)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert len(lines) == 2 and "[]" not in lines
