@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from . import claims, ecdiv, ellper, hecke, hyp3f2, mpnum
-from .cyclo import parse_cyclo
+from .cyclo import parse_cyclo_pair
 from .ecdiv import FormalSum, beta_map, b3_reduce, law, torsion_Ef, \
     torsion_generators
 from .ksym import (ELLIPTIC, MAPS, FieldError, Place, divisor,
@@ -166,11 +166,10 @@ def cmd_rosset_tate(args) -> list:
     out = []
     chain, trace = rosset_tate(g0, g1)
     degs = [g.degree for g in chain]
-    out.append(_exact("rosset_tate_degrees", degs, [2, 1, 0],
-                      degs == [2, 1, 0]))
-    g2 = chain[2].coeffs[0]
+    degs_ok = degs == [2, 1, 0]
+    out.append(_exact("rosset_tate_degrees", degs, [2, 1, 0], degs_ok))
     out.append(_exact("rosset_tate_g2", "computed g2", "32u^2/(v^2(u-2)^2)",
-                      chain[2].degree == 0 and g2 == g2_expected))
+                      degs_ok and chain[2].coeffs[0] == g2_expected))
     # rewrite each -{a, b} as {a^-1, b} and compare with the published pair
     rewritten = [sym.inv_first() if coef == -1 else sym
                  for coef, sym in trace]
@@ -315,49 +314,29 @@ def cmd_hyp(args) -> list:
     return []
 
 
-def _parse_place(text: str) -> ecdiv.CurvePoint:
-    """``inf``, or ``(u,v)``: one enclosing pair of parentheses around two
-    cyclo literals separated by the only top-level comma."""
-    text = text.strip()
-    if text == "inf":
-        return ecdiv.CurvePoint.infinity()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise UsageError(f"bad --place {text!r}: expected (u,v) or inf")
-    inner = text[1:-1]
-    depth = 0
-    commas = []
-    for pos, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                break
-        elif ch == "," and depth == 0:
-            commas.append(pos)
-    if depth != 0 or len(commas) != 1:
-        raise UsageError(f"bad --place {text!r}: expected (u,v) or inf")
+def _literal(option: str, text: str, parse):
+    """``parse(text)``, with a malformed literal as a usage error."""
     try:
-        u = parse_cyclo(inner[:commas[0]])
-        v = parse_cyclo(inner[commas[0] + 1:])
-    except ZeroDivisionError:
-        raise UsageError(f"bad --place {text!r}: divides by zero") from None
-    except ValueError as exc:
-        raise UsageError(f"bad --place {text!r}: {exc}") from None
-    return ecdiv.CurvePoint(u, v)
-
-
-def _function(field, option: str, text: str):
-    """A nonzero function of the field, else a usage error."""
-    try:
-        h = ff_parse(field, text)
+        return parse(text)
     except ZeroDivisionError:
         raise UsageError(f"bad {option} {text!r}: divides by zero") from None
     except ValueError as exc:
         raise UsageError(f"bad {option} {text!r}: {exc}") from None
+
+
+def _function(field, option: str, text: str):
+    """A nonzero function of the field, else a usage error."""
+    h = _literal(option, text, lambda t: ff_parse(field, t))
     if h.is_zero():
         raise UsageError(f"bad {option} {text!r}: zero has no valuation")
     return h
+
+
+def _parse_place(text: str) -> ecdiv.CurvePoint:
+    """``inf``, or the point ``(u,v)``."""
+    if text.strip() == "inf":
+        return ecdiv.CurvePoint.infinity()
+    return ecdiv.CurvePoint(*_literal("--place", text, parse_cyclo_pair))
 
 
 def cmd_tame(args) -> list:

@@ -17,14 +17,18 @@ conjugates of x, N(x) = x p is rational and 1/x = p / N(x).
 The field contains zeta_3, i, zeta_8 and hence sqrt(2), sqrt(3), sqrt(-3),
 which covers every algebraic coordinate appearing downstream.
 
-``parse_expression`` is the one literal parser of the package: ``parse_cyclo``
-and ``ksym.ffield.ff_parse`` differ only in the atoms they pass it.
+``parse_expression`` is the one literal parser of the package, one walk over
+a whitelist of Python ``ast`` nodes: ``parse_cyclo`` and
+``ksym.ffield.ff_parse`` differ only in the atoms they pass it, and
+``parse_cyclo_pair`` reads a point ``(u,v)`` through the same parse.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import operator
+import warnings
 from fractions import Fraction
 
 DEGREE = 8
@@ -304,94 +308,79 @@ def parse_cyclo(text: str) -> CycloNum:
     return parse_expression(text, "cyclo", cyclo_atom)
 
 
+def parse_cyclo_pair(text: str) -> tuple:
+    """``(u,v)``: two cyclo literals inside the text's one enclosing pair of
+    parentheses, split at its only comma."""
+    def pair(source, call):
+        # as the arguments of a call to the prefixed name, the pair's
+        # parentheses are the call's, so ((u,v)) and (u),(v) are not pairs;
+        # the arguments hold no comma, so a single comma rules out (u,v,)
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.end_col_offset == 1 and len(call.args) == 2
+                and not call.keywords and source.count(",") == 1):
+            raise ValueError("expected (u,v)")
+        return tuple(_walk(arg, source, "cyclo", cyclo_atom)
+                     for arg in call.args)
+    return _read("f" + text, "point", pair)
+
+
 # parsing -------------------------------------------------------------------
 #
-# expr  := [+-] term {(+|-) term}      power   := primary [(^|**) [-] digits]
-# term  := power {(*|/) power}         primary := ( expr ) | - primary | atom
-#
-# One recursive descent serves Q(zeta_24) and the function fields: the
-# caller's ``atom(token)`` gives the value a number or name denotes, or None.
-# Numbers are integer tokens and ``/`` is always division, so ``x^2/3`` is
-# ``(x^2)/3`` and ``3/4^2`` is ``3/16``.
+# A literal is a Python expression with ``^`` for ``**``.  One walk over a
+# whitelist of its ``ast`` nodes serves Q(zeta_24) and the function fields:
+# the caller's ``atom(token)`` gives the value a leaf's source text denotes,
+# or None.  Python's precedence holds, so ``/`` is always division and a
+# sign binds looser than a power.
 
-_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_expression(text: str, kind: str, atom):
     """Evaluate an arithmetic literal; ``kind`` names it in error messages."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad {kind} literal near {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    parser = _Descent(tokens, kind, atom)
-    val = parser.expr()
-    if parser.pos != len(tokens):
-        raise ValueError(f"trailing input in {kind} literal: {text!r}")
-    return val
+    return _read(text, kind,
+                 lambda source, body: _walk(body, source, kind, atom))
 
 
-class _Descent:
-    """The grammar above over a token list, one method per rule."""
+def _read(text: str, kind: str, evaluate):
+    """``evaluate(source, body)`` on the normalised text and its tree."""
+    # whitespace only separates tokens; "#" would start a comment
+    source = " ".join(text.split()).replace("^", "**")
+    if "#" in source:
+        raise ValueError(f"bad {kind} literal: unexpected '#'")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = ast.parse(source, mode="eval").body
+        return evaluate(source, body)
+    except SyntaxError as exc:
+        raise ValueError(f"bad {kind} literal: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"bad {kind} literal: nested too deeply") from None
 
-    def __init__(self, tokens, kind, atom):
-        self.tokens, self.kind, self.atom = tokens, kind, atom
-        self.pos = 0
 
-    def _take(self, *options):
-        """Consume and return the next token if it is one of ``options``."""
-        if self.pos < len(self.tokens) and self.tokens[self.pos] in options:
-            self.pos += 1
-            return self.tokens[self.pos - 1]
-        return None
-
-    def expr(self):
-        sign = self._take("+", "-")
-        val = self.term()
-        if sign == "-":
-            val = -val
-        while op := self._take("+", "-"):
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def term(self):
-        val = self.power()
-        while op := self._take("*", "/"):
-            rhs = self.power()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def power(self):
-        base = self.primary()
-        if not self._take("^", "**"):
-            return base
-        neg = self._take("-") is not None
-        if self.pos >= len(self.tokens) or not self.tokens[self.pos].isdigit():
+def _walk(node, source: str, kind: str, atom):
+    """The value of a whitelisted node; any other node is an error."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base = _walk(node.left, source, kind, atom)
+        e = node.right
+        neg = isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub)
+        digits = ast.get_source_segment(source, e.operand if neg else e)
+        if not digits.isdigit():
             raise ValueError("exponent must be an integer literal")
-        e = int(self.tokens[self.pos])
-        self.pos += 1
-        return base ** (-e if neg else e)
-
-    def primary(self):
-        if self.pos >= len(self.tokens):
-            raise ValueError(f"unexpected end of {self.kind} literal")
-        t = self.tokens[self.pos]
-        self.pos += 1
-        if t == "(":
-            val = self.expr()
-            if not self._take(")"):
-                raise ValueError(f"unbalanced parenthesis in {self.kind} literal")
-            return val
-        if t == "-":
-            return -self.primary()
-        val = self.atom(t)
+        return base ** (-int(digits) if neg else int(digits))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_walk(node.left, source, kind, atom),
+                                      _walk(node.right, source, kind, atom))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_walk(node.operand, source, kind, atom)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        return _walk(node.operand, source, kind, atom)
+    if isinstance(node, (ast.Constant, ast.Name)):
+        token = ast.get_source_segment(source, node)
+        val = atom(token)
         if val is None:
-            raise ValueError(f"unknown token {t!r} in {self.kind} literal")
+            raise ValueError(f"unknown token {token!r} in {kind} literal")
         return val
+    raise ValueError(f"unexpected {ast.get_source_segment(source, node)!r} "
+                     f"in {kind} literal")

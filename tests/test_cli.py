@@ -17,6 +17,7 @@ from ellhyp import claims, ellper, mpnum
 from ellhyp.cli import main, reports_to_json, VerificationReport
 from ellhyp.cyclo import I
 from ellhyp.ecdiv import GroupLaw, law, torsion_Ef
+from ellhyp.ksym import E64FF, Poly, ff_parse
 
 
 def run(capsys, *argv):
@@ -54,6 +55,18 @@ def test_rosset_tate_text(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[PASS]") for l in lines)
+
+
+def test_rosset_tate_short_chain_fails_its_rows(capsys, monkeypatch):
+    # a constant g1 stops the chain after two entries: no g2 to read
+    g0, _, g2, symbols = claims.rosset_tate_input()
+    g1 = Poly([ff_parse(E64FF, "v")])
+    monkeypatch.setattr(claims, "rosset_tate_input",
+                        lambda: (g0, g1, g2, symbols))
+    code, out, err = run(capsys, "rosset-tate")
+    assert code == 1 and err == ""
+    assert "[FAIL] rosset_tate_degrees: [2, 0] vs [2, 1, 0]" in out
+    assert "[FAIL] rosset_tate_g2:" in out
 
 
 def test_verify_bloch_json_schema(capsys):
@@ -351,8 +364,8 @@ def test_tame_place_with_nested_parentheses(capsys):
 
 
 @pytest.mark.parametrize("place", ["(0,1", "0,1", "((0,1))", "(0,1,2)",
-                                   "(0,1)(2,3)", "(0,)", "(1/0,1)",
-                                   "(1/(1-1),1)"])
+                                   "(0,1)(2,3)", "(0,)", "(0,1,)", "(0),(1)",
+                                   "(1)*2,3*(4)", "(1/0,1)", "(1/(1-1),1)"])
 def test_tame_malformed_place_is_usage_error(capsys, place):
     code, _, err = run(capsys, "tame", "--curve", "36", "--f", "1-v",
                        "--g", "1+u", "--place", place)
@@ -364,7 +377,7 @@ def test_tame_malformed_place_is_usage_error(capsys, place):
 
 @pytest.mark.parametrize("option", ["--f", "--g"])
 @pytest.mark.parametrize("text, reason",
-                         [("1+", "unexpected end"),
+                         [("1+", "bad e36 literal"),
                           ("0", "zero has no valuation"),
                           ("1/(1-1)", "divides by zero"),
                           ("3/0", "divides by zero")],
@@ -378,6 +391,34 @@ def test_tame_bad_function_is_usage_error(capsys, option, text, reason):
     assert code == 2 and out == ""
     assert err.startswith("usage error:")
     assert option in err and reason in err
+
+
+def _nested(text):
+    return "(" * 2000 + text + ")" * 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", _nested("1+u"), "--g", "1+u", "--place", "(0,1)"],
+    ["--f=" + "-" * 3000 + "u", "--g", "1+u", "--place", "(0,1)"],
+    ["--f", "1-v", "--g", "1+u", "--place", f"(0,{_nested('1')})"]],
+    ids=["f-parentheses", "f-signs", "place-parentheses"])
+def test_tame_deep_literal_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "tame", "--curve", "36", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+def test_tame_syntax_warning_stays_off_stderr():
+    # "1z" makes Python's parser warn before it fails: one line, no warning
+    src = str(Path(ellhyp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellhyp.cli", "tame", "--f", "1z", "--g", "u",
+         "--place", "(0,1)"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("usage error:")
+    assert "Warning" not in proc.stderr
 
 
 def test_tame_off_curve_place_is_usage_error(capsys):

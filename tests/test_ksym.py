@@ -1,15 +1,17 @@
 """Function-field arithmetic, norms, quotient maps, symbols, Rosset-Tate."""
 
+import contextlib
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellhyp import claims, cyclo
-from ellhyp.cyclo import CycloNum, one, parse_cyclo
+from ellhyp.cyclo import CycloNum, cyclo_atom, one, parse_cyclo
 from ellhyp.ksym import (E36FF, E64FF, FERMAT4, FERMAT6, INTERC, MAPS, FFElem,
                          FieldError, Poly, QuotientMap, RatFunc, SubfieldError,
                          Symbol, evaluate_pullback, ff_parse, kummer_norm,
@@ -374,8 +376,133 @@ def test_slash_after_a_power_divides():
         assert ff_parse(field, f"{x}^2/3") == ff_parse(field, f"{x}^2*1/3")
 
 
+def test_a_sign_binds_looser_than_a_power_after_an_operator():
+    assert parse_cyclo("-i^2") == one()
+    assert parse_cyclo("2*-i^2") == 2 * parse_cyclo("-i^2")
+    two = ff_parse(E36FF, "2")
+    assert ff_parse(E36FF, "2*-u^2") == two * ff_parse(E36FF, "-u^2")
+
+
+def test_python_grammar_beyond_the_hand_written_one():
+    assert parse_cyclo("2*+i") == 2 * parse_cyclo("i")
+    assert parse_cyclo("2^(3)") == 1 / parse_cyclo("2^-(3)") == 8
+    for text in ("012", "2^+1", "1 # comment"):
+        with pytest.raises(ValueError):
+            parse_cyclo(text)
+
+
+# The hand-written parser the ast walk replaced, kept as the oracle: a
+# tokenizer and a recursive descent over
+#
+# expr  := [+-] term {(+|-) term}      power   := primary [(^|**) [-] digits]
+# term  := power {(*|/) power}         primary := ( expr ) | - primary | atom
+_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
 # the tokenizer before "/" became an operator everywhere: "a/b" was one number
 _LEGACY_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z_]\w*|\*\*|[-+*/^()])")
+
+
+def _oracle_parse(text, kind, atom, token=_TOKEN):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = token.match(text, pos)
+        if not m:
+            raise ValueError(f"bad {kind} literal near {text[pos:]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    parser = _Descent(tokens, kind, atom)
+    val = parser.expr()
+    if parser.pos != len(tokens):
+        raise ValueError(f"trailing input in {kind} literal: {text!r}")
+    return val
+
+
+class _Descent:
+    """The grammar above over a token list, one method per rule."""
+
+    def __init__(self, tokens, kind, atom):
+        self.tokens, self.kind, self.atom = tokens, kind, atom
+        self.pos = 0
+
+    def _take(self, *options):
+        if self.pos < len(self.tokens) and self.tokens[self.pos] in options:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return None
+
+    def expr(self):
+        sign = self._take("+", "-")
+        val = self.term()
+        if sign == "-":
+            val = -val
+        while op := self._take("+", "-"):
+            rhs = self.term()
+            val = val + rhs if op == "+" else val - rhs
+        return val
+
+    def term(self):
+        val = self.power()
+        while op := self._take("*", "/"):
+            rhs = self.power()
+            val = val * rhs if op == "*" else val / rhs
+        return val
+
+    def power(self):
+        base = self.primary()
+        if not self._take("^", "**"):
+            return base
+        neg = self._take("-") is not None
+        if self.pos >= len(self.tokens) or not self.tokens[self.pos].isdigit():
+            raise ValueError("exponent must be an integer literal")
+        e = int(self.tokens[self.pos])
+        self.pos += 1
+        return base ** (-e if neg else e)
+
+    def primary(self):
+        if self.pos >= len(self.tokens):
+            raise ValueError(f"unexpected end of {self.kind} literal")
+        t = self.tokens[self.pos]
+        self.pos += 1
+        if t == "(":
+            val = self.expr()
+            if not self._take(")"):
+                raise ValueError(f"unbalanced parenthesis in {self.kind} literal")
+            return val
+        if t == "-":
+            return -self.primary()
+        val = self.atom(t)
+        if val is None:
+            raise ValueError(f"unknown token {t!r} in {self.kind} literal")
+        return val
+
+
+def _legacy_atom(token):
+    if "/" in token:
+        return CycloNum.from_rational(Fraction(token))
+    return cyclo_atom(token)
+
+
+@contextlib.contextmanager
+def _oracle(token=_TOKEN, atom=cyclo_atom):
+    """parse_cyclo and ff_parse with the oracle in place of the ast walk."""
+    def parse(text, kind, atom):
+        return _oracle_parse(text, kind, atom, token)
+    with mock.patch.object(cyclo, "parse_expression", parse), \
+            mock.patch.object(ffield, "parse_expression", parse), \
+            mock.patch.object(cyclo, "cyclo_atom", atom), \
+            mock.patch.object(ffield, "cyclo_atom", atom):
+        yield
+
+
+def _outcome(parse, text):
+    """The value, or the type of the error a malformed literal raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
 
 
 def _claims_strings(node):
@@ -390,38 +517,60 @@ def _claims_strings(node):
 
 
 def _parse_outcomes(texts):
-    """Each text through parse_cyclo and ff_parse on both curves; a
-    ValueError is an outcome too."""
-    def outcome(parse, text):
-        try:
-            return parse(text)
-        except ValueError:
-            return ValueError
-    parsers = (parse_cyclo, lambda t: ff_parse(E36FF, t),
+    """Each text through parse_cyclo and ff_parse on both curves."""
+    parsers = (cyclo.parse_cyclo, lambda t: ff_parse(E36FF, t),
                lambda t: ff_parse(E64FF, t))
-    return [[outcome(parse, t) for parse in parsers] for t in texts]
+    return [[_outcome(parse, t) for parse in parsers] for t in texts]
 
 
-def test_claims_literals_parse_as_with_fraction_tokens(monkeypatch):
+def test_claims_literals_parse_as_with_fraction_tokens():
     data = json.loads(Path(claims.__file__).with_name("claims.json").read_text())
     texts = sorted(set(_claims_strings(data)))
     new = _parse_outcomes(texts)
-    atom = cyclo.cyclo_atom
-
-    def legacy_atom(token):
-        if "/" in token:
-            return CycloNum.from_rational(Fraction(token))
-        return atom(token)
-
-    monkeypatch.setattr(cyclo, "_TOKEN", _LEGACY_TOKEN)
-    monkeypatch.setattr(cyclo, "cyclo_atom", legacy_atom)
-    monkeypatch.setattr(ffield, "cyclo_atom", legacy_atom)
-    old = _parse_outcomes(texts)
-    assert new == old
+    with _oracle():
+        assert _parse_outcomes(texts) == new
+    with _oracle(_LEGACY_TOKEN, _legacy_atom):
+        assert _parse_outcomes(texts) == new
     # not vacuous: every divisor function parses on its curve
     for column, curve in ((1, "36"), (2, "64")):
         for entry in data["divisors"][curve]:
             assert new[texts.index(entry["function"])][column] is not ValueError
+
+
+def _joined(parts, ops):
+    """A part, then up to two more, each after an operator from ``ops``."""
+    return st.builds(lambda first, rest: first + "".join(o + p for o, p in rest),
+                     parts, st.lists(st.tuples(st.sampled_from(ops), parts),
+                                     max_size=2))
+
+
+def _literals(atoms):
+    """The grammar both parsers read alike: a sign only where an expression
+    starts, an integer exponent without parentheses, no leading zeros."""
+    def expr(inner):
+        primary = st.one_of(atoms, inner.map("({})".format))
+        power = st.builds(str.__add__, primary,
+                          st.sampled_from(["", "^2", "**3", "^-1", " ^ 0"]))
+        term = _joined(power, ["*", "/", " * "])
+        return st.builds(str.__add__, st.sampled_from(["", "-", "+", " - "]),
+                         _joined(term, ["+", "-", " + "]))
+    return st.recursive(atoms, expr, max_leaves=6)
+
+
+_ATOMS = ["0", "1", "2", "10", "i", "z", "sqrt2", "zeta3"]
+
+
+@pytest.mark.parametrize("parse, atoms", [
+    (lambda t: parse_cyclo(t), _ATOMS),
+    (lambda t: ff_parse(E36FF, t), _ATOMS + ["u", "v"])],
+    ids=["cyclo", "e36"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ast_walk_agrees_with_the_oracle(parse, atoms, data):
+    text = data.draw(_literals(st.sampled_from(atoms)))
+    want = _outcome(parse, text)
+    with _oracle():
+        assert _outcome(parse, text) == want
 
 
 def test_relation_is_respected():
