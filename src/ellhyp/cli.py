@@ -9,6 +9,7 @@ claim passed, 1 means a verification failed, 2 means a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -364,10 +365,22 @@ CHECKS = (
 )
 
 
+def _guarded(name, checker, args) -> list:
+    """The checker's reports, or one FAIL row naming the check if it raises
+    anything but a usage error, so that the other checks still report."""
+    try:
+        return checker(args)
+    except UsageError:
+        raise
+    except Exception as exc:
+        return [_exact(f"error_{name.replace('-', '_')}", f"{name} raised",
+                       "no exception", False, f"{type(exc).__name__}: {exc}")]
+
+
 def cmd_verify_all(args) -> list:
     out = []
-    for _, checker, _ in CHECKS:
-        out += checker(args)
+    for name, checker, _ in CHECKS:
+        out += _guarded(name, checker, args)
     return out
 
 
@@ -416,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, checker, options in CHECKS:
-        add(name, checker, **options)
+        add(name, functools.partial(_guarded, name, checker), **options)
     p = add("coeffs", cmd_coeffs, digits=False, an_file=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--source", choices=("cm", "pointcount", "file"),

@@ -3,12 +3,13 @@
 The curve differential du/(2v) is rescaled to omega_E = o c du/(2v), with o
 the orientation sign, so that int omega ^ conj(omega) / (2 pi i) = -1, i.e.
 the period lattice Gamma = O_K Omega has covolume pi.  With omega1 the real
-period of du/(2v), Omega_R = c omega1 is that of omega_E, and the unit h with
-Omega_R = h Omega gives Omega = c omega1 / h.  A point whose du/(2v)
-logarithm is z is labelled by w = z_E conj(nu) / Omega
-= o (h conj(nu)) z / omega1, so c cancels: omega1, one AGM, is the only
-transcendental input, and h conj(nu) is exact.  By Chowla-Selberg omega1 is
-also a Beta value, the form verify-periods checks it against.
+period of du/(2v), Omega_R = c omega1 is that of omega_E, and Omega_R =
+h Omega, with h the least multiplier in O_K that takes Omega to the positive
+real axis, gives Omega = c omega1 / h.  A point whose du/(2v) logarithm is z
+is labelled by w = z_E conj(nu) / Omega = o (h conj(nu)) z / omega1, so c
+cancels: omega1, one AGM, is the only transcendental input, and h conj(nu)
+is exact.  By Chowla-Selberg omega1 is also a Beta value, the form
+verify-periods checks it against.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ class LabelError(PeriodError):
 
 
 # The two facts of each curve that neither hecke.CurveId nor ecdiv.Curve
-# holds: the unit h with Omega_R = h Omega, as hecke's pair (2 + zeta_3 =
-# 1 - zeta_3^2 on conductor 36, 1 on conductor 64), and the orientation, the
-# sign of omega_E relative to +du/(2v).  The constraints (covolume pi,
-# Omega/conj(nu) real, Omega_R > 0) are invariant under omega_E -> -omega_E,
-# which negates every torsion label.  The sign is a convention anchored at
-# one published label per curve (P = (0,1) -> 1 on conductor 36, S -> 1 on
-# conductor 64); all other labels are then forced and independently
-# checkable.
+# holds: the least multiplier h with Omega_R = h Omega, as hecke's pair
+# (2 + zeta_3 = 1 - zeta_3^2, of norm 3, on conductor 36; the unit 1 on
+# conductor 64), and the orientation, the sign of omega_E relative to
+# +du/(2v).  The constraints (covolume pi, Omega/conj(nu) real, Omega_R > 0)
+# are invariant under omega_E -> -omega_E, which negates every torsion
+# label.  The sign is a convention anchored at one published label per curve
+# (P = (0,1) -> 1 on conductor 36, S -> 1 on conductor 64); all other labels
+# are then forced and independently checkable.
 _H_AND_ORIENTATION = {36: ((2, 1), -1), 64: ((1, 0), +1)}
 
 

@@ -1,7 +1,8 @@
 """Dirichlet coefficients and special values of L(E_N, s) for N in {36, 64}.
 
-Coefficients come from two independent routes: naive point counting over
-F_p and the CM (Hecke character) formula; L(E, 2) and L*(E, 0) via the
+Coefficients come from two independent routes: the theta series of the
+Hecke character psi, and naive point counting over F_p extended by the Hecke
+recursion and multiplicativity.  L(E, 2) and L*(E, 0) come from the
 incomplete-gamma approximate functional equation with root number +1.
 """
 
@@ -133,38 +134,30 @@ def residue(c: CurveId, x) -> tuple:
     return (x[0] - k * s) % big_a, b
 
 
-def _generator(c: CurveId, p: int):
-    """Some generator of a prime above a split p (an element of norm p).
+def _theta(c: CurveId, n_max: int) -> list:
+    """[2 a_n for n = 0..n_max], the theta series of psi: a_n is the sum of
+    psi over the ideals of norm n prime to f, a real number, so 2 a_n is
+    the sum of the traces.
 
-    4 N(a + b t) = (2a - s b)^2 + (4 - s^2) b^2, so search b upwards."""
+    Each such ideal has exactly one generator alpha in the class r + nu O_K
+    of a coset representative r, and psi((alpha)) = conj(alpha) chi_f(r).
+    The points of r + nu O_K are residue(r) plus the Hermite basis (A, 0),
+    (s', B), inside the ellipse 4 N(a + b t) = (2a - s b)^2 + (4 - s^2) b^2."""
+    big_a, s1, big_b = _hnf(c)
     k = 4 - c.s * c.s
-    for b in range(math.isqrt(4 * p // k) + 1):
-        d = 4 * p - k * b * b
-        r = math.isqrt(d)
-        if r * r == d and (r + c.s * b) % 2 == 0:
-            return ((r + c.s * b) // 2, b)
-    raise HeckeError(f"no element of norm {p} in O_K of conductor {c.N}")
-
-
-def ap_cm(c: CurveId, p: int) -> int:
-    """a_p via the Hecke character: 0 at inert p, trace of chi(p) at split p.
-
-    Some unit multiple pi' of a prime above a split p lies in the class of a
-    coset representative r mod f; then chi((pi)) = conj(pi') chi_f(r)."""
-    if c.N % p == 0:
-        raise BadPrimeError(f"{p} is a bad prime for conductor {c.N}")
-    # p splits in K exactly when the discriminant s^2 - 4 is a square mod p
-    if pow((c.s * c.s - 4) % p, (p - 1) // 2, p) != 1:
-        return 0
-    pi = _generator(c, p)
-    chi_of = {residue(c, rep): chi for rep, chi in c.cosets}
-    for u in _units(c):
-        cand = _mul(c, pi, u)
-        chi = chi_of.get(residue(c, cand))
-        if chi is not None:
-            a, b = _mul(c, _conj(c, cand), chi)
-            return 2 * a - c.s * b  # the trace
-    raise HeckeError(f"no normalized generator found for p={p}")
+    b_max = math.isqrt(4 * n_max // k)
+    tr = [0] * (n_max + 1)
+    for rep, chi in c.cosets:
+        r0, r1 = residue(c, rep)
+        for b in range(r1 - (r1 + b_max) // big_b * big_b, b_max + 1, big_b):
+            w = math.isqrt(4 * n_max - k * b * b)
+            lo = -((w - c.s * b) // 2)
+            a0 = r0 + (b - r1) // big_b * s1
+            for a in range(lo + (a0 - lo) % big_a, (w + c.s * b) // 2 + 1,
+                           big_a):
+                x, y = _mul(c, _conj(c, (a, b)), chi)
+                tr[_norm(c, (a, b))] += 2 * x - c.s * y
+    return tr
 
 
 def _mod4_orbit(x) -> frozenset:
@@ -187,22 +180,23 @@ def chi_f_check() -> bool:
     # would be -2, and point counting decides
     flipped = replace(c, cosets=((one, (1, 0)), (rep, (-chi[0], -chi[1]))))
     a5 = ap_pointcount(c, 5)
-    return ap_cm(c, 5) == a5 and ap_cm(flipped, 5) != a5
+    return (build_coeffs(c, 5, "cm")[5] == a5
+            and build_coeffs(flipped, 5, "cm")[5] != a5)
 
 
 def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
                  an_file: str | None = None) -> dict:
-    """Multiplicative coefficient table {n: a_n} for n = 1..n_max from the
-    given source."""
+    """Coefficient table {n: a_n} for n = 1..n_max from the given source:
+    the theta series of psi ("cm"), point counts at the primes extended
+    multiplicatively ("pointcount"), or a file."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if source == "file":
         return _read_coeff_file(an_file, n_max)
     if source == "cm":
-        ap = ap_cm
-    elif source == "pointcount":
-        ap = ap_pointcount
-    else:
+        tr = _theta(c, n_max)
+        return {n: tr[n] // 2 for n in range(1, n_max + 1)}
+    if source != "pointcount":
         raise ValueError(f"unknown coefficient source {source!r}")
     # smallest-prime-factor sieve: the primes are its fixed points
     spf = list(range(n_max + 1))
@@ -212,31 +206,20 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
                 if spf[m] == m:
                     spf[m] = p
     a = {1: 1}
-    for p in range(2, n_max + 1):
-        if spf[p] != p:
-            continue
-        bad = c.N % p == 0
-        apv = 0 if bad else ap(c, p)
-        if not bad and apv * apv > 4 * p:
-            raise HeckeError(f"Hasse bound violated at p={p}")
-        # prime powers via the Hecke recursion a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}}
-        pk = p
-        prev2, prev1 = 1, apv
-        while pk <= n_max:
-            a[pk] = 0 if bad else prev1
-            pk *= p
-            prev2, prev1 = prev1, apv * prev1 - p * prev2
-    # fill the rest multiplicatively
     for n in range(2, n_max + 1):
-        if n in a:
-            continue
-        p = spf[n]
-        m = n
-        pk = 1
+        p, m = spf[n], n
         while m % p == 0:
-            pk *= p
             m //= p
-        a[n] = a[pk] * a[m]
+        if m > 1:       # n = p^k m with p^k and m coprime
+            a[n] = a[n // m] * a[m]
+        elif c.N % p == 0:
+            a[n] = 0
+        elif n == p:
+            a[p] = ap_pointcount(c, p)
+            if a[p] * a[p] > 4 * p:
+                raise HeckeError(f"Hasse bound violated at p={p}")
+        else:           # a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}}
+            a[n] = a[p] * a[n // p] - p * a[n // p // p]
     return a
 
 

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 import ellhyp
-from ellhyp import claims, ellper, mpnum
+from ellhyp import claims, cli, ellper, hecke, hyp3f2, mpnum
 from ellhyp.cli import main, reports_to_json, VerificationReport
 from ellhyp.cyclo import I
 from ellhyp.ecdiv import GroupLaw, law, torsion_Ef
@@ -288,13 +288,14 @@ def test_verify_periods_rejects_a_non_real_period(capsys, monkeypatch,
     # a complex shift of e2 leaves omega1 off the real line
     _shifted_root(monkeypatch, 64, 1, Fraction(1, 10 ** 12) * I)
     code, out, err = run(capsys, "verify-periods", "--curve", "64")
-    assert code == 1 and out == ""
-    assert "error: real period came out non-real" in err
+    assert code == 1 and err == ""
+    assert out == ("[FAIL] error_verify_periods: verify-periods raised vs no "
+                   "exception  (PeriodError: real period came out non-real)\n")
 
 
-def test_verify_periods_fails_on_a_wrong_unit(capsys, monkeypatch):
-    # h = 1 + i is no unit: it multiplies every label by 1 + i, which is
-    # not invertible mod nu = 4, so published labels move and labels collide
+def test_torsion_labels_fail_on_a_wrong_h(capsys, monkeypatch):
+    # h = 1 + i multiplies every label by 1 + i, which is not invertible
+    # mod nu = 4, so published labels move and labels collide
     monkeypatch.setitem(ellper._H_AND_ORIENTATION, 64, ((1, 1), +1))
     code, out, err = run(capsys, "verify-torsion-labels", "--curve", "64")
     assert code == 1 and err == ""
@@ -312,8 +313,57 @@ def test_torsion_labels_guard_the_agm(capsys, monkeypatch, fresh_lattice):
         x * mpmath.mpf("1.37") for x in real_agm(a, b, ctx)))
     code, _, _ = run(capsys, "verify-periods")
     assert code == 0
-    code, _, err = run(capsys, "verify-torsion-labels")
-    assert code == 1 and "error:" in err
+    code, out, err = run(capsys, "verify-torsion-labels")
+    assert code == 1 and err == ""
+    assert out.startswith("[FAIL] error_verify_torsion_labels: "
+                          "verify-torsion-labels raised vs no exception  "
+                          "(LabelError: ")
+    assert out.count("\n") == 1
+
+
+# (check, namespace cli reads the layer through, layer name)
+FAULTS = [("verify-periods", ellper, "lattice"),
+          ("verify-torsion-labels", ellper, "torsion_label"),
+          ("verify-identity", hecke, "lstar_zero"),
+          ("verify-identity", hyp3f2, "rhs_main"),
+          ("verify-divisors", cli, "verify_divisor"),
+          ("verify-bloch", cli, "beta_map"),
+          ("rosset-tate", cli, "rosset_tate")]
+
+
+@pytest.mark.parametrize("check, owner, name", FAULTS,
+                         ids=[name for _, _, name in FAULTS])
+def test_a_raising_layer_leaves_one_error_row(capsys, monkeypatch, check,
+                                              owner, name):
+    # a fault inside one check becomes that check's one FAIL row; the rows
+    # of every other check are those of a clean run, byte for byte
+    argv = ("--report", "json", "--deterministic")
+    code, out, _ = run(capsys, "verify-all", *argv)
+    assert code == 0
+    clean = [json.dumps(r) for r in json.loads(out)["reports"]]
+    _, out, _ = run(capsys, check, *argv)
+    own = {json.dumps(r) for r in json.loads(out)["reports"]}
+    assert own and own <= set(clean)
+    real = getattr(owner, name)
+
+    def fault(*args, **kwargs):
+        # only cli's own call raises: torsion_label reads ellper.lattice too
+        if sys._getframe(1).f_globals["__name__"] == "ellhyp.cli":
+            raise RuntimeError(f"injected into {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fault)
+    code, out, err = run(capsys, "verify-all", *argv)
+    assert code == 1 and err == ""
+    rows = json.loads(out)["reports"]
+    errors = [r for r in rows if r["claim_id"].startswith("error_")]
+    assert errors == [{
+        "abs_err": None, "claim_id": "error_" + check.replace("-", "_"),
+        "digits_agreed": None, "kind": "exact", "lhs": f"{check} raised",
+        "notes": f"RuntimeError: injected into {name}", "rhs": "no exception",
+        "status": "fail", "timing": None, "tolerance": None}]
+    assert [json.dumps(r) for r in rows if r not in errors] == \
+        [r for r in clean if r not in own]
 
 
 def test_verify_torsion_labels_curve36(capsys):

@@ -77,6 +77,10 @@ def test_h_nu_bar_is_real():
     assert ellper.h_nu_bar(36) == 6 and ellper.h_nu_bar(64) == 4
     for N in (36, 64):
         assert ellper.h_nu_bar(N).conj() == ellper.h_nu_bar(N)
+    # h is a unit on E64 only: 2 + zeta_3 has norm 3
+    for N, norm in ((36, 3), (64, 1)):
+        h = ellper._H_AND_ORIENTATION[N][0]
+        assert hecke._norm(hecke.curve(N), h) == norm
 
 
 def test_ok_pair_reads_o_k_literals():

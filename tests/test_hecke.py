@@ -5,9 +5,9 @@ import math
 import mpmath
 import pytest
 
-from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _units,
-                          afe_n_max, ap_cm, ap_pointcount, build_coeffs,
-                          curve, l_two, lstar_zero)
+from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _mul, _units,
+                          afe_n_max, ap_pointcount, build_coeffs, curve,
+                          l_two, lstar_zero, residue)
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -37,48 +37,74 @@ def test_derived_units_and_bad_primes():
     assert set(_units(curve(64))) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     for N, bad in ((36, {2, 3}), (64, {2})):
         c = curve(N)
-        for ap in (ap_cm, ap_pointcount):
-            raised = set()
-            for p in _primes(50):
-                try:
-                    ap(c, p)
-                except BadPrimeError:
-                    raised.add(p)
-            assert raised == bad, (N, ap.__name__, raised)
+        raised = set()
+        for p in _primes(50):
+            try:
+                ap_pointcount(c, p)
+            except BadPrimeError:
+                raised.add(p)
+        assert raised == bad, (N, raised)
+        # no ideal of norm p^k is prime to f at a bad p
+        tbl = build_coeffs(c, 50, "cm")
+        assert [p ** k for p in bad for k in range(1, 6)
+                if p ** k <= 50 and tbl[p ** k]] == [], N
+
+
+def test_coset_representatives_meet_each_class_once():
+    # the theta series rests on this: each class of (O_K/nu)* has exactly
+    # one unit multiple among the coset representatives
+    for N, size in ((36, 6), (64, 8)):
+        c = curve(N)
+        box = {residue(c, (a, b)) for a in range(-12, 13)
+               for b in range(-12, 13)}
+        classes = [x for x in box if any(
+            residue(c, _mul(c, x, y)) == (1, 0) for y in box)]
+        reps = [residue(c, r) for r, _ in c.cosets]
+        assert len(classes) == size, N
+        for x in classes:
+            hits = [u for u in _units(c)
+                    if residue(c, _mul(c, x, u)) in reps]
+            assert len(hits) == 1, (N, x, hits)
 
 
 def test_cross_oracle_ap_under_500():
+    # the two sources share no code: the tables agree at every n <= 1000,
+    # so at every prime below 500 and not only there
     for N in (36, 64):
         c = curve(N)
-        for p in _primes(499):
-            if c.N % p == 0:
-                continue
-            assert ap_cm(c, p) == ap_pointcount(c, p), (N, p)
+        assert build_coeffs(c, 1000, "cm") == \
+            build_coeffs(c, 1000, "pointcount"), N
 
 
 def test_bad_primes_raise():
     with pytest.raises(BadPrimeError):
-        ap_cm(curve(36), 3)
+        ap_pointcount(curve(36), 3)
     with pytest.raises(BadPrimeError):
-        ap_cm(curve(64), 2)
+        ap_pointcount(curve(64), 2)
+    assert build_coeffs(curve(36), 3, "cm")[3] == 0
+    assert build_coeffs(curve(64), 2, "cm")[2] == 0
 
 
 def test_hasse_bound():
     for N in (36, 64):
         c = curve(N)
+        tbl = build_coeffs(c, 200, "cm")
         for p in _primes(200):
             if c.N % p == 0:
                 continue
-            assert abs(ap_cm(c, p)) <= 2 * math.isqrt(p) + 1
+            assert tbl[p] * tbl[p] <= 4 * p, (N, p)
 
 
 def test_supersingular_pattern():
-    # a_p = 0 whenever p is inert: p = 2 mod 3 for E36, p = 3 mod 4 for E64
+    # a_p = 0 exactly when p is inert: p = 2 mod 3 for E36, p = 3 mod 4 for
+    # E64; a split p has a_p = Tr pi, which is never 0
+    e36 = build_coeffs(curve(36), 300, "cm")
+    e64 = build_coeffs(curve(64), 300, "cm")
     for p in _primes(300):
-        if p > 3 and p % 3 == 2:
-            assert ap_cm(curve(36), p) == 0
-        if p > 2 and p % 4 == 3:
-            assert ap_cm(curve(64), p) == 0
+        if p > 3:
+            assert (e36[p] == 0) == (p % 3 == 2), p
+        if p > 2:
+            assert (e64[p] == 0) == (p % 4 == 3), p
 
 
 def test_multiplicativity_of_table():
@@ -101,26 +127,36 @@ def test_prime_power_recursion():
                     tbl[p] * tbl[p ** k] - p * tbl[p ** (k - 1)]
 
 
-def _eta_product_coeffs(n_max: int) -> dict:
-    """Coefficients of q prod_{n>=1} (1 - q^{6n})^4, an oracle for E36."""
-    # expand prod (1 - q^{6n})^4 up to q^{n_max - 1}
+def _eta_quotient_coeffs(n_max: int, exponents: dict) -> dict:
+    """Coefficients of q prod_{n>=1} prod_k (1 - q^{kn})^{e_k}, for the
+    exponents {k: e_k}, up to q^{n_max}."""
     coeffs = [0] * n_max
     coeffs[0] = 1
-    for k in range(6, n_max, 6):
-        for _ in range(4):
-            # multiply by (1 - q^k)
-            for i in range(n_max - 1, k - 1, -1):
-                coeffs[i] -= coeffs[i - k]
+    for k, e in exponents.items():
+        for m in range(k, n_max, k):
+            for _ in range(abs(e)):
+                if e > 0:   # multiply by (1 - q^m)
+                    for i in range(n_max - 1, m - 1, -1):
+                        coeffs[i] -= coeffs[i - m]
+                else:       # divide by (1 - q^m)
+                    for i in range(m, n_max):
+                        coeffs[i] += coeffs[i - m]
     return {n: coeffs[n - 1] for n in range(1, n_max + 1)}
 
 
 def test_eta_product_oracle_e36():
     # q prod (1-q^6n)^4 matches the conductor-36 CM coefficients
     n_max = 400
-    eta = _eta_product_coeffs(n_max)
-    cm = build_coeffs(curve(36), n_max, "cm")
-    for n in range(1, n_max + 1):
-        assert eta[n] == cm[n], n
+    eta = _eta_quotient_coeffs(n_max, {6: 4})
+    assert eta == build_coeffs(curve(36), n_max, "cm")
+
+
+def test_eta_quotient_oracle_e64():
+    # eta(8z)^8 / (eta(4z)^2 eta(16z)^2) matches the conductor-64 CM
+    # coefficients
+    n_max = 400
+    eta = _eta_quotient_coeffs(n_max, {8: 8, 4: -2, 16: -2})
+    assert eta == build_coeffs(curve(64), n_max, "cm")
 
 
 def test_pointcount_source_agrees_with_cm():

@@ -127,3 +127,28 @@ def test_modules_read_no_private_name_of_another():
                    for path in sorted(root.rglob("*.py"))
                    for name in _private_reads(ast.parse(path.read_text())))
     assert reads == []
+
+
+# The O_K arithmetic of the theta series; the point-count oracle is worth
+# having only while it computes a_p without any of it.
+O_K_HELPERS = {"_mul", "_conj", "_norm", "_units", "residue", "_hnf",
+               "_theta"}
+
+
+def _names_read(tree, function):
+    """Every name and attribute read inside the top-level function."""
+    (node,) = [n for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name == function]
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_point_count_oracle_reads_no_o_k_helper():
+    tree = ast.parse(_source("hecke"))
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert O_K_HELPERS <= defined, O_K_HELPERS - defined
+    assert "_theta" in set(_names_read(tree, "build_coeffs"))
+    assert not O_K_HELPERS & set(_names_read(tree, "ap_pointcount"))
