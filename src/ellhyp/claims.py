@@ -2,9 +2,9 @@
 
 Every published value the package verifies (point coordinates, divisor
 displays, the Rosset-Tate data, expected symbols, torsion labels, the real
-periods as Beta values, the divisors and results of the Bloch-map checks)
-is read from that single file, so tests and the CLI cite one source of
-truth.
+periods as Beta values, the L-value identities of E36 and E64 as signed F~
+terms, the divisors and results of the Bloch-map checks) is read from that
+single file, so tests and the CLI cite one source of truth.
 """
 
 from __future__ import annotations
@@ -123,6 +123,14 @@ def period_form(N: int) -> tuple:
     entry = raw()["periods"][str(N)]
     a, b = (Fraction(x) for x in entry["beta"])
     return a, b, Fraction(entry["factor"])
+
+
+def identity(N: int) -> tuple:
+    """(k, d, terms) with L*(E_N, 0) = sum sign F~(a, b) / (k sqrt(d) pi)
+    over the terms (sign, a, b), each sign 1 or -1; KeyError for another N."""
+    entry = raw()["identities"][str(N)]
+    return entry["k"], entry["sqrt"], tuple(
+        (sign, Fraction(a), Fraction(b)) for sign, a, b in entry["terms"])
 
 
 @dataclass(frozen=True)

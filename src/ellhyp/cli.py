@@ -106,10 +106,10 @@ def cmd_verify_identity(args) -> list:
         c = hecke.curve(N)
         tbl = None
         if an_file:
-            tbl = _file_coeffs(c, hecke.afe_n_max(c, ctx), an_file)
+            tbl = _file_coeffs(hecke.afe_n_max(c, ctx), an_file)
         with ctx.workprec():
             lhs = hecke.lstar_zero(c, ctx, tbl)
-            rhs = hyp3f2.rhs_main(N, ctx)
+            rhs = hyp3f2.rhs_main(N, ctx, claims.identity(N))
             out.append(_numeric(
                 f"identity_L{N}", lhs, rhs,
                 notes="L*(E,0) from the Hecke L-series vs the "
@@ -264,11 +264,11 @@ def cmd_verify_torsion_labels(args) -> list:
     return out
 
 
-def _file_coeffs(c, n_max: int, path: str):
+def _file_coeffs(n_max: int, path: str):
     """Coefficients read from --an-file; a file that cannot be read or is
     malformed is a usage error."""
     try:
-        return hecke.build_coeffs(c, n_max, "file", an_file=path)
+        return hecke.read_coeff_file(path, n_max)
     except OSError as exc:
         raise UsageError(
             f"cannot read --an-file {path!r}: {exc.strerror}") from None
@@ -279,16 +279,16 @@ def _file_coeffs(c, n_max: int, path: str):
 def cmd_coeffs(args) -> list:
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    c = hecke.curve(args.curve or 36)
     if args.source == "file":
         if args.an_file is None:
             raise UsageError("--source file requires --an-file")
-        tbl = _file_coeffs(c, args.n_max, args.an_file)
+        tbl = _file_coeffs(args.n_max, args.an_file)
     elif args.an_file is not None:
         raise UsageError(f"--an-file needs --source file, not --source "
                          f"{args.source}")
     else:
-        tbl = hecke.build_coeffs(c, args.n_max, args.source)
+        tbl = hecke.build_coeffs(hecke.curve(args.curve or 36), args.n_max,
+                                 args.source)
     for n in range(1, args.n_max + 1):
         print(f"{n},{tbl[n]}")
     return []

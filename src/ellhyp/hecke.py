@@ -184,15 +184,12 @@ def chi_f_check() -> bool:
             and build_coeffs(flipped, 5, "cm")[5] != a5)
 
 
-def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
-                 an_file: str | None = None) -> dict:
+def build_coeffs(c: CurveId, n_max: int, source: str = "cm") -> dict:
     """Coefficient table {n: a_n} for n = 1..n_max from the given source:
-    the theta series of psi ("cm"), point counts at the primes extended
-    multiplicatively ("pointcount"), or a file."""
+    the theta series of psi ("cm"), or point counts at the primes extended
+    multiplicatively ("pointcount"); `read_coeff_file` reads a file."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if source == "file":
-        return _read_coeff_file(an_file, n_max)
     if source == "cm":
         tr = _theta(c, n_max)
         return {n: tr[n] // 2 for n in range(1, n_max + 1)}
@@ -223,9 +220,8 @@ def build_coeffs(c: CurveId, n_max: int, source: str = "cm",
     return a
 
 
-def _read_coeff_file(path: str | None, n_max: int) -> dict:
-    if path is None:
-        raise CoefficientFileError("source=file requires a coefficient file path")
+def read_coeff_file(path: str, n_max: int) -> dict:
+    """The table {n: a_n}, n = 1..n_max, from the file's `n,a_n` lines."""
     a = {}
     expected = 1
     # a byte that is not UTF-8 reads as U+FFFD, which int() rejects, so the

@@ -271,11 +271,11 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     for C, E in zip(mids[K::-1], rads[K::-1]):
         U = C + U // N
         U_rad = E + 1 - (-U_rad // N)
-    (T, T_rad), q = t_next, 1 + p.margin
+    T, T_rad = t_next
     ulp = mpmath.ldexp(1, 1 - ctx.prec_bits)
     t, u = mpmath.ldexp(T, -W), mpmath.ldexp(U, -W)
     scale = (ArbReal(t, mpmath.ldexp(T_rad, -W) + abs(t) * ulp)
-             * mpnum.rounded(mpmath.root(N ** q.numerator, q.denominator))
+             * _power(N, 1 + p.margin, ctx)
              / ArbReal(u, mpmath.ldexp(U_rad, -W) + abs(u) * ulp))
     val = scale.val * acc
     err = (abs(scale.val) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
@@ -284,27 +284,37 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     return val, err
 
 
-def ftilde(a, b, ctx: PrecisionContext) -> ArbReal:
+def _power(N: int, q: Fraction, ctx: PrecisionContext) -> ArbReal:
+    """N^q, N > 1 and q > 0, at a cost free of q's numerator: mpmath's power
+    of q rounded once (exact for q = 2, as on the F~ family; else exp(q log
+    N), the log at 10 extra bits).  Rounding q and the log move q ln N by
+    under (1 + 2^-8) q ln N 2^-prec, and the result rounds within 2 ulps,
+    so (q ln N + 4) 2^(2-prec) bounds the relative error while below 1/8."""
+    qm = mpf(q.numerator) / q.denominator
+    rel = (qm * mpmath.log(N) + 4) * mpmath.ldexp(1, 2 - ctx.prec_bits)
+    if rel > 0.125:
+        raise mpnum.PrecisionError(f"{N}^{q} is past {ctx.digits} digits")
+    v = mpmath.power(N, qm)
+    return ArbReal(v, v * rel)
+
+
+def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext) -> ArbReal:
     """B(a, b)^2 * 3F2(a, b, a+b-1; a+b, a+b; 1) for rationals a, b, with
     the Beta value in closed form (`mpnum.beta`)."""
-    a, b = Fraction(a), Fraction(b)
     with ctx.workprec():
         pre = mpnum.beta(a, b, ctx)
         return pre * pre * f32_unit(HypParams(a, b, a + b - 1, a + b, a + b),
                                     ctx)
 
 
-def rhs_main(curve_id: int, ctx: PrecisionContext) -> ArbReal:
-    """Hypergeometric side of the L-value identity for conductor 36 or 64."""
+def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> ArbReal:
+    """Hypergeometric side of curve `curve_id`'s L-value identity, from its
+    data (k, d, terms): sum sign F~(a, b) / (k sqrt(d) pi) over the terms
+    (sign, a, b).  The prefactor is a product of balls, so its radius
+    follows from its form, and a sign of -1 negates its term exactly."""
+    k, d, terms = identity
     with ctx.workprec():
-        if curve_id == 36:
-            d = (ftilde(Fraction(1, 2), Fraction(1, 3), ctx)
-                 - ftilde(Fraction(1, 2), Fraction(2, 3), ctx))
-            pref = 1 / (2 * mpmath.sqrt(3) * mpmath.pi)
-        elif curve_id == 64:
-            d = (ftilde(Fraction(1, 4), Fraction(1, 4), ctx)
-                 - ftilde(Fraction(3, 4), Fraction(3, 4), ctx))
-            pref = 1 / (8 * mpmath.pi)
-        else:
-            raise ValueError("curve_id must be 36 or 64")
-        return ArbReal(pref, mpnum.ulp(pref) * 8) * d
+        pref = 1 / (k * mpnum.rounded(mpmath.sqrt(d)) * mpnum.rounded(mpmath.pi))
+        first, *rest = [ftilde(a, b, ctx) if sign > 0 else -ftilde(a, b, ctx)
+                        for sign, a, b in terms]
+        return pref * sum(rest, first)

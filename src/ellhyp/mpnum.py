@@ -56,14 +56,6 @@ class PrecisionContext:
         return mpf(10) ** (-self.digits)
 
 
-def _val_of(x):
-    if isinstance(x, ArbReal):
-        return x.val
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return x
-
-
 def ulp(v) -> mpf:
     """A bound on the rounding error of one mpmath operation with result v."""
     return abs(mpf(2)) ** (-mpmath.mp.prec + 4) * (abs(v) + 1)
@@ -84,9 +76,6 @@ class ArbReal:
 
     def __repr__(self):
         return f"ArbReal({self.val!r}, err={self.err!r})"
-
-    def __float__(self):
-        return float(self.val)
 
     def _coerce(self, other):
         if isinstance(other, ArbReal):
@@ -145,16 +134,13 @@ class ArbReal:
         o = self._coerce(other)
         return o / self
 
-    def __abs__(self):
-        return ArbReal(abs(self.val), self.err)
-
 
 def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
     """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0, the kernel of
     the approximate functional equation that needs more than exp (its
     Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``)."""
     with ctx.workprec():
-        xv = mpf(_val_of(x))
+        xv = mpf(x)
         if xv < 0:
             raise DomainError("upper_incomplete_gamma requires x >= 0")
         if xv == 0:
@@ -364,8 +350,8 @@ def agm(a, b, ctx: PrecisionContext) -> tuple:
     """(value, err) of the arithmetic-geometric mean with the right-choice
     branch rule; the value is an mpc."""
     with ctx.workprec():
-        av = mpc(_val_of(a))
-        bv = mpc(_val_of(b))
+        av = mpc(a)
+        bv = mpc(b)
         if av == 0 or bv == 0:
             raise DomainError("agm requires nonzero arguments")
         eps = ctx.eps

@@ -1,7 +1,9 @@
 """CLI harness: exit codes, report formats, determinism."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ellhyp
 from ellhyp import claims, cli, ellper, hecke, hyp3f2, mpnum
@@ -247,6 +250,37 @@ def test_verify_periods_fails_on_a_changed_beta_form(capsys, monkeypatch, N,
     changed, kept = (e36, e64) if N == "36" else (e64, e36)
     assert code == 1
     assert changed["status"] == "fail" and kept["status"] == "pass"
+
+
+# one change per curve to each part of claims.json's identity entry
+IDENTITY_CHANGES = [
+    ("36", ["terms", 1, 0], 1), ("36", ["terms", 0, 2], "1/6"),
+    ("36", ["k"], 3), ("36", ["sqrt"], 1),
+    ("64", ["terms", 0, 0], -1), ("64", ["terms", 1, 1], "1/4"),
+    ("64", ["k"], 4), ("64", ["sqrt"], 2)]
+
+
+@pytest.mark.parametrize("N, path, value", IDENTITY_CHANGES,
+                         ids=["-".join(map(str, [N, *path]))
+                              for N, path, _ in IDENTITY_CHANGES])
+def test_verify_identity_fails_on_a_changed_identity(capsys, monkeypatch, N,
+                                                     path, value):
+    # rhs_main sums the identity claims.json states: a changed sign, F~
+    # argument, k or sqrt fails that curve's row and no other
+    data = copy.deepcopy(claims.raw())
+    entry = data["identities"][N]
+    *head, last = path
+    for key in head:
+        entry = entry[key]
+    assert entry[last] != value
+    entry[last] = value
+    monkeypatch.setattr(claims, "raw", lambda: data)
+    code, out, err = run(capsys, "verify-identity", "--report", "json",
+                         "--deterministic")
+    status = {r["claim_id"]: r["status"] for r in json.loads(out)["reports"]}
+    assert code == 1 and err == ""
+    assert status == {f"identity_L{N}": "fail",
+                      f"identity_L{100 - int(N)}": "pass"}
 
 
 @pytest.fixture
@@ -543,3 +577,67 @@ def test_verify_identity_150_digits(capsys):
         assert r["status"] == "pass"
         # the tolerance is err(L) + err(R), and both meet the target
         assert float(r["abs_err"]) <= float(r["tolerance"]) <= 1e-150
+
+
+# Bounded option values: a valid literal can cost without limit (a
+# two-digit exponent on both sides of a quotient already costs seconds),
+# so literals use exponents up to 20 and short free text.
+_ATOMS = st.sampled_from(["u", "v", "i", "z", "sqrt2", "1", "2", "3"])
+_LITERALS = st.one_of(
+    st.recursive(
+        st.one_of(_ATOMS, st.builds("{}^{}".format, _ATOMS,
+                                    st.integers(-3, 20))),
+        lambda inner: st.builds("({}{}{})".format, inner,
+                                st.sampled_from("+-*/"), inner),
+        max_leaves=4),
+    st.text(alphabet="uv120+-*/^(),i ", max_size=4))
+_PLACES = st.sampled_from(["inf", "(0,1)", "(0,-1)", "(-1,0)", "(2,-3)",
+                           "(0,0)", "(2,0)", "(2*i,4*z^9)", "(1,1)", "(0,1",
+                           "(0,1,2)", "((0,1))", "x"])
+_RATIONALS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 6))
+_COMMON = st.tuples(st.sampled_from([[], ["--curve", "36"], ["--curve", "64"]]),
+                    st.sampled_from([[], ["--report", "json"],
+                                     ["--report", "text"]]),
+                    st.sampled_from([[], ["--deterministic"]]))
+
+
+@st.composite
+def _argvs(draw):
+    curve, report, det = draw(_COMMON)
+    digits = ["--digits", str(draw(st.integers(30, 40)))]
+    name = draw(st.sampled_from(
+        [name for name, _, _ in cli.CHECKS] + ["verify-all", "coeffs", "hyp",
+                                              "tame"]))
+    options = dict(next((o for n, _, o in cli.CHECKS if n == name), {}))
+    argv = [name] + report + det
+    if name == "coeffs":
+        return argv + curve + [
+            "--n-max", str(draw(st.integers(-1, 200))),
+            "--source", draw(st.sampled_from(["cm", "pointcount", "file"]))]
+    if name == "hyp":
+        count = draw(st.sampled_from([5, 5, 5, 4, 6]))
+        params = ",".join(draw(st.lists(_RATIONALS, min_size=count,
+                                        max_size=count)))
+        return argv + digits + ["--params=" + params]
+    if name == "tame":
+        return argv + curve + ["--f=" + draw(_LITERALS),
+                               "--g=" + draw(_LITERALS),
+                               "--place=" + draw(_PLACES)]
+    return (argv + (curve if options.get("curve", True) else [])
+            + (digits if options.get("digits", True) else []))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_main_exits_only_0_1_2_and_1_only_with_a_fail_row(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        failed = ("[FAIL]" in out.getvalue() if "json" not in argv
+                  else any(r["status"] == "fail"
+                           for r in json.loads(out.getvalue())["reports"]))
+        assert failed, (argv, err.getvalue())

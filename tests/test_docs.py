@@ -4,8 +4,10 @@ import contextlib
 import io
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
+from ellhyp import claims
 from ellhyp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +33,20 @@ def test_readme_quick_start_commands_exit_0():
         if code != 0:
             failed.append((argv, code))
     assert failed == []
+
+
+def test_readme_states_the_identities_of_claims_json():
+    # the display L*(E, 0) = (1 / (k·√d·π)) · (± F̃(a, b) ...) per curve
+    text = (ROOT / "README.md").read_text()
+    shown = re.findall(r"^L\*\(E(\d+), 0\) = \(1 / \((\d+)·(?:√(\d+)·)?π\)\)"
+                       r"\s+· \( (.*) \)$", text, re.M)
+    assert [int(N) for N, *_ in shown] == [36, 64]
+    for N, k, d, terms in shown:
+        want_k, want_d, want_terms = claims.identity(int(N))
+        signs = [1 if s != "−" else -1
+                 for s in re.findall(r"(−|\+|^) ?F̃", terms)]
+        args = [(Fraction(a), Fraction(b))
+                for a, b in re.findall(r"F̃\((\S+), (\S+)\)", terms)]
+        assert (int(k), int(d or 1)) == (want_k, want_d), N
+        assert list(zip(signs, args)) == [(sign, (a, b))
+                                          for sign, a, b in want_terms], N

@@ -7,7 +7,7 @@ import pytest
 
 from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _mul, _units,
                           afe_n_max, ap_pointcount, build_coeffs, curve,
-                          l_two, lstar_zero, residue)
+                          l_two, lstar_zero, read_coeff_file, residue)
 from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -171,7 +171,7 @@ def test_file_source_round_trip(tmp_path):
     tbl = build_coeffs(curve(64), 150, "cm")
     path = tmp_path / "a.csv"
     path.write_text("".join(f"{n},{tbl[n]}\n" for n in range(1, 151)))
-    loaded = build_coeffs(curve(64), 150, "file", an_file=str(path))
+    loaded = read_coeff_file(str(path), 150)
     assert sorted(tbl) == list(range(1, 151))
     assert loaded == tbl
 
@@ -183,7 +183,7 @@ def test_file_source_rejects_corruption(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CoefficientFileError):
-        build_coeffs(curve(64), 150, "file", an_file=str(path))
+        read_coeff_file(str(path), 150)
 
 
 def test_afe_vs_naive_sum():

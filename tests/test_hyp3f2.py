@@ -2,15 +2,19 @@
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from ellhyp import hyp3f2
+from ellhyp import claims, hyp3f2
 from ellhyp.hyp3f2 import DivergenceError, HypParams
-from ellhyp.mpnum import PrecisionContext
+from ellhyp.mpnum import PrecisionContext, PrecisionError
 
 CTX = PrecisionContext(digits=30)
 
@@ -124,15 +128,83 @@ def test_rhs_main_precision_consistency():
     c30 = PrecisionContext(digits=30)
     c50 = PrecisionContext(digits=50)
     with c50.workprec():
-        v50 = hyp3f2.rhs_main(36, c50).val
+        v50 = hyp3f2.rhs_main(36, c50, claims.identity(36)).val
     with c30.workprec():
-        v30 = hyp3f2.rhs_main(36, c30).val
+        v30 = hyp3f2.rhs_main(36, c30, claims.identity(36)).val
     assert abs(v50 - v30) < mpmath.mpf(10) ** -29
 
 
 def test_rhs_main_rejects_unknown_curve():
-    with pytest.raises(Exception):
-        hyp3f2.rhs_main(37, CTX)
+    # rhs_main sums the identity it is handed; no curve 37 has one
+    with pytest.raises(KeyError):
+        hyp3f2.rhs_main(37, CTX, claims.identity(37))
+
+
+@pytest.mark.parametrize("N", [36, 64])
+def test_rhs_main_sums_the_published_terms(N):
+    # the prefactor 1/(k sqrt(d) pi) times the signed F~ values, each ball
+    # containing the mpmath value at +30 digits
+    k, d, terms = claims.identity(N)
+    with CTX.workprec():
+        got = hyp3f2.rhs_main(N, CTX, (k, d, terms))
+    with mpmath.workdps(60):
+        want = sum(sign * hyp3f2.ftilde(a, b, PrecisionContext(60)).val
+                   for sign, a, b in terms)
+        want /= k * mpmath.sqrt(d) * mpmath.pi
+        assert abs(got.val - want) <= got.err
+
+
+@pytest.mark.parametrize("N", [3, 85, 233])
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 2), Fraction(7, 6),
+                               1 + Fraction(1, 10 ** 30),
+                               Fraction(10 ** 6 + 1, 10 ** 6 + 3) + 1,
+                               Fraction(10 ** 25 + 7)])
+def test_power_ball_contains_the_oracle(N, q):
+    with CTX.workprec():
+        got = hyp3f2._power(N, q, CTX)
+    with mpmath.workdps(90):
+        want = mpmath.power(N, _mp(q))
+        assert abs(got.val - want) <= got.err
+    if q < 10 ** 7:
+        assert got.err <= abs(got.val) * mpmath.mpf(10) ** -(CTX.digits + 6)
+
+
+def test_power_past_the_precision_raises():
+    with CTX.workprec(), pytest.raises(PrecisionError):
+        hyp3f2._power(85, Fraction(10 ** 50), CTX)
+
+
+def test_power_of_two_stays_exact():
+    # the F~ family has 1 + s = 2: N^2 is an integer the mantissa holds
+    with CTX.workprec():
+        assert hyp3f2._power(85, Fraction(2), CTX).val == 85 ** 2
+
+
+def test_small_lower_parameter_matches_oracle():
+    # b1 = 1/1000003 makes 1 + s a fraction with a 7-digit numerator;
+    # (M+1)^(1+s) no longer costs an integer power of that size
+    p = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+                  Fraction(1, 1000003), Fraction(2))
+    with CTX.workprec():
+        got = hyp3f2.f32_unit(p, CTX)
+    with mpmath.workdps(20):    # mpmath takes 4 s here, 12 s at 30 digits
+        want = mpmath.hyp3f2(0.5, 0.5, 0.5, _mp(p.b1), 2, 1)
+    assert abs(got.val - want) < abs(want) * mpmath.mpf(10) ** -18
+
+
+def test_tiny_lower_parameter_ends_under_a_memory_cap():
+    # b1 = 10^-30: 1 + s has a 31-digit numerator, whose integer power
+    # would never fit; the hyp command must end at once with exit 0 or 2
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from ellhyp.cli import main; "
+             "sys.exit(main(['hyp', '--params', '1/2,1/2,1/2,1e-30,2']))")
+    src = str(Path(hyp3f2.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # The original construction of the tail coefficients, kept as an independent

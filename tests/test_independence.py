@@ -50,6 +50,13 @@ def test_pipeline_does_not_mention_claims(name):
     assert "claims" not in _source(name)
 
 
+def test_hyp3f2_holds_no_conductor_literal():
+    # rhs_main sums the identity it is handed: no curve is named in hyp3f2
+    literals = {node.value for node in ast.walk(ast.parse(_source("hyp3f2")))
+                if isinstance(node, ast.Constant)}
+    assert not {36, 64} & literals
+
+
 def test_exact_layers_do_not_load_the_numeric_kernel():
     # claims pulls in cyclo, ecdiv and all of ksym: exact arithmetic only
     probe = ("import sys, ellhyp.claims; "
