@@ -9,26 +9,26 @@ last by one exact integer ratio), and the tail is expanded as
 
 with the c_i obtained from the term-ratio recurrence; each tail piece
 sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one `mpnum.hurwitz_zeta`
-call returns all of them.  The scale, Gamma(b1) Gamma(b2) / (Gamma(a1)
-Gamma(a2) Gamma(a3)), is never formed from Gamma values: the head's
-recurrence runs one step further to t_{M+1}, and scale = t_{M+1}
-(M+1)^(1+s) / u_{M+1}, u_n = sum c_i n^-i, with the error of both factors
-carried as radii.  The expansion of the term ratio in 1/n is exact:
-its k-th coefficient times k! D^k, D the lcm of the parameter denominators,
-is an integer built one factor at a time.  The c_i run in fixed point on
-Python ints as midpoint-radius balls (Johansson, "Arb: efficient
-arbitrary-precision midpoint-radius interval arithmetic", arXiv:1611.02831):
-each midpoint is one exact integer dot product and one rounded division,
-and a second integer recurrence carries a radius that bounds every rounding.
-K coefficients cost O(K^2) integer multiplications, and the tail's error
-adds the radii times the zeta values.
+call returns all of them times (M+1)^s.  The scale, Gamma(b1) Gamma(b2) /
+(Gamma(a1) Gamma(a2) Gamma(a3)), is never formed from Gamma values: the
+head's recurrence runs one step further to t_{M+1}, and scale = t_{M+1}
+(M+1)^(1+s) / u_{M+1}, u_n = sum c_i n^-i, whose power cancels the (M+1)^-s
+left out of the zeta values, so no power is formed.  The expansion of the
+term ratio in 1/n is exact: its k-th coefficient times k! D^k, D the lcm of
+the parameter denominators, is an integer built one factor at a time.  The
+c_i run in fixed point on Python ints as midpoint-radius balls (Johansson,
+"Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
+arXiv:1611.02831): each midpoint is one exact integer dot product and one
+rounded division, and a second integer recurrence carries a radius that
+bounds every rounding.  K coefficients cost O(K^2) integer multiplications,
+and the tail's error adds the radii times the zeta values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from operator import mul
 
 import mpmath
@@ -76,8 +76,13 @@ class HypParams:
         return Fraction(num) / Fraction(den)
 
 
-def _common_denominator(p: HypParams) -> int:
-    return lcm(*(x.denominator for x in (p.a1, p.a2, p.a3, p.b1, p.b2)))
+def _scaled_params(p: HypParams) -> tuple:
+    """(D, ups, downs): D the lcm of the parameter denominators, ups the
+    integers a_j D and downs the integers b_j D with b_3 = 1, so that
+    t_{n+1} / t_n = prod(u + nD) / prod(d + nD)."""
+    D = lcm(*(x.denominator for x in (p.a1, p.a2, p.a3, p.b1, p.b2)))
+    return (D, [int(a * D) for a in (p.a1, p.a2, p.a3)],
+            [int(b * D) for b in (p.b1, p.b2, 1)])
 
 
 def _ratio_series(p: HypParams, order: int):
@@ -90,17 +95,15 @@ def _ratio_series(p: HypParams, order: int):
     maps R_k to R_k - (bD) k R'_{k-1}.  The multipliers qD, aD, bD are
     integers and k! D^k / ((k-1)! D^(k-1)) = k D, so each pass keeps every
     R_k integral."""
-    D = _common_denominator(p)
+    D, ups, downs = _scaled_params(p)
     qD = int((1 + p.margin) * D)
     R = [1]
     for k in range(1, order):
         R.append(R[-1] * (qD - (k - 1) * D))
-    for a in (p.a1, p.a2, p.a3):
-        aD = int(a * D)
+    for aD in ups:
         for k in range(order - 1, 0, -1):
             R[k] += aD * k * R[k - 1]
-    for b in (p.b1, p.b2, Fraction(1)):
-        bD = int(b * D)
+    for bD in downs:
         for k in range(1, order):
             R[k] -= bD * k * R[k - 1]
     return R, D
@@ -158,20 +161,29 @@ def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
     return mids, rads
 
 
-def head_tail_sizes(ctx: PrecisionContext) -> tuple:
-    """(M, K): `f32_unit` sums the head to n = M and the tail to c_K."""
+def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> tuple:
+    """(M, K): `f32_unit` sums the head to n = M and the tail to c_K.  The
+    tail's zeta values, exponents up to 1+s+K+1, run Euler-Maclaurin at
+    x = M+1, so M reaches their `mpnum.em_start` (below 2P when s = 1)."""
     P = ctx.digits + mpnum.GUARD
-    return max(60, 2 * P), P
+    start = mpnum.em_start(float(2 + p.margin) + P, ctx.prec_bits)
+    M = max(60, 2 * P, ceil(start))
+    if M > mpnum.MAX_TERMS:
+        raise mpnum.PrecisionError(
+            f"the head needs {M} terms, past {mpnum.MAX_TERMS}")
+    return M, P
 
 
 def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
     """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters."""
-    if p.terminates:
-        return _sum_terminating(p, ctx)
-    if p.margin <= 0:
+    if not p.terminates and p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
     with ctx.workprec():
-        M, K = head_tail_sizes(ctx)
+        if p.terminates:
+            num, den = _terminating_sum(p)
+            v = mpf(num) / den
+            return ArbReal(v, mpnum.ulp(v))
+        M, K = head_tail_sizes(p, ctx)
         W = ctx.prec_bits + 16
         S, S_rad, T, T_rad = _partial_sum(p, M, W)
         tail, tail_err = accelerated_tail(p, M, K, ctx, (T, T_rad))
@@ -192,17 +204,15 @@ def _partial_sum(p: HypParams, M: int, bits: int) -> tuple:
     point with `bits` fraction bits, each within its radius (in units of
     2^-bits) of the exact value.
 
-    t_{n+1} = t_n r_n, r_n = prod(a_j D + n D) / prod(b_j D + n D), b_3 = 1
-    and D the lcm of the parameter denominators, runs on ints with
-    g = bit_length(M) guard bits.  Each floor division errs by under one
-    unit of 2^-(bits+g) and r_n scales the error carried so far, so t_{n+1}
-    is off by under |r_n| e_n + 1 <= e_{n+1} = ceil(e_n |r_n|) + 1, whether
-    the terms shrink or grow.  S is off by sum e_n and T by e_{M+1}, plus a
-    unit each for the final shift; while every |r_n| <= 1, e_n <= n."""
-    D = _common_denominator(p)
+    t_{n+1} = t_n r_n, r_n = prod(a_j D + n D) / prod(b_j D + n D)
+    (`_scaled_params`), runs on ints with g = bit_length(M) guard bits.
+    Each floor division errs by under one unit of 2^-(bits+g) and r_n
+    scales the error carried so far, so t_{n+1} is off by under
+    |r_n| e_n + 1 <= e_{n+1} = ceil(e_n |r_n|) + 1, whether the terms shrink
+    or grow.  S is off by sum e_n and T by e_{M+1}, plus a unit each for the
+    final shift; while every |r_n| <= 1, e_n <= n."""
+    D, ups, downs = _scaled_params(p)
     g = M.bit_length()
-    ups = [int(a * D) for a in (p.a1, p.a2, p.a3)]
-    downs = [int(b * D) for b in (p.b1, p.b2, 1)]
     t = acc = 1 << (bits + g)
     e = acc_rad = 0
     for n in range(M + 1):
@@ -217,22 +227,28 @@ def _partial_sum(p: HypParams, M: int, bits: int) -> tuple:
     return acc >> g, (acc_rad >> g) + 2, t >> g, (e >> g) + 2
 
 
-def _sum_terminating(p: HypParams, ctx: PrecisionContext) -> ArbReal:
-    with ctx.workprec():
-        t = Fraction(1)
-        acc = Fraction(1)
-        n = 0
-        while True:
-            r = p.term_ratio(n)
-            if r == 0:
-                break
-            t *= r
-            acc += t
-            n += 1
-            if n > mpnum.MAX_TERMS:
-                raise mpnum.PrecisionError("terminating series did not terminate")
-        v = mpf(acc.numerator) / acc.denominator
-        return ArbReal(v, mpnum.ulp(v))
+# the most terms a terminating sum may have: 10^4 of -A,1/3,1/7,2/5,3/11
+# take about 1 s on a 2-vCPU VM, and the cost grows faster than L^2
+TERMINATING_MAX_TERMS = 10 ** 4
+
+
+def _terminating_sum(p: HypParams) -> tuple:
+    """(num, den), integers whose quotient is the exact sum of a terminating
+    series, t_0 .. t_L with -L the largest nonpositive integer a_j: one
+    backward Horner pass on ints over r_n = A_n / B_n, the factors of
+    `_partial_sum`, num/den -> (den B_n + A_n num) / (den B_n), no gcd."""
+    L = int(min(-a for a in (p.a1, p.a2, p.a3) if _is_nonpositive_integer(a)))
+    if L + 1 > TERMINATING_MAX_TERMS:
+        raise mpnum.PrecisionError(
+            f"the terminating series has {L + 1} terms, past the cap of "
+            f"{TERMINATING_MAX_TERMS}")
+    D, ups, downs = _scaled_params(p)
+    num = den = 1
+    for n in range(L - 1, -1, -1):
+        nD = n * D
+        den *= (downs[0] + nD) * (downs[1] + nD) * (downs[2] + nD)
+        num = den + (ups[0] + nD) * (ups[1] + nD) * (ups[2] + nD) * num
+    return num, den
 
 
 def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
@@ -240,24 +256,25 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
     """(tail value, error estimate) for sum_{n > M} t_n; t_next = (T, E) is
     t_{M+1} within E units of 2^-W, W = prec + 16, from `_partial_sum`.
 
-    One `hurwitz_zeta` call gives zeta(1+s+i, M+1) for i <= K+1, and
-    `tail_coefficients` gives each c_i as a ball (C_i, E_i) in units of
-    2^-W, which scales to mpf exactly.  The error adds sum |c_i| err(zeta_i),
-    the coefficient radii sum E_i 2^-W (zeta_i + err(zeta_i)), the rounding
-    of the sum and the truncation after c_K (four times the first omitted
-    term) to the error of scale = t_{M+1} (M+1)^(1+s) / u_{M+1}.  Its
-    u_{M+1} = sum_{i<=K} c_i (M+1)^-i runs by Horner on ints, with a radius
-    from the E_i, one unit per floor division and the same truncation bound;
-    the radii of t_{M+1} and u_{M+1} and each rounding make its error.
+    One `hurwitz_zeta` call gives z_i = N^s zeta(1+s+i, N), N = M+1, for
+    i <= K+1, and `tail_coefficients` each c_i as a ball (C_i, E_i) in units
+    of 2^-W.  The error adds sum |c_i| err(z_i), the radii sum E_i 2^-W
+    (z_i + err(z_i)), the sum's rounding and the truncation after c_K (four
+    times the first omitted term) to the error of the scale t_{M+1}
+    N^(1+s) N^-s / u_{M+1} = T N / U, in which the power and the 2^-W of
+    T and U cancel.  U = sum_{i<=K} C_i N^-i runs by Horner on ints, with a
+    radius from the E_i, one unit per floor division and the same truncation
+    bound; the scale's radius is (T_rad N + |scale| U_rad) / |U|, first
+    order, and one relative rounding.
     """
     W = ctx.prec_bits + 16
     N = M + 1
     mids, rads = tail_coefficients(p, K + 2, W)
-    zetas = mpnum.hurwitz_zeta(1 + p.margin, N, ctx, count=K + 2)
+    zetas = mpnum.hurwitz_zeta(1 + p.margin, N, ctx, K + 2)
     acc = mpf(0)
-    mag = mpf(0)       # sum |c_i| zeta_i, the size the rounding scales with
-    zeta_err = mpf(0)  # sum |c_i| err(zeta_i)
-    rad_err = mpf(0)   # sum E_i (zeta_i + err(zeta_i)), in units of 2^-W
+    mag = mpf(0)       # sum |c_i| z_i, the size the rounding scales with
+    zeta_err = mpf(0)  # sum |c_i| err(z_i)
+    rad_err = mpf(0)   # sum E_i (z_i + err(z_i)), in units of 2^-W
     for C, E, z in zip(mids[: K + 1], rads, zetas):
         c = mpmath.ldexp(C, -W)
         acc += c * z.val
@@ -272,30 +289,14 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
         U = C + U // N
         U_rad = E + 1 - (-U_rad // N)
     T, T_rad = t_next
-    ulp = mpmath.ldexp(1, 1 - ctx.prec_bits)
-    t, u = mpmath.ldexp(T, -W), mpmath.ldexp(U, -W)
-    scale = (ArbReal(t, mpmath.ldexp(T_rad, -W) + abs(t) * ulp)
-             * _power(N, 1 + p.margin, ctx)
-             / ArbReal(u, mpmath.ldexp(U_rad, -W) + abs(u) * ulp))
-    val = scale.val * acc
-    err = (abs(scale.val) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
-                             + mag * ctx.eps * (K + 10))
-           + scale.err * abs(acc))
+    scale = mpf(T * N) / U
+    scale_err = ((T_rad * N + abs(scale) * U_rad) / abs(U)
+                 + abs(scale) * mpmath.ldexp(1, 1 - ctx.prec_bits))
+    val = scale * acc
+    err = (abs(scale) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
+                         + mag * ctx.eps * (K + 10))
+           + scale_err * abs(acc))
     return val, err
-
-
-def _power(N: int, q: Fraction, ctx: PrecisionContext) -> ArbReal:
-    """N^q, N > 1 and q > 0, at a cost free of q's numerator: mpmath's power
-    of q rounded once (exact for q = 2, as on the F~ family; else exp(q log
-    N), the log at 10 extra bits).  Rounding q and the log move q ln N by
-    under (1 + 2^-8) q ln N 2^-prec, and the result rounds within 2 ulps,
-    so (q ln N + 4) 2^(2-prec) bounds the relative error while below 1/8."""
-    qm = mpf(q.numerator) / q.denominator
-    rel = (qm * mpmath.log(N) + 4) * mpmath.ldexp(1, 2 - ctx.prec_bits)
-    if rel > 0.125:
-        raise mpnum.PrecisionError(f"{N}^{q} is past {ctx.digits} digits")
-    v = mpmath.power(N, qm)
-    return ArbReal(v, v * rel)
 
 
 def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext) -> ArbReal:

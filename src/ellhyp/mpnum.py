@@ -251,68 +251,55 @@ def _em_ratio(bits: int, j: int) -> int:
             // (int(d2) * int(n1) * (2 * j + 1) * (2 * j + 2)))
 
 
-def _em_start(s_max: float, digits: int) -> float:
-    """Least x at which the corrections for exponents up to s_max reach a
-    relative 10^-digits while they still decrease.
+def em_start(s_max: float, bits: int) -> float:
+    """Least x at which the Euler-Maclaurin corrections for exponents up to
+    s_max reach the stop of `hurwitz_zeta`, |t_j| <= S 2^-bits, while they
+    still decrease.
 
     The correction ratio is about ((s+2j)/(2 pi x))^2, so with U = 2 pi x the
     corrections shrink by exp(-(U - s - s log(U/s))) in all before turning;
-    U solves U - s - s log(U/s) = digits ln 10."""
-    L = digits * math.log(10)
+    U solves U - s - s log(U/s) = L, L = bits ln 2 + ln s_max, whose second
+    term covers the size of the first correction relative to S."""
+    L = bits * math.log(2) + math.log(s_max)
     U = s_max + L
     for _ in range(16):
         U = s_max + L + s_max * math.log(U / s_max)
     return U / (2 * math.pi) + 1
 
 
-def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
-    """[zeta(s+i, a) for i < count], zeta(s, a) = sum_{n>=0} (n+a)^{-s},
-    for rational s > 1 and a > 0.
+def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
+    """[a^(s-1) zeta(s+i, a) for i < count], zeta(s, a) = sum_{n>=0}
+    (n+a)^{-s}, for rational s > 1 and a > 0: the values without their
+    common factor a^(1-s), x^{-i} S(s+i, x) from Euler-Maclaurin at x = a,
 
-    Euler-Maclaurin at x = a + N, with a direct head of N terms only while a
-    is below `_em_start` (N = 0 for the large shifts of the 3F2 tail):
-
-        zeta(s, a) = sum_{n<N} (n+a)^{-s} + x^{1-s} S(s, x),
+        zeta(s, x) = x^{1-s} S(s, x),
         S = 1/(s-1) + 1/(2x) + sum_{j>=1} t_j,
-        t_j = B_{2j}/(2j)! (s)_{2j-1} x^{-2j}.
+        t_j = B_{2j}/(2j)! (s)_{2j-1} x^{-2j},
 
-    For rational s and x every t_j is rational, and t_{j+1} = t_j rho_j
-    (s+2j-1)(s+2j) / x^2, so each S runs in fixed point on ints.  It stops at
-    the first t_j below 2^-prec S; because x^{-s} is completely monotone,
-    that first omitted term bounds the remainder (Johansson, "Rigorous
-    high-precision computation of the Hurwitz zeta function and its
-    derivatives", arXiv:1309.2877), and it goes into err.  The exponents
-    s+i share x^{1-s-i} = x^{1-s} x^{-i}, so outside the head x^{1-s} is the
-    only mpf power.  Every err is relative to its value, with no absolute
-    floor: the 3F2 tail multiplies values far below 10^-digits by large
-    coefficients.
+    with no power formed.  For rational s and x every t_j is rational, and
+    t_{j+1} = t_j rho_j (s+2j-1)(s+2j) / x^2, so each S runs in fixed point
+    on ints.  It stops at the first t_j below 2^-prec S; because x^{-s} is
+    completely monotone, that first omitted term bounds the remainder
+    (Johansson, "Rigorous high-precision computation of the Hurwitz zeta
+    function and its derivatives", arXiv:1309.2877), and it goes into err.
+    Below `em_start(s + count - 1, prec)` the corrections turn before the
+    stop, and a PrecisionError says so.  Every err is relative to its value,
+    with no absolute floor: the 3F2 tail multiplies values far below
+    10^-digits by large coefficients.
     """
-    s0, a0 = Fraction(s), Fraction(a)
+    s0, x = Fraction(s), Fraction(a)
     if s0 <= 1:
         raise DomainError("hurwitz_zeta requires s > 1")
-    if a0 <= 0:
+    if x <= 0:
         raise DomainError("hurwitz_zeta requires a > 0")
     if count < 1:
         raise ValueError("count must be >= 1")
     with ctx.workprec():
         prec = ctx.prec_bits
         W = prec + 64
-        N = max(0, math.ceil(_em_start(float(s0) + count - 1,
-                                       ctx.digits + GUARD) - a0))
-        x = a0 + N
         xn, xd = x.numerator, x.denominator
         xv = mpf(xn) / xd
-        # head: (n+a)^{-s-i}, one power per n and a division per exponent
-        heads = [mpf(0)] * count
-        if N:
-            sv = mpf(s0.numerator) / s0.denominator
-            for n in range(N):
-                b = mpf((a0 + n).numerator) / (a0 + n).denominator
-                p = mpmath.power(b, -sv)
-                for i in range(count):
-                    heads[i] += p
-                    p /= b
-        pw = mpmath.power(xv, 1 - mpf(s0.numerator) / s0.denominator)
+        pw = mpf(1)
         eps = mpmath.ldexp(1, 1 - prec)
         out = []
         for i in range(count):
@@ -337,10 +324,9 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int = 1) -> list:
             # units of 2^-W (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the
             # terms decrease), and earlier errors shrink with the terms
             tail_err = abs(t) + 128 * (j + 1) ** 2
-            tail = pw * mpmath.ldexp(mpf(S), -W)
-            val = heads[i] + tail
+            val = pw * mpmath.ldexp(mpf(S), -W)
             err = (pw * mpmath.ldexp(mpf(tail_err), -W)
-                   + abs(val) * (i + N + 8) * eps)
+                   + abs(val) * (i + 8) * eps)
             out.append(ArbReal(val, err))
             pw /= xv
         return out

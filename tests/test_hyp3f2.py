@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 from ellhyp import claims, hyp3f2
 from ellhyp.hyp3f2 import DivergenceError, HypParams
-from ellhyp.mpnum import PrecisionContext, PrecisionError
+from ellhyp.mpnum import PrecisionContext
 
 CTX = PrecisionContext(digits=30)
 
@@ -28,6 +29,50 @@ def test_terminating_series():
                   Fraction(5, 6), Fraction(7, 8))
     with CTX.workprec():
         assert hyp3f2.f32_unit(p, CTX).val == 1
+
+
+def _fraction_sum(p):
+    """A terminating sum term by term in Fractions, through term_ratio."""
+    t = acc = Fraction(1)
+    n = 0
+    while (r := p.term_ratio(n)) != 0:
+        t *= r
+        acc += t
+        n += 1
+    return acc
+
+
+# a zero first parameter, terms that shrink, a negative lower parameter
+# with two zero factors (-7 ends the sum first), and terms that grow
+@pytest.mark.parametrize("params", [
+    "0,1/3,1/4,5/6,7/8", "-3,1/2,1/3,2,5/2", "-50,1/3,1/7,2/5,3/11",
+    "1/2,-7,-12,-5/2,3/4", "-20,5,9/2,1/2,1/3"])
+def test_terminating_sum_is_the_fraction_sum(params):
+    p = HypParams(*map(Fraction, params.split(",")))
+    num, den = hyp3f2._terminating_sum(p)
+    assert Fraction(num, den) == _fraction_sum(p)
+
+
+def _hyp_subprocess(params, digits=30):
+    """(exit code, wall seconds, stderr) of `hyp --params=...` in a fresh
+    interpreter."""
+    probe = ("import sys; from ellhyp.cli import main; "
+             f"sys.exit(main(['hyp', '--params={params}', "
+             f"'--digits', '{digits}']))")
+    src = str(Path(hyp3f2.__file__).resolve().parents[1])
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, time.monotonic() - t0, proc.stderr
+
+
+def test_a_long_terminating_sum_exits_at_the_cap():
+    # 2000001 terms: past the cap, refused before any is summed
+    code, seconds, err = _hyp_subprocess("-2000000,1/3,1/7,2/5,3/11")
+    assert code == 2, err
+    assert f"cap of {hyp3f2.TERMINATING_MAX_TERMS}" in err
+    assert seconds < 5
 
 
 def test_against_mpmath_oracle_identity_params():
@@ -154,32 +199,6 @@ def test_rhs_main_sums_the_published_terms(N):
         assert abs(got.val - want) <= got.err
 
 
-@pytest.mark.parametrize("N", [3, 85, 233])
-@pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 2), Fraction(7, 6),
-                               1 + Fraction(1, 10 ** 30),
-                               Fraction(10 ** 6 + 1, 10 ** 6 + 3) + 1,
-                               Fraction(10 ** 25 + 7)])
-def test_power_ball_contains_the_oracle(N, q):
-    with CTX.workprec():
-        got = hyp3f2._power(N, q, CTX)
-    with mpmath.workdps(90):
-        want = mpmath.power(N, _mp(q))
-        assert abs(got.val - want) <= got.err
-    if q < 10 ** 7:
-        assert got.err <= abs(got.val) * mpmath.mpf(10) ** -(CTX.digits + 6)
-
-
-def test_power_past_the_precision_raises():
-    with CTX.workprec(), pytest.raises(PrecisionError):
-        hyp3f2._power(85, Fraction(10 ** 50), CTX)
-
-
-def test_power_of_two_stays_exact():
-    # the F~ family has 1 + s = 2: N^2 is an integer the mantissa holds
-    with CTX.workprec():
-        assert hyp3f2._power(85, Fraction(2), CTX).val == 85 ** 2
-
-
 def test_small_lower_parameter_matches_oracle():
     # b1 = 1/1000003 makes 1 + s a fraction with a 7-digit numerator;
     # (M+1)^(1+s) no longer costs an integer power of that size
@@ -205,6 +224,42 @@ def test_tiny_lower_parameter_ends_under_a_memory_cap():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _term_sum(p, dps):
+    """sum t_n by mpmath.nsum at dps digits.  mpmath.hyp3f2 is no oracle at
+    large lower parameters: at (1/2, 1/2, 1/2; 100, 301/3) it returns
+    1.43e-50 for a sum of 1.0000124605..."""
+    with mpmath.workdps(dps):
+        a1, a2, a3, b1, b2 = map(_mp, (p.a1, p.a2, p.a3, p.b1, p.b2))
+        return mpmath.nsum(
+            lambda n: (mpmath.rf(a1, n) * mpmath.rf(a2, n) * mpmath.rf(a3, n)
+                       / (mpmath.rf(b1, n) * mpmath.rf(b2, n)
+                          * mpmath.factorial(n))), [0, mpmath.inf])
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_large_margin_within_err_of_the_term_sum(digits):
+    # 3F2(1/2, 1/2, 1/2; b, b+1/3; 1) has margin 2b - 7/6; from b = 100 at
+    # 30 digits and b = 180 at 60 the tail's zeta values need a head longer
+    # than 2P
+    ctx = PrecisionContext(digits=digits)
+    for b in range(20, 1181, 20):
+        p = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+                      Fraction(b), b + Fraction(1, 3))
+        with ctx.workprec():
+            got = hyp3f2.f32_unit(p, ctx)
+        want = _term_sum(p, digits + 20)
+        with mpmath.workdps(digits + 20):
+            assert abs(got.val - want) <= got.err, b
+
+
+def test_a_huge_margin_exits_before_its_head():
+    # margin 2 10^7: the tail would start past 3 10^6 terms, over MAX_TERMS
+    code, seconds, err = _hyp_subprocess("1/2,1/2,1/2,10000000,30000001/3")
+    assert code == 2, err
+    assert "the head needs" in err
+    assert seconds < 5
 
 
 # The original construction of the tail coefficients, kept as an independent
@@ -264,7 +319,7 @@ def _check_balls(p, count, ctx):
     """Every exact c_i lies in its ball, and the radius weighted by the
     tail's (M+1)^-i stays within 2 units of 2^-bits."""
     bits = ctx.prec_bits + 16
-    M, _ = hyp3f2.head_tail_sizes(ctx)
+    M, _ = hyp3f2.head_tail_sizes(p, ctx)
     mids, rads = hyp3f2.tail_coefficients(p, count, bits)
     assert len(mids) == len(rads) == count
     assert _ball_misses(mids, rads, _ref_tail_coefficients(p, count),
@@ -313,7 +368,7 @@ def _check_head(p, ctx):
     tail's scale, lie within their radii of the exact Fraction values;
     returns the two radii."""
     bits = ctx.prec_bits + 16
-    M, _ = hyp3f2.head_tail_sizes(ctx)
+    M, _ = hyp3f2.head_tail_sizes(p, ctx)
     t = exact = Fraction(1)
     for n in range(M):
         t *= p.term_ratio(n)
@@ -330,7 +385,7 @@ def _check_head(p, ctx):
 def test_partial_sum_within_m_plus_one_units(p, digits):
     ctx = PrecisionContext(digits=digits)
     head_rad, T_rad = _check_head(p, ctx)
-    assert head_rad <= hyp3f2.head_tail_sizes(ctx)[0] + 1
+    assert head_rad <= hyp3f2.head_tail_sizes(p, ctx)[0] + 1
     assert T_rad <= 2
 
 

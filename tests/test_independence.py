@@ -75,7 +75,7 @@ def test_exact_layers_do_not_load_the_numeric_kernel():
 MPMATH_ALLOWED = {
     "mp", "mpf", "mpc", "workprec", "workdps", "nstr", "isfinite", "ldexp",
     "pi", "euler", "inf", "bernfrac",
-    "exp", "log", "log10", "sqrt", "cbrt", "root", "power",
+    "exp", "log", "log10", "sqrt", "cbrt", "root",
     "sin", "cos", "asin", "expjpi", "floor", "nint", "re", "im", "conj",
 }
 MPMATH_ORACLES = {"gamma", "loggamma", "bernoulli", "hyp3f2", "zeta",
@@ -101,6 +101,17 @@ def test_src_uses_only_elementary_mpmath():
             for name in _mpmath_names(ast.parse(path.read_text()))}
     assert used, "the walk found no mpmath use at all"
     assert sorted(u for u in used if u[1] not in MPMATH_ALLOWED) == []
+
+
+def test_the_3f2_tail_forms_no_power():
+    # the tail's scale t_{M+1} (M+1) / u_{M+1} and the Hurwitz zeta values
+    # without their factor a^(1-s) need no power, root or log
+    forbidden = {"power", "root", "log"}
+    assert not forbidden & set(_mpmath_names(ast.parse(_source("hyp3f2"))))
+    mpnum = ast.parse(_source("mpnum"))
+    (node,) = [n for n in mpnum.body
+               if isinstance(n, ast.FunctionDef) and n.name == "hurwitz_zeta"]
+    assert not forbidden & set(_mpmath_names(node))
 
 
 def _private_reads(tree):

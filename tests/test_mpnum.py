@@ -57,14 +57,16 @@ def test_upper_incomplete_gamma_domain(x):
         mpnum.upper_incomplete_gamma(x, CTX)
 
 
-def test_hurwitz_zeta_oracle():
-    with CTX.workprec():
-        for s, a in ((2, Fraction(1, 3)), (3, Fraction(5, 6)),
-                     (5, Fraction(7, 12)), (2, 1)):
-            fa = Fraction(a)
-            (got,) = mpnum.hurwitz_zeta(s, a, CTX)
-            want = mpmath.zeta(s, mpmath.mpf(fa.numerator) / fa.denominator)
-            _close(got.val, want)
+@pytest.mark.parametrize("s, a, digits, count", [
+    (2, Fraction(1, 3), 30, 4), (3, Fraction(5, 6), 30, 1),
+    (5, Fraction(7, 12), 30, 1), (2, 1, 30, 1),
+    (Fraction(11, 5), Fraction(1, 7), 60, 40),
+])
+def test_hurwitz_zeta_below_the_start_raises(s, a, digits, count):
+    # with no head of its own, Euler-Maclaurin at a small x turns before
+    # its stop; the 3F2 tail starts at or past em_start
+    with pytest.raises(mpnum.PrecisionError):
+        mpnum.hurwitz_zeta(s, a, PrecisionContext(digits=digits), count)
 
 
 def _mp(q):
@@ -73,20 +75,22 @@ def _mp(q):
 
 
 def _check_hurwitz(s, a, digits, count, stride=1):
-    """zeta(s+i, a) within 10^-digits relative, and err >= the error, for
-    every stride-th i (mpmath.zeta is slow at a rational s of about 100).
+    """a^(s-1) zeta(s+i, a) within 10^-digits relative, and err >= the
+    error, for every stride-th i (mpmath.zeta is slow at a rational s of
+    about 100).
 
     mpmath.zeta also stops on an absolute test, so the reference runs with
     s log10(a) more digits for the values far below 1."""
     ctx = PrecisionContext(digits=digits)
-    got = mpnum.hurwitz_zeta(s, a, ctx, count=count)
+    got = mpnum.hurwitz_zeta(s, a, ctx, count)
     assert len(got) == count
     for i in range(0, count, stride):
         z = got[i]
         si = Fraction(s) + i
         extra = max(0, math.ceil(float(si) * math.log10(float(a))))
         with mpmath.workdps(digits + extra + 20):
-            want = mpmath.zeta(_mp(si), _mp(a))
+            want = (mpmath.power(_mp(a), _mp(s) - 1)
+                    * mpmath.zeta(_mp(si), _mp(a)))
             actual = abs(z.val - want)
             assert actual <= want * mpmath.mpf(10) ** -digits, (si, a)
             assert z.err >= actual, (si, a)
@@ -99,8 +103,8 @@ def test_hurwitz_zeta_tail_batch_200_digits():
 
 
 @pytest.mark.parametrize("s, a, digits, count, stride", [
-    (2, Fraction(1, 3), 30, 4, 1),         # direct head before Euler-Maclaurin
-    (Fraction(11, 5), Fraction(1, 7), 60, 40, 1),
+    (2, Fraction(100, 3), 30, 4, 1),       # a rational shift past the start
+    (Fraction(11, 5), Fraction(400, 7), 60, 40, 1),
     (Fraction(7, 3), 329, 152, 170, 13),   # a ~152-digit tail, margin 4/3
     (Fraction(13, 12), 61, 30, 3, 1),      # exponent just above 1
 ])
@@ -110,11 +114,11 @@ def test_hurwitz_zeta_batch_oracle(s, a, digits, count, stride):
 
 def test_hurwitz_zeta_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        mpnum.hurwitz_zeta(1, 2, CTX)
+        mpnum.hurwitz_zeta(1, 2, CTX, 1)
     with pytest.raises(DomainError):
-        mpnum.hurwitz_zeta(2, 0, CTX)
+        mpnum.hurwitz_zeta(2, 0, CTX, 1)
     with pytest.raises(ValueError):
-        mpnum.hurwitz_zeta(2, 1, CTX, count=0)
+        mpnum.hurwitz_zeta(2, 1, CTX, 0)
 
 
 @pytest.mark.parametrize("digits", [30, 152])
