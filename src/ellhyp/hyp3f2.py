@@ -2,33 +2,35 @@
 
 The series sum_n t_n with t_n = (a1)_n (a2)_n (a3)_n / ((b1)_n (b2)_n n!)
 converges only like n^-(1+s), s = b1+b2-a1-a2-a3, so the head of M+1
-terms is summed directly, in fixed point on Python ints (each term from the
-last by one exact integer ratio), and the tail is expanded as
+terms is summed directly, each term from the last by one exact integer
+ratio, and the tail is expanded as
 
     t_n = scale * n^-(1+s) * (c_0 + c_1/n + c_2/n^2 + ...)
 
-with the c_i obtained from the term-ratio recurrence; each tail piece
+with the c_i from the term-ratio recurrence; each tail piece
 sum_{n>M} n^-(1+s+i) is a Hurwitz zeta value, and one `mpnum.hurwitz_zeta`
-call returns all of them times (M+1)^s.  The scale, Gamma(b1) Gamma(b2) /
+call returns each times (M+1)^(s+i).  The scale, Gamma(b1) Gamma(b2) /
 (Gamma(a1) Gamma(a2) Gamma(a3)), is never formed from Gamma values: the
 head's recurrence runs one step further to t_{M+1}, and scale = t_{M+1}
-(M+1)^(1+s) / u_{M+1}, u_n = sum c_i n^-i, whose power cancels the (M+1)^-s
-left out of the zeta values, so no power is formed.  The expansion of the
-term ratio in 1/n is exact: its k-th coefficient times k! D^k, D the lcm of
-the parameter denominators, is an integer built one factor at a time.  The
-c_i run in fixed point on Python ints as midpoint-radius balls (Johansson,
-"Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
-arXiv:1611.02831): each midpoint is one exact integer dot product and one
-rounded division, and a second integer recurrence carries a radius that
-bounds every rounding.  K coefficients cost O(K^2) integer multiplications,
-and the tail's error adds the radii times the zeta values.
+(M+1)^(1+s) / u_{M+1}, u_n = sum c_i n^-i, whose power cancels the one
+left out of the zeta values.  The expansion of the term ratio in 1/n is
+exact: its k-th coefficient times k! D^k, D the lcm of the parameter
+denominators, is an integer built one factor at a time.
+
+Every number past the parameters is a midpoint-radius ball of Python ints
+in units of 2^-W, W = prec + 16 (Johansson, "Arb: efficient
+arbitrary-precision midpoint-radius interval arithmetic", arXiv:1611.02831):
+the head, t_{M+1}, the c_i, the zeta values and the tail.  A product of
+balls adds |x| rad(y) + rad(x) (|y| + rad(y)), and each floor division one
+unit; the docstrings below give each recurrence.  `f32_unit` adds head and
+tail as ints and rounds once, to mpf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, lcm, pi
 from operator import mul
 
 import mpmath
@@ -166,7 +168,13 @@ def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> tuple:
     tail's zeta values, exponents up to 1+s+K+1, run Euler-Maclaurin at
     x = M+1, so M reaches their `mpnum.em_start` (below 2P when s = 1)."""
     P = ctx.digits + mpnum.GUARD
-    start = mpnum.em_start(float(2 + p.margin) + P, ctx.prec_bits)
+    s_max = 2 + p.margin + P
+    if s_max > 2 * pi * mpnum.MAX_TERMS:    # em_start exceeds s_max / (2 pi)
+        s = mpf(p.margin.numerator) / p.margin.denominator
+        raise mpnum.PrecisionError(
+            f"the head needs over {mpnum.MAX_TERMS} terms at the convergence "
+            f"margin {mpmath.nstr(s, 5)}")
+    start = mpnum.em_start(float(s_max), ctx.prec_bits)
     M = max(60, 2 * P, ceil(start))
     if M > mpnum.MAX_TERMS:
         raise mpnum.PrecisionError(
@@ -184,14 +192,13 @@ def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
             v = mpf(num) / den
             return ArbReal(v, mpnum.ulp(v))
         M, K = head_tail_sizes(p, ctx)
-        W = ctx.prec_bits + 16
+        W = ctx.fixed_bits
         S, S_rad, T, T_rad = _partial_sum(p, M, W)
-        tail, tail_err = accelerated_tail(p, M, K, ctx, (T, T_rad))
-        head = mpmath.ldexp(S, -W)
-        val = head + tail
-        # the head's radius, and one rounding each for head and val
-        err = (tail_err + mpmath.ldexp(S_rad, -W)
-               + (abs(head) + abs(val)) * mpmath.ldexp(1, 1 - ctx.prec_bits))
+        tail, tail_rad = accelerated_tail(p, M, K, ctx, (T, T_rad))
+        # head and tail as one integer ball, and its one rounding to mpf
+        val = mpmath.ldexp(S + tail, -W)
+        err = (mpmath.ldexp(S_rad + tail_rad, -W)
+               + abs(val) * mpmath.ldexp(1, 1 - ctx.prec_bits))
         if err > ctx.target_eps * max(abs(val), mpf(1)):
             raise mpnum.PrecisionError(
                 f"the tail expansion after M = {M} head terms reaches an "
@@ -252,51 +259,45 @@ def _terminating_sum(p: HypParams) -> tuple:
 
 
 def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
-                     t_next: tuple):
-    """(tail value, error estimate) for sum_{n > M} t_n; t_next = (T, E) is
-    t_{M+1} within E units of 2^-W, W = prec + 16, from `_partial_sum`.
+                     t_next: tuple) -> tuple:
+    """(tail, radius): sum_{n > M} t_n as an integer ball in units of 2^-W,
+    W = ctx.fixed_bits, from t_next = (T, T_rad), t_{M+1} as such a ball.
 
-    One `hurwitz_zeta` call gives z_i = N^s zeta(1+s+i, N), N = M+1, for
-    i <= K+1, and `tail_coefficients` each c_i as a ball (C_i, E_i) in units
-    of 2^-W.  The error adds sum |c_i| err(z_i), the radii sum E_i 2^-W
-    (z_i + err(z_i)), the sum's rounding and the truncation after c_K (four
-    times the first omitted term) to the error of the scale t_{M+1}
-    N^(1+s) N^-s / u_{M+1} = T N / U, in which the power and the 2^-W of
-    T and U cancel.  U = sum_{i<=K} C_i N^-i runs by Horner on ints, with a
-    radius from the E_i, one unit per floor division and the same truncation
-    bound; the scale's radius is (T_rad N + |scale| U_rad) / |U|, first
-    order, and one relative rounding.
+    With N = M+1 and S_i = S(1+s+i, N) = N^(s+i) zeta(1+s+i, N), the tail
+    t_N N^(1+s) / u_N sum_i c_i zeta(1+s+i, N) is T N A / U, in which the
+    power and the 2^-W of T and U cancel:
+
+        A = sum_{i<=K} c_i S_i N^-i,   U = u_N = sum_{i<=K} c_i N^-i.
+
+    `hurwitz_zeta` gives the balls (S_i, R_i), `tail_coefficients` the
+    (C_i, E_i).  One reversed Horner pass on ints, i = K .. 0, runs
+    A <- floor(C_i S_i 2^-W) + floor(A/N), U <- C_i + floor(U/N) and their
+    radii, propagated plus one unit per floor division,
+
+        A_rad <- floor((|C_i| R_i + E_i (S_i + R_i)) 2^-W) + 3 + ceil(A_rad/N),
+        U_rad <- E_i + 1 + ceil(U_rad/N),
+
+    from the truncation after c_K, four times the first omitted term: with
+    cut = |C_{K+1}| + E_{K+1}, U_rad = 4 cut and A_rad = ceil(4 cut
+    (S_{K+1} + R_{K+1}) 2^-W).  tail = floor(T N A / U) has the first-order
+    radius (N (T_rad |A| + |T| A_rad) + (|tail| + 1) U_rad) / |U| + 2.
     """
-    W = ctx.prec_bits + 16
+    W = ctx.fixed_bits
     N = M + 1
     mids, rads = tail_coefficients(p, K + 2, W)
     zetas = mpnum.hurwitz_zeta(1 + p.margin, N, ctx, K + 2)
-    acc = mpf(0)
-    mag = mpf(0)       # sum |c_i| z_i, the size the rounding scales with
-    zeta_err = mpf(0)  # sum |c_i| err(z_i)
-    rad_err = mpf(0)   # sum E_i (z_i + err(z_i)), in units of 2^-W
-    for C, E, z in zip(mids[: K + 1], rads, zetas):
-        c = mpmath.ldexp(C, -W)
-        acc += c * z.val
-        mag += abs(c) * z.val
-        zeta_err += abs(c) * z.err
-        rad_err += E * (z.val + z.err)
-    z_last = zetas[K + 1]
-    cut = abs(mids[K + 1]) + rads[K + 1]    # bounds |c_{K+1}| 2^W
-    trunc = mpmath.ldexp(cut, -W) * (z_last.val + z_last.err)
+    cut = abs(mids[K + 1]) + rads[K + 1]
+    A, A_rad = 0, -(-4 * cut * sum(zetas[K + 1]) >> W)
     U, U_rad = 0, 4 * cut
-    for C, E in zip(mids[K::-1], rads[K::-1]):
+    for C, E, (S, R) in zip(mids[K::-1], rads[K::-1], zetas[K::-1]):
+        A = (C * S >> W) + A // N
+        A_rad = ((abs(C) * R + E * (S + R)) >> W) + 3 - (-A_rad // N)
         U = C + U // N
         U_rad = E + 1 - (-U_rad // N)
     T, T_rad = t_next
-    scale = mpf(T * N) / U
-    scale_err = ((T_rad * N + abs(scale) * U_rad) / abs(U)
-                 + abs(scale) * mpmath.ldexp(1, 1 - ctx.prec_bits))
-    val = scale * acc
-    err = (abs(scale) * (trunc * 4 + zeta_err + mpmath.ldexp(rad_err, -W)
-                         + mag * ctx.eps * (K + 10))
-           + scale_err * abs(acc))
-    return val, err
+    tail = T * N * A // U
+    return tail, ((N * (T_rad * abs(A) + abs(T) * A_rad)
+                   + (abs(tail) + 1) * U_rad) // abs(U) + 2)
 
 
 def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext) -> ArbReal:

@@ -43,6 +43,11 @@ class PrecisionContext:
     def prec_bits(self) -> int:
         return int((self.digits + GUARD) * 3.3219280948873626) + 8
 
+    @property
+    def fixed_bits(self) -> int:
+        """Fraction bits of the 3F2 tail's fixed-point integer balls."""
+        return self.prec_bits + 16
+
     def workprec(self):
         """Context manager setting mpmath working precision."""
         return mpmath.workprec(self.prec_bits)
@@ -268,24 +273,29 @@ def em_start(s_max: float, bits: int) -> float:
 
 
 def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
-    """[a^(s-1) zeta(s+i, a) for i < count], zeta(s, a) = sum_{n>=0}
-    (n+a)^{-s}, for rational s > 1 and a > 0: the values without their
-    common factor a^(1-s), x^{-i} S(s+i, x) from Euler-Maclaurin at x = a,
+    """[(S_i, R_i) for i < count], integer balls in units of 2^-W,
+    W = ctx.fixed_bits, around S(s+i, a) = a^(s+i-1) zeta(s+i, a), where
+    zeta(s, x) = sum_{n>=0} (n+x)^{-s}, for rational s > 1 and a > 0.
+    Euler-Maclaurin at x = a gives, with no power formed,
 
-        zeta(s, x) = x^{1-s} S(s, x),
-        S = 1/(s-1) + 1/(2x) + sum_{j>=1} t_j,
-        t_j = B_{2j}/(2j)! (s)_{2j-1} x^{-2j},
+        S(s, x) = 1/(s-1) + 1/(2x) + sum_{j>=1} t_j,
+        t_j = B_{2j}/(2j)! (s)_{2j-1} x^{-2j}.
 
-    with no power formed.  For rational s and x every t_j is rational, and
-    t_{j+1} = t_j rho_j (s+2j-1)(s+2j) / x^2, so each S runs in fixed point
-    on ints.  It stops at the first t_j below 2^-prec S; because x^{-s} is
-    completely monotone, that first omitted term bounds the remainder
-    (Johansson, "Rigorous high-precision computation of the Hurwitz zeta
-    function and its derivatives", arXiv:1309.2877), and it goes into err.
+    For rational s and x every t_j is rational, and t_{j+1} = t_j rho_j
+    (s+2j-1)(s+2j) / x^2, so each S runs in fixed point on ints at W + 48
+    bits and stops at the first t_J below 2^-prec S.  Because x^{-s} is
+    completely monotone, |t_J| bounds the remainder (Johansson, "Rigorous
+    high-precision computation of the Hurwitz zeta function and its
+    derivatives", arXiv:1309.2877).  Each step rounds by a few dozen units
+    of 2^-(W+48) (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the terms
+    decrease), and earlier errors shrink with the terms, so
+
+        R_i = ceil((|t_J| + 128 (J+1)^2) 2^-48) + 1,
+
+    the last unit for the one shift down to W bits.  S(s+i, a) > 1/(s+i-1),
+    so R_i is relative to its value; the 3F2 tail applies the a^-i itself.
     Below `em_start(s + count - 1, prec)` the corrections turn before the
-    stop, and a PrecisionError says so.  Every err is relative to its value,
-    with no absolute floor: the 3F2 tail multiplies values far below
-    10^-digits by large coefficients.
+    stop, and a PrecisionError says so.
     """
     s0, x = Fraction(s), Fraction(a)
     if s0 <= 1:
@@ -294,42 +304,30 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
         raise DomainError("hurwitz_zeta requires a > 0")
     if count < 1:
         raise ValueError("count must be >= 1")
-    with ctx.workprec():
-        prec = ctx.prec_bits
-        W = prec + 64
-        xn, xd = x.numerator, x.denominator
-        xv = mpf(xn) / xd
-        pw = mpf(1)
-        eps = mpmath.ldexp(1, 1 - prec)
-        out = []
-        for i in range(count):
-            si = s0 + i
-            p, q = si.numerator, si.denominator
-            S = (q << W) // (p - q) + (xd << W) // (2 * xn)
-            t = (p * xd * xd << W) // (12 * q * xn * xn)
-            den = q * q * xn * xn
-            j = 1
-            while abs(t) > S >> prec:
-                S += t
-                r = (p + (2 * j - 1) * q) * (p + 2 * j * q) * xd * xd
-                nxt = ((t * _em_ratio(W, j)) >> W) * r // den
-                if abs(nxt) >= abs(t):
-                    raise PrecisionError("Euler-Maclaurin corrections stopped "
-                                         "decreasing before the target")
-                t = nxt
-                j += 1
-                if 2 * j > MAX_TERMS:
-                    raise PrecisionError("max_terms exceeded in hurwitz_zeta")
-            # remainder below |t|; each recurrence step rounds by a few dozen
-            # units of 2^-W (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the
-            # terms decrease), and earlier errors shrink with the terms
-            tail_err = abs(t) + 128 * (j + 1) ** 2
-            val = pw * mpmath.ldexp(mpf(S), -W)
-            err = (pw * mpmath.ldexp(mpf(tail_err), -W)
-                   + abs(val) * (i + 8) * eps)
-            out.append(ArbReal(val, err))
-            pw /= xv
-        return out
+    prec = ctx.prec_bits
+    wp = ctx.fixed_bits + 48
+    xn, xd = x.numerator, x.denominator
+    out = []
+    for i in range(count):
+        si = s0 + i
+        p, q = si.numerator, si.denominator
+        S = (q << wp) // (p - q) + (xd << wp) // (2 * xn)
+        t = (p * xd * xd << wp) // (12 * q * xn * xn)
+        den = q * q * xn * xn
+        j = 1
+        while abs(t) > S >> prec:
+            S += t
+            r = (p + (2 * j - 1) * q) * (p + 2 * j * q) * xd * xd
+            nxt = ((t * _em_ratio(wp, j)) >> wp) * r // den
+            if abs(nxt) >= abs(t):
+                raise PrecisionError("Euler-Maclaurin corrections stopped "
+                                     "decreasing before the target")
+            t = nxt
+            j += 1
+            if 2 * j > MAX_TERMS:
+                raise PrecisionError("max_terms exceeded in hurwitz_zeta")
+        out.append((S >> 48, -(-(abs(t) + 128 * (j + 1) ** 2) >> 48) + 1))
+    return out
 
 
 def agm(a, b, ctx: PrecisionContext) -> tuple:

@@ -529,6 +529,13 @@ def test_hyp_unreachable_precision_is_usage_error(capsys):
     assert "--params" in err and "M = 84 head terms" in err
 
 
+def test_hyp_margin_past_the_float_range_is_usage_error(capsys):
+    # a margin of 10^400 would overflow a float; its head is refused first
+    code, out, err = run(capsys, "hyp", "--params", "1/2,1/2,1/2,1e400,2")
+    assert code == 2 and out == ""
+    assert "convergence margin 1.0e+400" in err
+
+
 def test_verify_identity_reports_agreement_of_equal_sides(capsys):
     # at 43 digits the two E64 sides round to the same value; the report
     # then gives the working precision as the agreement, not null

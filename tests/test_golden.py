@@ -1,8 +1,10 @@
-"""Exact CLI outputs pinned byte-for-byte against files under tests/golden/.
+"""CLI outputs pinned byte-for-byte against files under tests/golden/.
 
-Only exact outputs are pinned: JSON reports of the exact checks, coefficient
-tables and tame symbols.  Numeric reports carry error estimates that are
-expected to change, so no numeric command is listed here.
+Exact outputs are pinned: JSON reports of the exact checks, coefficient
+tables and tame symbols.  So are `hyp` values: `hyp` prints its value
+rounded to --digits and no error estimate, so a change to how an estimate
+is formed leaves them as they are.  Numeric reports carry error estimates
+that are expected to change, so no such report is listed here.
 
 Regenerate the files (only when an output is meant to change) with
 
@@ -13,11 +15,14 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ellhyp import claims
 from ellhyp.cli import main
+from test_hyp3f2 import DIXON_CASES, GROWING
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 JSON_FLAGS = ["--report", "json", "--deterministic"]
@@ -55,6 +60,18 @@ TAME = {
     for N in (36, 64)
 }
 
+# the four F~ sets 3F2(a, b, a+b-1; a+b, a+b; 1) of the published
+# identities, the two whose terms grow first, and five Dixon sets
+_HYP_PARAMS = (
+    [f"{a},{b},{a + b - 1},{a + b},{a + b}"
+     for N in (36, 64) for _, a, b in claims.identity(N)[2]]
+    + GROWING
+    + [f"{a},{b},{c},{1 + Fraction(a) - Fraction(b)},"
+       f"{1 + Fraction(a) - Fraction(c)}" for a, b, c, _ in DIXON_CASES[:5]])
+HYP = {f"hyp-{digits}": [["hyp", f"--params={params}", "--digits",
+                          str(digits)] for params in _HYP_PARAMS]
+       for digits in (30, 100)}
+
 
 def _run(argv):
     out = io.StringIO()
@@ -67,10 +84,12 @@ def _run(argv):
 def produce(name: str) -> str:
     if name in TAME:
         return "".join(_run(argv) for argv in TAME[name])
+    if name in HYP:
+        return "".join(f"{argv[1]} {_run(argv)}" for argv in HYP[name])
     return _run({**REPORTS, **COEFFS}[name])
 
 
-NAMES = [*REPORTS, *COEFFS, *TAME]
+NAMES = [*REPORTS, *COEFFS, *TAME, *HYP]
 
 
 @pytest.mark.parametrize("name", NAMES)

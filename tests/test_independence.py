@@ -105,13 +105,17 @@ def test_src_uses_only_elementary_mpmath():
 
 def test_the_3f2_tail_forms_no_power():
     # the tail's scale t_{M+1} (M+1) / u_{M+1} and the Hurwitz zeta values
-    # without their factor a^(1-s) need no power, root or log
+    # without their factor a^(1-s) need no power, root or log; the tail is
+    # one integer ball, so hurwitz_zeta and accelerated_tail read no mpmath
+    # name at all, nor an mpnum name that reaches mpmath
     forbidden = {"power", "root", "log"}
     assert not forbidden & set(_mpmath_names(ast.parse(_source("hyp3f2"))))
-    mpnum = ast.parse(_source("mpnum"))
-    (node,) = [n for n in mpnum.body
-               if isinstance(n, ast.FunctionDef) and n.name == "hurwitz_zeta"]
-    assert not forbidden & set(_mpmath_names(node))
+    for module, function in [("mpnum", "hurwitz_zeta"),
+                             ("hyp3f2", "accelerated_tail")]:
+        tree = ast.parse(_source(module))
+        mpmath_names = {"mpmath", *_mpmath_names(tree), "ArbReal",
+                        "workprec", "eps", "target_eps", "ulp"}
+        assert not mpmath_names & set(_names_read(tree, function)), function
 
 
 def _private_reads(tree):

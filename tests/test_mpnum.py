@@ -75,26 +75,30 @@ def _mp(q):
 
 
 def _check_hurwitz(s, a, digits, count, stride=1):
-    """a^(s-1) zeta(s+i, a) within 10^-digits relative, and err >= the
-    error, for every stride-th i (mpmath.zeta is slow at a rational s of
-    about 100).
+    """Integer balls (S_i, R_i) in units of 2^-W around S(s+i, a) =
+    a^(s+i-1) zeta(s+i, a): the midpoint within 10^-digits relative, and
+    R_i >= the error and <= 10^-digits relative, for every stride-th i
+    (mpmath.zeta is slow at a rational s of about 100).
 
     mpmath.zeta also stops on an absolute test, so the reference runs with
-    s log10(a) more digits for the values far below 1."""
+    s log10(a) more digits for the values far below 1, and with 30 more
+    than that, because a radius can be as small as one unit of 2^-W."""
     ctx = PrecisionContext(digits=digits)
     got = mpnum.hurwitz_zeta(s, a, ctx, count)
     assert len(got) == count
     for i in range(0, count, stride):
-        z = got[i]
+        S, R = got[i]
+        assert isinstance(S, int) and isinstance(R, int)
         si = Fraction(s) + i
         extra = max(0, math.ceil(float(si) * math.log10(float(a))))
-        with mpmath.workdps(digits + extra + 20):
-            want = (mpmath.power(_mp(a), _mp(s) - 1)
-                    * mpmath.zeta(_mp(si), _mp(a)))
-            actual = abs(z.val - want)
+        with mpmath.workdps(digits + extra + 30):
+            want = mpmath.ldexp(mpmath.power(_mp(a), _mp(si) - 1)
+                                * mpmath.zeta(_mp(si), _mp(a)),
+                                ctx.fixed_bits)
+            actual = abs(S - want)
             assert actual <= want * mpmath.mpf(10) ** -digits, (si, a)
-            assert z.err >= actual, (si, a)
-            assert z.err <= want * mpmath.mpf(10) ** -digits, (si, a)
+            assert R >= actual, (si, a)
+            assert R <= want * mpmath.mpf(10) ** -digits, (si, a)
 
 
 def test_hurwitz_zeta_tail_batch_200_digits():
