@@ -24,6 +24,13 @@ the head, t_{M+1}, the c_i, the zeta values and the tail.  A product of
 balls adds |x| rad(y) + rad(x) (|y| + rad(y)), and each floor division one
 unit; the docstrings below give each recurrence.  `f32_unit` adds head and
 tail as ints and rounds once, to mpf.
+
+The split moves the work into the cheap integer head: M = 8P head terms
+(`head_tail_sizes`, a measured cost rule), and a tail that stops at the
+first K >= 20 whose next two terms are below one unit of 2^-W, a test made
+inside the coefficients' own loop.  A tail that does not stop by K = P
+doubles the head, or raises PrecisionError.  `rhs_main` computes one zeta
+batch for all the terms of its identity.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm, pi
 from operator import mul
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -111,10 +119,20 @@ def _ratio_series(p: HypParams, order: int):
     return R, D
 
 
-def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
+def tail_coefficients(p: HypParams, count: int, bits: int,
+                      stop: tuple = None) -> tuple:
     """Balls around c_0..c_{count-1}, c_0 = 1, in fixed point with `bits`
     fractional bits: (mids, rads), integers with |mids[i] - c_i 2^bits| <=
     rads[i].
+
+    With stop = (N, lead), count is a cap and the loop ends at the first
+    k > K_MIN + 1 at which the tail terms of c_{k-1} and c_k are both below
+    one unit of 2^-bits: lead (|c_j| + rad) N^-j < 1, lead the size of the
+    tail's leading term in units of 2^-bits (`head_tail_sizes`).  It
+    returns c_0..c_k, so that K = k - 2 is the last coefficient the tail
+    keeps and the two after it bound its truncation.  If the terms do not
+    fall that far by c_{count-1}, because they grow first or shrink too
+    slowly at this N, it raises PrecisionError.
 
     Writing u_n = t_n * n^(1+s) / scale, the recurrence u_{n+1} = R(n) u_n
     with R(n) = prod(1+a_j/n) (1+1/n)^(1+s) / prod(1+b/n) determines the
@@ -149,6 +167,9 @@ def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
     mids, rads = [1 << bits], [0]
     mid_abs = 1 << bits        # sum |C_i| so far
     row = [1, 0]               # C(m-1, k) for k <= m
+    N, lead = stop or (1, 0)
+    unit = 1 << bits           # one unit of 2^-bits times N^(m-1)
+    below = False              # whether the last term was below it
     for m in range(2, count + 1):
         row = [1] + [row[k - 1] + row[k] for k in range(1, m)] + [0]
         ks = range(m, 1, -1)   # k = m - i for i = 0 .. m-2
@@ -160,30 +181,86 @@ def tail_coefficients(p: HypParams, count: int, bits: int) -> tuple:
                 + (mid_abs >> (bits + 1)) + 1)
         rads.append(-(-prop // (m - 1)) + 1)
         mid_abs += abs(mids[-1])
+        if stop:
+            unit *= N
+            was_below, below = below, lead * (abs(mids[-1]) + rads[-1]) < unit
+            if was_below and below and m > K_MIN + 2:
+                return mids, rads
+    if stop:
+        raise mpnum.PrecisionError(
+            f"the tail terms at N = {N} stay above 2^-{bits} through "
+            f"c_{count - 1}")
     return mids, rads
 
 
-def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> tuple:
-    """(M, K): `f32_unit` sums the head to n = M and the tail to c_K.  The
-    tail's zeta values, exponents up to 1+s+K+1, run Euler-Maclaurin at
-    x = M+1, so M reaches their `mpnum.em_start` (below 2P when s = 1)."""
+class Split(NamedTuple):
+    """The head/tail split of one sum: the head to n = M, the tail to c_K,
+    the head's balls (S, S_rad, T, T_rad) from `_partial_sum` and the
+    coefficient balls (mids, rads) through c_{K+2}."""
+    M: int
+    K: int
+    head: tuple
+    coeffs: tuple
+
+
+# The cost rule: the head runs to M = 8P terms, P = digits + GUARD.  The
+# integer head costs M steps, the tail about K^2 coefficient steps and K
+# Euler-Maclaurin sums, and the stop test makes K fall like W / log2(M).
+# Both rhs_main calls, in process on a 2-vCPU VM, take the same time within
+# noise from M = 6P to 16P at 100, 152 and 200 digits (0.05-0.065 s at 200),
+# up to 1.5x that at 4P and 32P, and 0.24-0.33 s at M = 2P, K = P.
+HEAD_PER_DIGIT = 8
+# the fewest tail coefficients: below it the truncation bound rests on too
+# few terms of an asymptotic series
+K_MIN = 20
+# how often a tail whose terms do not reach the stop may double the head
+HEAD_DOUBLINGS = 4
+
+
+def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> Split:
+    """The split `f32_unit` sums: the head to n = M, M = HEAD_PER_DIGIT P,
+    and the tail to c_K, K from the stop test of `tail_coefficients`, capped
+    at P, with the tail's leading term |T| N, N = M+1, as its lead.  If the
+    tail terms do not fall below one unit by c_P (a large margin, or terms
+    that grow first), the head doubles, at most HEAD_DOUBLINGS times; then
+    PrecisionError names M and K.  The tail's zeta values, exponents up to
+    1+s+K+2, run Euler-Maclaurin at x = M+1, so M also reaches their
+    `mpnum.em_start`."""
     P = ctx.digits + mpnum.GUARD
-    s_max = 2 + p.margin + P
+    W = ctx.fixed_bits
+    s_max = 3 + p.margin + P
     if s_max > 2 * pi * mpnum.MAX_TERMS:    # em_start exceeds s_max / (2 pi)
         s = mpf(p.margin.numerator) / p.margin.denominator
         raise mpnum.PrecisionError(
             f"the head needs over {mpnum.MAX_TERMS} terms at the convergence "
             f"margin {mpmath.nstr(s, 5)}")
     start = mpnum.em_start(float(s_max), ctx.prec_bits)
-    M = max(60, 2 * P, ceil(start))
-    if M > mpnum.MAX_TERMS:
-        raise mpnum.PrecisionError(
-            f"the head needs {M} terms, past {mpnum.MAX_TERMS}")
-    return M, P
+    M = max(HEAD_PER_DIGIT * P, ceil(start))
+    longest = M << HEAD_DOUBLINGS
+    while True:
+        if M > mpnum.MAX_TERMS:
+            raise mpnum.PrecisionError(
+                f"the head needs {M} terms, past {mpnum.MAX_TERMS}")
+        head = _partial_sum(p, M, W)
+        try:
+            mids, rads = tail_coefficients(p, P + 3, W,
+                                           (M + 1, abs(head[2]) * (M + 1)))
+            return Split(M, len(mids) - 3, head, (mids, rads))
+        except mpnum.PrecisionError:
+            if M >= longest:
+                raise mpnum.PrecisionError(
+                    f"the tail expansion after M = {M} head terms does not "
+                    f"reach 2^-{W} by K = {P} coefficients") from None
+        M *= 2
 
 
-def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
-    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters."""
+def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
+             zetas: list = None) -> ArbReal:
+    """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters.
+
+    `rhs_main` hands in each term's split and one zeta batch for all its
+    terms; otherwise the split comes from `head_tail_sizes` and the batch,
+    S(1+s+i, M+1) for i <= K+2, from one `mpnum.hurwitz_zeta` call."""
     if not p.terminates and p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
     with ctx.workprec():
@@ -191,18 +268,21 @@ def f32_unit(p: HypParams, ctx: PrecisionContext) -> ArbReal:
             num, den = _terminating_sum(p)
             v = mpf(num) / den
             return ArbReal(v, mpnum.ulp(v))
-        M, K = head_tail_sizes(p, ctx)
+        M, K, (S, S_rad, T, T_rad), coeffs = split or head_tail_sizes(p, ctx)
+        if zetas is None:
+            zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, K + 3)
         W = ctx.fixed_bits
-        S, S_rad, T, T_rad = _partial_sum(p, M, W)
-        tail, tail_rad = accelerated_tail(p, M, K, ctx, (T, T_rad))
+        tail, tail_rad = accelerated_tail(M, K, ctx, (T, T_rad), coeffs,
+                                          zetas)
         # head and tail as one integer ball, and its one rounding to mpf
         val = mpmath.ldexp(S + tail, -W)
         err = (mpmath.ldexp(S_rad + tail_rad, -W)
                + abs(val) * mpmath.ldexp(1, 1 - ctx.prec_bits))
         if err > ctx.target_eps * max(abs(val), mpf(1)):
             raise mpnum.PrecisionError(
-                f"the tail expansion after M = {M} head terms reaches an "
-                f"error of {mpmath.nstr(err, 3)}, not 10^-{ctx.digits}")
+                f"the tail expansion after M = {M} head terms and K = {K} "
+                f"coefficients reaches an error of {mpmath.nstr(err, 3)}, "
+                f"not 10^-{ctx.digits}")
         return ArbReal(val, err)
 
 
@@ -258,10 +338,12 @@ def _terminating_sum(p: HypParams) -> tuple:
     return num, den
 
 
-def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
-                     t_next: tuple) -> tuple:
+def accelerated_tail(M: int, K: int, ctx: PrecisionContext, t_next: tuple,
+                     coeffs: tuple, zetas: list) -> tuple:
     """(tail, radius): sum_{n > M} t_n as an integer ball in units of 2^-W,
-    W = ctx.fixed_bits, from t_next = (T, T_rad), t_{M+1} as such a ball.
+    W = ctx.fixed_bits, from t_next = (T, T_rad), t_{M+1} as such a ball,
+    the coefficient balls coeffs = (C_i, E_i) through c_{K+2} and the zeta
+    balls zetas = (S_i, R_i), i <= K+2 or more, of the caller.
 
     With N = M+1 and S_i = S(1+s+i, N) = N^(s+i) zeta(1+s+i, N), the tail
     t_N N^(1+s) / u_N sum_i c_i zeta(1+s+i, N) is T N A / U, in which the
@@ -269,26 +351,28 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
 
         A = sum_{i<=K} c_i S_i N^-i,   U = u_N = sum_{i<=K} c_i N^-i.
 
-    `hurwitz_zeta` gives the balls (S_i, R_i), `tail_coefficients` the
-    (C_i, E_i).  One reversed Horner pass on ints, i = K .. 0, runs
+    One reversed Horner pass on ints, i = K .. 0, runs
     A <- floor(C_i S_i 2^-W) + floor(A/N), U <- C_i + floor(U/N) and their
     radii, propagated plus one unit per floor division,
 
         A_rad <- floor((|C_i| R_i + E_i (S_i + R_i)) 2^-W) + 3 + ceil(A_rad/N),
         U_rad <- E_i + 1 + ceil(U_rad/N),
 
-    from the truncation after c_K, four times the first omitted term: with
-    cut = |C_{K+1}| + E_{K+1}, U_rad = 4 cut and A_rad = ceil(4 cut
-    (S_{K+1} + R_{K+1}) 2^-W).  tail = floor(T N A / U) has the first-order
-    radius (N (T_rad |A| + |T| A_rad) + (|tail| + 1) U_rad) / |U| + 2.
+    from the truncation after c_K, four times the larger of the first two
+    omitted terms (one of them may vanish: F~(1/2, 1/3) has c_1 = c_2 = 0):
+    with cut_j = |C_j| + E_j and Z_j = S_j + R_j,
+    U_rad = 4 max(cut_{K+1}, ceil(cut_{K+2} / N)) and
+    A_rad = ceil(4 max(cut_{K+1} Z_{K+1}, ceil(cut_{K+2} Z_{K+2} / N)) 2^-W).
+    tail = floor(T N A / U) has the first-order radius
+    (N (T_rad |A| + |T| A_rad) + (|tail| + 1) U_rad) / |U| + 2.
     """
     W = ctx.fixed_bits
     N = M + 1
-    mids, rads = tail_coefficients(p, K + 2, W)
-    zetas = mpnum.hurwitz_zeta(1 + p.margin, N, ctx, K + 2)
-    cut = abs(mids[K + 1]) + rads[K + 1]
-    A, A_rad = 0, -(-4 * cut * sum(zetas[K + 1]) >> W)
-    U, U_rad = 0, 4 * cut
+    mids, rads = coeffs
+    cut, cut2 = (abs(mids[j]) + rads[j] for j in (K + 1, K + 2))
+    A, A_rad = 0, -(-4 * max(cut * sum(zetas[K + 1]),
+                             -(-cut2 * sum(zetas[K + 2]) // N)) >> W)
+    U, U_rad = 0, 4 * max(cut, -(-cut2 // N))
     for C, E, (S, R) in zip(mids[K::-1], rads[K::-1], zetas[K::-1]):
         A = (C * S >> W) + A // N
         A_rad = ((abs(C) * R + E * (S + R)) >> W) + 3 - (-A_rad // N)
@@ -300,23 +384,41 @@ def accelerated_tail(p: HypParams, M: int, K: int, ctx: PrecisionContext,
                    + (abs(tail) + 1) * U_rad) // abs(U) + 2)
 
 
-def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext) -> ArbReal:
+def _ftilde_params(a: Fraction, b: Fraction) -> HypParams:
+    """The parameters (a, b, a+b-1; a+b, a+b) of F~(a, b); margin 1."""
+    return HypParams(a, b, a + b - 1, a + b, a + b)
+
+
+def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext,
+           split: Split = None, zetas: list = None) -> ArbReal:
     """B(a, b)^2 * 3F2(a, b, a+b-1; a+b, a+b; 1) for rationals a, b, with
-    the Beta value in closed form (`mpnum.beta`)."""
+    the Beta value in closed form (`mpnum.beta`); split and zetas go to
+    `f32_unit`."""
     with ctx.workprec():
         pre = mpnum.beta(a, b, ctx)
-        return pre * pre * f32_unit(HypParams(a, b, a + b - 1, a + b, a + b),
-                                    ctx)
+        return pre * pre * f32_unit(_ftilde_params(a, b), ctx, split, zetas)
 
 
 def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> ArbReal:
     """Hypergeometric side of curve `curve_id`'s L-value identity, from its
     data (k, d, terms): sum sign F~(a, b) / (k sqrt(d) pi) over the terms
     (sign, a, b).  The prefactor is a product of balls, so its radius
-    follows from its form, and a sign of -1 negates its term exactly."""
+    follows from its form, and a sign of -1 negates its term exactly.
+
+    Every F~ has margin 1, so each term's tail reads S(2+i, M+1) for its
+    own K: one `mpnum.hurwitz_zeta` batch per head length M, the largest K
+    of its terms + 3 long, serves them all (one batch when, as for the
+    published identities, every term keeps the cost rule's M)."""
     k, d, terms = identity
     with ctx.workprec():
         pref = 1 / (k * mpnum.rounded(mpmath.sqrt(d)) * mpnum.rounded(mpmath.pi))
-        first, *rest = [ftilde(a, b, ctx) if sign > 0 else -ftilde(a, b, ctx)
-                        for sign, a, b in terms]
+        splits = [head_tail_sizes(_ftilde_params(a, b), ctx)
+                  for _, a, b in terms]
+        zetas = {M: mpnum.hurwitz_zeta(
+                     2, M + 1, ctx, 3 + max(sp.K for sp in splits if sp.M == M))
+                 for M in {sp.M for sp in splits}}
+        values = [ftilde(a, b, ctx, split, zetas[split.M])
+                  for (_, a, b), split in zip(terms, splits)]
+        first, *rest = [v if sign > 0 else -v
+                        for (sign, _, _), v in zip(terms, values)]
         return pref * sum(rest, first)

@@ -521,12 +521,14 @@ def test_hyp_divergent_params_is_usage_error(capsys, params):
 
 
 def test_hyp_unreachable_precision_is_usage_error(capsys):
-    # valid parameters whose tail expansion at the fixed head length cannot
-    # reach the target: a limit of the method, not a failed verification
+    # valid parameters whose tail expansion does not reach the target even
+    # after the head doubles: a limit of the method, not a failed
+    # verification
     code, out, err = run(capsys, "hyp", "--params", "50,50,50,75,76")
     assert code == 2
     assert out == ""
-    assert "--params" in err and "M = 84 head terms" in err
+    assert "--params" in err and "M = 5376 head terms" in err
+    assert "K = 42 coefficients" in err
 
 
 def test_hyp_margin_past_the_float_range_is_usage_error(capsys):

@@ -3,8 +3,11 @@
 Exact outputs are pinned: JSON reports of the exact checks, coefficient
 tables and tame symbols.  So are `hyp` values: `hyp` prints its value
 rounded to --digits and no error estimate, so a change to how an estimate
-is formed leaves them as they are.  Numeric reports carry error estimates
-that are expected to change, so no such report is listed here.
+is formed leaves them as they are.  The numeric `verify-identity` reports
+at 30, 100, 152 and 200 digits are pinned too, every field included:
+`lhs`, `rhs`, `abs_err`, `digits_agreed`, `status` and `tolerance`.  A
+change that moves an error estimate or a last digit fails them; such a
+change regenerates the files and names each moved field in CHANGES.md.
 
 Regenerate the files (only when an output is meant to change) with
 
@@ -36,6 +39,10 @@ REPORTS = {
     "verify-torsion-labels-100": ["verify-torsion-labels", "--digits", "100"]
                                  + JSON_FLAGS,
 }
+
+NUMERIC = {f"verify-identity-{digits}": ["verify-identity", "--digits",
+                                          str(digits)] + JSON_FLAGS
+           for digits in (30, 100, 152, 200)}
 
 COEFFS = {f"coeffs-{N}": ["coeffs", "--curve", str(N), "--n-max", "1000"]
           for N in (36, 64)}
@@ -86,10 +93,10 @@ def produce(name: str) -> str:
         return "".join(_run(argv) for argv in TAME[name])
     if name in HYP:
         return "".join(f"{argv[1]} {_run(argv)}" for argv in HYP[name])
-    return _run({**REPORTS, **COEFFS}[name])
+    return _run({**REPORTS, **NUMERIC, **COEFFS}[name])
 
 
-NAMES = [*REPORTS, *COEFFS, *TAME, *HYP]
+NAMES = [*REPORTS, *NUMERIC, *COEFFS, *TAME, *HYP]
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -13,9 +13,10 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from ellhyp import claims, hyp3f2
+from ellhyp import claims, hyp3f2, mpnum
+from ellhyp.cli import main
 from ellhyp.hyp3f2 import DivergenceError, HypParams
-from ellhyp.mpnum import PrecisionContext
+from ellhyp.mpnum import GUARD, PrecisionContext, PrecisionError
 
 CTX = PrecisionContext(digits=30)
 
@@ -321,7 +322,7 @@ def _check_balls(p, count, ctx):
     """Every exact c_i lies in its ball, and the radius weighted by the
     tail's (M+1)^-i stays within 2 units of 2^-bits."""
     bits = ctx.fixed_bits
-    M, _ = hyp3f2.head_tail_sizes(p, ctx)
+    M = hyp3f2.head_tail_sizes(p, ctx).M
     mids, rads = hyp3f2.tail_coefficients(p, count, bits)
     assert len(mids) == len(rads) == count
     assert _ball_misses(mids, rads, _ref_tail_coefficients(p, count),
@@ -352,8 +353,8 @@ def test_tail_coefficients_match_reference(p, count):
 
 
 def test_tail_coefficients_match_reference_200_digits():
-    # count K+2 = 214 is what f32_unit asks for at 200 digits
-    _check_balls(TAIL_PARAMS[0], 214, PrecisionContext(digits=200))
+    # count P+3 = 215 is the cap of the stop test at 200 digits
+    _check_balls(TAIL_PARAMS[0], 215, PrecisionContext(digits=200))
 
 
 @pytest.mark.parametrize("p", TAIL_PARAMS, ids=TAIL_IDS)
@@ -370,7 +371,7 @@ def _check_head(p, ctx):
     tail's scale, lie within their radii of the exact Fraction values;
     returns the two radii."""
     bits = ctx.fixed_bits
-    M, _ = hyp3f2.head_tail_sizes(p, ctx)
+    M = hyp3f2.head_tail_sizes(p, ctx).M
     t = exact = Fraction(1)
     for n in range(M):
         t *= p.term_ratio(n)
@@ -387,7 +388,7 @@ def _check_head(p, ctx):
 def test_partial_sum_within_m_plus_one_units(p, digits):
     ctx = PrecisionContext(digits=digits)
     head_rad, T_rad = _check_head(p, ctx)
-    assert head_rad <= hyp3f2.head_tail_sizes(p, ctx)[0] + 1
+    assert head_rad <= hyp3f2.head_tail_sizes(p, ctx).M + 1
     assert T_rad <= 2
 
 
@@ -471,3 +472,85 @@ def test_f32_unit_ball_holds_when_terms_grow(params, digits):
         want = mpmath.hyp3f2(*map(_mp, (p.a1, p.a2, p.a3, p.b1, p.b2)), 1)
         assert abs(got.val - want) <= got.err
     assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val)
+
+
+def test_truncation_bound_covers_a_vanishing_coefficient():
+    # F~(1/2, 1/3) has c_1 = c_2 = 0 exactly, so a tail cut after c_1 has a
+    # first omitted term of 0; its radius must come from c_3, and cover the
+    # true tail, F minus the head, by the oracle
+    p = TAIL_PARAMS[0]
+    assert _ref_tail_coefficients(p, 3)[1:] == [0, 0]
+    W, M, K = CTX.fixed_bits, 704, 1
+    coeffs = hyp3f2.tail_coefficients(p, K + 3, W)
+    S, S_rad, T, T_rad = hyp3f2._partial_sum(p, M, W)
+    zetas = mpnum.hurwitz_zeta(2, M + 1, CTX, K + 3)
+    tail, rad = hyp3f2.accelerated_tail(M, K, CTX, (T, T_rad), coeffs, zetas)
+    with mpmath.workdps(30):
+        want = mpmath.hyp3f2(*map(_mp, (p.a1, p.a2, p.a3, p.b1, p.b2)), 1)
+        assert abs(tail - (mpmath.ldexp(want, W) - S)) <= rad + S_rad
+
+
+@pytest.mark.parametrize("digits", [30, 100, 152, 200])
+@pytest.mark.parametrize("p", TAIL_PARAMS[:4], ids=TAIL_IDS[:4])
+def test_stop_test_keeps_k_at_most_p_and_drops_terms_below_one_unit(p, digits):
+    # the F~ sets keep the cost rule's head; their tails stop by K = P, and
+    # both omitted terms, scaled by the tail's leading term |T| N, are
+    # below one unit of 2^-W
+    ctx = PrecisionContext(digits=digits)
+    P, W = digits + GUARD, ctx.fixed_bits
+    M, K, head, (mids, rads) = hyp3f2.head_tail_sizes(p, ctx)
+    assert M == hyp3f2.HEAD_PER_DIGIT * P
+    assert hyp3f2.K_MIN <= K <= P and len(mids) == len(rads) == K + 3
+    N = M + 1
+    for j in (K + 1, K + 2):
+        assert abs(head[2]) * N * (abs(mids[j]) + rads[j]) < N ** j << W
+
+
+def test_a_tail_that_never_stops_raises():
+    # 50,50,50,75,76 at 30 digits and M = 8P: the terms stay above one unit
+    # through the cap (test_cli checks the exit 2 after the head doubles)
+    W = CTX.fixed_bits
+    with pytest.raises(PrecisionError, match="stay above"):
+        hyp3f2.tail_coefficients(HypParams(50, 50, 50, 75, 76), 45, W,
+                                 (337, 1 << W))
+
+
+def test_a_doubled_head_matches_the_oracle():
+    # at 60 digits the same set stops after the head doubles three times;
+    # mpmath.nsum is no oracle here (its sum is 4e23 off, about 2%), but
+    # mpmath.hyp3f2 is
+    p = HypParams(50, 50, 50, 75, 76)
+    ctx = PrecisionContext(digits=60)
+    assert hyp3f2.head_tail_sizes(p, ctx).M == 8 * hyp3f2.HEAD_PER_DIGIT * 72
+    with ctx.workprec():
+        got = hyp3f2.f32_unit(p, ctx)
+    with mpmath.workdps(80):
+        assert abs(got.val - mpmath.hyp3f2(50, 50, 50, 75, 76, 1)) <= got.err
+
+
+def _zeta_calls(monkeypatch, capsys, *argv):
+    """The exit code of `argv` and its calls of mpnum.hurwitz_zeta."""
+    calls = []
+    real = mpnum.hurwitz_zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpnum, "hurwitz_zeta", counted)
+    code = main(list(argv))
+    capsys.readouterr()
+    return code, calls
+
+
+def test_one_zeta_batch_per_identity(monkeypatch, capsys):
+    # the four F~ terms of a run share one batch per rhs_main call, not one
+    # each; hyp asks for its own
+    code, calls = _zeta_calls(monkeypatch, capsys, "verify-identity")
+    assert code == 0 and len(calls) == 2
+    code, calls = _zeta_calls(monkeypatch, capsys, "verify-identity",
+                              "--curve", "64")
+    assert code == 0 and len(calls) == 1
+    code, calls = _zeta_calls(monkeypatch, capsys, "hyp", "--params",
+                              "1/2,1/3,-1/6,5/6,5/6")
+    assert code == 0 and len(calls) == 1

@@ -102,8 +102,15 @@ def _check_hurwitz(s, a, digits, count, stride=1):
 
 
 def test_hurwitz_zeta_tail_batch_200_digits():
-    # the 3F2 tail at 200 digits: zeta(2+i, M+1) for i <= 212, M = 2P = 424
+    # a 3F2 tail at 200 digits with the head at 2P: zeta(2+i, M+1) for
+    # i <= 212, M = 2P = 424
     _check_hurwitz(2, 425, 200, 213)
+
+
+def test_hurwitz_zeta_identity_batch_200_digits():
+    # the batch rhs_main asks for at 200 digits: M = 8P = 1696 and K = 84,
+    # zeta(2+i, M+1) for i <= K+2
+    _check_hurwitz(2, 1697, 200, 87)
 
 
 @pytest.mark.parametrize("s, a, digits, count, stride", [
