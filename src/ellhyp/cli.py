@@ -407,7 +407,9 @@ def emit(reports, args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call, for every main."""
     ap = argparse.ArgumentParser(
         prog="ellhyp",
         description="Verify the L-value identities and the exact proofs "

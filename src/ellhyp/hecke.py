@@ -280,46 +280,60 @@ def afe_n_max(c: CurveId, ctx: PrecisionContext) -> int:
 
 def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
     """L(E, 2) by the incomplete-gamma approximate functional equation, from
-    the coefficient table tbl = {n: a_n}, n = 1..len(tbl).
+    the coefficient table tbl = {n: a_n}, n = 1..len(tbl), with root number
+    w = +1:
 
-    L(2) = (2 pi / sqrt(N))^2 sum_n a_n [ (sqrt(N)/(2 pi n))^2 Gamma(2, x_n)
-           + w Gamma(0, x_n) ],   x_n = 2 pi n / sqrt(N),  w = +1.
+        L(2) = sum_n a_n [e^-x_n (1 + x_n) / n^2 + kappa^2 E1(x_n)],
+        x_n = n kappa,  kappa = 2 pi / sqrt(N).
+
+    One integer sum in units of 2^-W, W = ctx.fixed_bits, rounded once to
+    mpf: kappa, kappa^2 and e^-kappa are rounded once each, e^-x_n = P_n is
+    one running power of e^-kappa, and E1(x_n) is `mpnum.e1_fixed` at
+    X = n K.  X is off by n units or less, which moves e^-x by under
+    n e^-x_n < 1 unit and E1 by under e^-x_n / kappa < 1.  The sum is
+    A1 + kappa A2 + kappa^2 A3 with A1 = sum a_n P_n // n^2,
+    A2 = sum a_n P_n // n and A3 = sum a_n E_n.
     """
     needed = afe_n_max(c, ctx)
     if len(tbl) < needed:
         raise HeckeError(
             f"need at least {needed} coefficients for digits={ctx.digits}, "
             f"got {len(tbl)}")
-    with ctx.workprec():
-        sqrtN = mpmath.sqrt(c.N)
-        two_pi = 2 * mpmath.pi
-        acc = mpf(0)
-        g0_err = mpf(0)   # sum |a_n| err(E1(x_n))
-        ln10 = math.log(10)
-        for n in range(1, needed + 1):
-            an = tbl[n]
-            if an == 0:
-                continue
-            x = two_pi * n / sqrtN
-            g2 = mpmath.exp(-x) * (1 + x)
-            # E1(x) < e^{-x}/x, so x/ln 10 fewer digits give it the same
-            # absolute error.  Rounding x to them moves E1 by under (x+1)
-            # ulps relative, since |E1'(x)/E1(x)| < 1 + 1/x.
-            ctx_n = replace(ctx, digits=max(ctx.digits - int(x / ln10), 10))
-            g0 = mpnum.upper_incomplete_gamma(x, ctx_n)
-            acc += an * ((sqrtN / (two_pi * n)) ** 2 * g2 + g0.val)
-            x_ulps = (x + 1) * mpmath.ldexp(1, 1 - ctx_n.prec_bits)
-            g0_err += abs(an) * (g0.err + g0.val * x_ulps)
-        scale = (two_pi / sqrtN) ** 2
-        val = scale * acc
+    W = ctx.fixed_bits
+    with mpmath.workprec(W + 16):
+        kappa = 2 * mpmath.pi / mpmath.sqrt(c.N)
+        # each within one unit of 2^-W; e^-kappa < 1, so Q < 2^W
+        K, K2, Q = (int(mpmath.nint(mpmath.ldexp(v, W)))
+                    for v in (kappa, kappa ** 2, mpmath.exp(-kappa)))
         # truncation: |a_n| <= d(n) sqrt(n) <= 2n (Dokchitser, math/0207280),
-        # and for x >= 1 the summand is below 3|a_n| e^{-x}/x with
-        # n/x_n = sqrt(N)/(2 pi), so the tail is at most
-        # 6 sqrt(N)/(2 pi) sum_{n>needed} e^{-x_n}, a geometric series
-        kappa = two_pi / sqrtN
+        # and for x >= 1 the summand is below 3|a_n| kappa^2 e^{-x}/x with
+        # n/x_n = 1/kappa, so the tail is at most
+        # 6 kappa sum_{n>needed} e^{-x_n}, a geometric series
         x_tail = kappa * (needed + 1)
-        trunc = 6 / kappa * mpmath.exp(-x_tail) / (1 - mpmath.exp(-kappa))
-        err = abs(val) * ctx.eps * 8 * needed + scale * (trunc + g0_err)
+        trunc = 6 * kappa * mpmath.exp(-x_tail) / (1 - mpmath.exp(-kappa))
+    P = 1 << W
+    A1 = A2 = A3 = A_rad = A3_rad = 0
+    for n in range(1, needed + 1):
+        # P_n is off by under 2n units: each step adds P_{n-1} 2^-W < 1 for
+        # Q's rounding, one for the floor, and Q 2^-W < 1 times the last
+        P = P * Q >> W
+        an = tbl[n]
+        if an == 0:
+            continue
+        A1 += an * P // (n * n)
+        A2 += an * P // n
+        A_rad += 2 * abs(an) + 1    # each off by |a_n| 2n/n + 1 at most
+        E, R = mpnum.e1_fixed(n * K, W, (P, 2 * n + 1))
+        A3 += an * E
+        A3_rad += abs(an) * (R + 1)
+    # K and K2 are off by a unit each
+    val = A1 + (K * A2 + K2 * A3 >> W)
+    rad = A_rad + ((abs(A2) + (K + 1) * A_rad + abs(A3) + (K2 + 1) * A3_rad)
+                   >> W) + 2
+    with ctx.workprec():
+        val = mpmath.ldexp(val, -W)
+        err = (mpmath.ldexp(rad, -W) + trunc
+               + abs(val) * mpmath.ldexp(1, 1 - ctx.prec_bits))
         if err > ctx.target_eps * max(abs(val), 1):
             raise mpnum.PrecisionError(
                 "the approximate functional equation did not reach the "

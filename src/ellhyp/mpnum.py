@@ -45,7 +45,8 @@ class PrecisionContext:
 
     @property
     def fixed_bits(self) -> int:
-        """Fraction bits of the 3F2 tail's fixed-point integer balls."""
+        """Fraction bits of the fixed-point integer balls: the 3F2 tail's and
+        the AFE sum's."""
         return self.prec_bits + 16
 
     def workprec(self):
@@ -140,108 +141,120 @@ class ArbReal:
         return o / self
 
 
+# The E1 series is cheaper than the continued fraction below x = 0.12 W ln 2,
+# W the fraction bits of the result: timed on both at W = prec + 16, the
+# cost ratio crosses 1 at 0.115-0.125 W ln 2 from 30 to 200 digits.
+E1_SERIES_SHARE = 0.12
+
+
 def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
     """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0, the kernel of
     the approximate functional equation that needs more than exp (its
-    Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``)."""
+    Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``): the ball
+    of `e1_fixed` at W = fixed_bits + (x + log(x+1))/ln 2 fraction bits, as
+    E1(x) > e^-x/(x+1), plus those of x below 1, so that X = x 2^W is exact.
+    """
     with ctx.workprec():
         xv = mpf(x)
         if xv < 0:
             raise DomainError("upper_incomplete_gamma requires x >= 0")
         if xv == 0:
             raise DomainError("Gamma(0, 0) diverges")
-        return _e1(xv, ctx)
+        xf = float(xv)
+        W = (ctx.fixed_bits + int((xf + math.log1p(xf)) / math.log(2)) + 1
+             + max(0, -math.frexp(xf)[1]))
+        X = int(mpmath.ldexp(xv, W))
+    with mpmath.workprec(W - int(xf / math.log(2)) + 16):   # P's bits + 15
+        P = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-xv), W)))
+    E, R = e1_fixed(X, W, (P, 1))
+    with ctx.workprec():
+        v = mpmath.ldexp(E, -W)
+        return ArbReal(v, mpmath.ldexp(R, -W)
+                       + abs(v) * mpmath.ldexp(1, 1 - ctx.prec_bits))
 
 
-def _e1(x: mpf, ctx: PrecisionContext) -> ArbReal:
-    """E1(x) = Gamma(0, x) for x > 0, with an error relative to its value.
+def e1_fixed(X: int, W: int, enx: tuple) -> tuple:
+    """(E, R), an integer ball in units of 2^-W around E1(x), x = X 2^-W > 0,
+    given enx = (P, R_P), a ball around e^-x 2^W: below x = E1_SERIES_SHARE
+    W ln 2 the power series (DLMF 6.6.2), above it the continued fraction
+    (DLMF 6.9.1), each on ints at the precision that a few units of 2^-W
+    need.  Only the series reads mpmath (euler and log)."""
+    x = X / (1 << W)
+    if x < E1_SERIES_SHARE * W * math.log(2):
+        return _e1_series(X, W, x)
+    return _e1_fraction(X, W, x, enx)
 
-    Below x_c = L/(4e), L = (digits+guard) ln 10, the power series (DLMF
-    6.6.2); above it the continued fraction (DLMF 6.9.1) by modified Lentz,
-    both in fixed point on ints.  The fraction's error after k terms behaves
-    like exp(-4 sqrt(k x)) only for k much larger than x, so (L/4)^2/x
-    undercounts: at 152 digits Lentz stops after 297, 138 and 74 steps at
-    x = 36.5, 100.25 and 300.1, where that formula gives 247, 90 and 30.
-    The stop test alone sets the step count.  The series needs about e^2 x
-    terms, because it must reach x^k/k! < exp(-2x) 10^-(digits+guard); x_c
-    is where e^2 x meets (L/4)^2/x.
-    """
-    eps = ctx.eps
-    L = (ctx.digits + GUARD) * math.log(10)
-    if x < L / (4 * math.e):
-        return _e1_series(x, ctx)
-    # modified Lentz for E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(...))) with
-    # W fraction bits; x > 1 carries fewer than prec_bits fraction bits, so
-    # X is exact.  E1(x) e^x = int_0^inf e^-t/(x+t) dt is a Stieltjes
-    # function, so the numerators A_k and denominators B_k of its J-fraction
-    # convergents are Laguerre-type polynomials in -x, with all zeros at
-    # x < 0: for x > 0 both Lentz ratios C = A_k/A_{k-1} and
-    # 1/D = B_k/B_{k-1} stay positive, and one that does not means the
-    # rounding has broken the recurrence.
-    W = ctx.prec_bits + 32
-    one = 1 << W
-    X = int(mpmath.ldexp(x, W))
-    tol = int(mpmath.ldexp(eps, W))
-    f = X + one
-    C = f
-    D = 0
-    k = 0
+
+def _e1_series(X: int, W: int, x: float) -> tuple:
+    """E1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!) at wp = W + e + 16
+    fraction bits, 2^e >= e^x, since the partial sums reach e^x.
+
+    Each step t_k = -(t_{k-1} X >> W) // k floors twice, by under 2 units
+    of 2^-wp, and later steps scale that by t_k/t_m <= e^x (t_m >= 1 for
+    m <= x, and the ratios are below 1 past x), so the k terms are off by
+    under k (2 e^x + 1) units with G.  Past k = x they alternate and shrink,
+    so the last term bounds the remainder; the sum stops at the first one
+    below a unit of 2^-W."""
+    e = int(x / math.log(2)) + 1
+    wp = W + e + 16
+    # G at one precision per W, above wp + 16 for every x below the
+    # crossover, so that mpmath computes its euler and log constants once
+    with mpmath.workprec(W + int(E1_SERIES_SHARE * W) + 48):
+        G = int(mpmath.ldexp(mpmath.euler + mpmath.log(mpmath.ldexp(X, -W)),
+                             wp))
+    t = 1 << wp                     # (-x)^k / k!
+    s = k = 0
     while True:
         k += 1
-        kk = k * k
-        b = X + ((2 * k + 1) << W)
-        D = b - kk * D
-        C = b - (kk << 2 * W) // C
-        if D <= 0 or C <= 0:
-            raise PrecisionError("E1 continued fraction lost a positive ratio")
-        D = (one << W) // D
-        delta = C * D >> W
-        f = f * delta >> W
-        if abs(delta - one) < tol:
+        t = -(t * X >> W) // k
+        term = t // k
+        s += term
+        if (k << W) > X and abs(term) >> (wp - W) == 0:
             break
         if k > MAX_TERMS:
+            raise PrecisionError("max_terms exceeded in E1 series")
+    err = abs(term) + (3 * (k + 3) << e)
+    return (-G - s) >> (wp - W), (err >> (wp - W)) + 2
+
+
+def _e1_fraction(X: int, W: int, x: float, enx: tuple) -> tuple:
+    """E1(x) = e^-x / f, f = x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))), whose
+    convergents A_k/B_k follow A_k = (x + 2k + 1) A_{k-1} - k^2 A_{k-2}, and
+    B_k likewise, from A_-1 = 1, A_0 = x + 1, B_-1 = 0 and B_0 = 1.
+
+    E1(x) e^x = int_0^inf e^-t/(x+t) dt is a Stieltjes function, so A_k and
+    B_k are Laguerre-type polynomials in -x with all zeros at x < 0: for
+    x > 0 they stay positive, and one that does not means the rounding has
+    broken the recurrence.  As E1(x) < e^-x/x, f needs b = W - x/ln 2 bits
+    relative (at least 32): the recurrence runs at Wf = b + 32 fraction bits
+    of x, rounded down (|d log f/dx| < 1/x), shifts A and B down together
+    once B passes Wf + 64 bits, and stops at the first A/B within 2^-b
+    relative of the one four steps before; the error after k steps behaves
+    like exp(-4 sqrt(k x)) only for k much larger than x, so no formula
+    sets k.  E = P B // A, with 20 2^-b E for the fraction (a rule, not a
+    bound), R_P B/A for P and a unit per floor in its radius."""
+    P, R_P = enx
+    b = max(W - int(x / math.log(2)), 32)
+    Wf = b + 32
+    Xf = (X << Wf) >> W
+    A0, A, B0, B = 1 << Wf, Xf + (1 << Wf), 0, 1 << Wf
+    k = 0
+    while True:
+        A4, B4 = A, B
+        for k in range(k + 1, k + 5):
+            d = Xf + ((2 * k + 1) << Wf)
+            A0, A = A, (d * A >> Wf) - k * k * A0
+            B0, B = B, (d * B >> Wf) - k * k * B0
+        if A <= 0 or B <= 0:
+            raise PrecisionError("E1 continued fraction lost a positive sign")
+        if abs(A * B4 - A4 * B) < A * B4 >> b:
+            break
+        shift = max(B.bit_length() - Wf - 64, 0)
+        A0, A, B0, B = A0 >> shift, A >> shift, B0 >> shift, B >> shift
+        if k > MAX_TERMS:
             raise PrecisionError("max_terms exceeded in E1 continued fraction")
-    v = mpmath.exp(-x) / mpmath.ldexp(f, -W)
-    return ArbReal(v, abs(v) * eps * 20)
-
-
-def _e1_series(x: mpf, ctx: PrecisionContext) -> ArbReal:
-    """E1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!), x > 0.
-
-    The terms reach about e^x/x while E1(x) < e^{-x}/x, so the sum runs in
-    fixed point with wp = prec + 2x/ln 2 + 16 fraction bits.  Past k = x the
-    terms alternate and shrink, so the last term added bounds the remainder;
-    it stops once that term is below 2^-prec e^{-x}/(x+1) < 2^-prec E1(x).
-    """
-    prec = ctx.prec_bits
-    wp = prec + int(2 * x / math.log(2)) + 16
-    with mpmath.workprec(wp):
-        x = mpf(x)
-        acc = -mpmath.euler - mpmath.log(x)
-        big = mpmath.exp(x) + abs(acc)     # bounds every partial sum
-        tol = int(mpmath.ldexp(mpmath.exp(-x) / (x + 1), wp - prec))
-        X = int(mpmath.ldexp(x, wp))
-        t = 1 << wp                        # (-x)^k / k!
-        s = 0
-        k = 0
-        while True:
-            k += 1
-            t = -t * X // (k << wp)
-            term = -t // k
-            s += term
-            if (k << wp) > X and abs(term) < tol:
-                break
-            if k > MAX_TERMS:
-                raise PrecisionError("max_terms exceeded in E1 series")
-        acc += mpmath.ldexp(s, -wp)
-        # each step rounds by under 2^-wp, and later steps scale a rounding
-        # in t_m by t_k/t_m <= e^x (t_m >= 1 for m <= x, and the ratios are
-        # below 1 past x), so the sum is off by under 2 (k+3) big 2^-wp with
-        # the mpf roundings of acc
-        err = mpmath.ldexp(abs(term), -wp) + 2 * (k + 3) * mpmath.ldexp(big, -wp)
-    with ctx.workprec():
-        v = +acc
-        return ArbReal(v, err + abs(v) * mpmath.ldexp(1, 1 - prec))
+    E = P * B // A
+    return E, (20 * E >> b) + R_P * B // A + 3
 
 
 @functools.lru_cache(maxsize=None)

@@ -182,6 +182,31 @@ def test_hyp_command(capsys):
     assert out.strip().startswith("0.9344328584844524")
 
 
+def test_one_parser_serves_subcommands_in_a_row(capsys):
+    # the parser is built on the first main call, not at import; two
+    # subcommands in a row through it print what two separate runs print
+    argvs = [["coeffs", "--curve", "64", "--n-max", "30"],
+             ["hyp", "--params", "1/2,1/3,-1/6,5/6,5/6", "--digits", "40"]]
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(ellhyp.__file__).resolve().parent.parent))
+    probe = "import ellhyp.cli as c; print(c.build_parser.cache_info())"
+    imported = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=60).stdout
+    assert "currsize=0" in imported
+    separate = [subprocess.run([sys.executable, "-m", "ellhyp.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               check=True, timeout=60).stdout
+                for argv in argvs]
+    in_a_row = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        in_a_row.append(out)
+    assert in_a_row == separate
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_tame_command(capsys):
     code, out, _ = run(capsys, "tame", "--curve", "36", "--f", "1-v",
                        "--g", "1+u", "--place", "(0,1)")

@@ -8,15 +8,23 @@ at 30, 100, 152 and 200 digits are pinned too, every field included:
 `lhs`, `rhs`, `abs_err`, `digits_agreed`, `status` and `tolerance`.  A
 change that moves an error estimate or a last digit fails them; such a
 change regenerates the files and names each moved field in CHANGES.md.
+The 30-digit `verify-identity` report is also produced by two
+subprocesses under PYTHONHASHSEED=0 and 1, which must both print the file.
 
 Regenerate the files (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py --regen
+
+which rewrites only the files whose output moved and prints each moved
+field as `file: claim_id.field old → new` (`file: line n old → new` for
+an output that is not a JSON report), the list CHANGES.md takes.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -110,7 +118,45 @@ def test_pinned_reports_are_exact(name):
     assert reports and all(r["kind"] == "exact" for r in reports)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_identity_report_under_two_hash_seeds(seed):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ellhyp.cli",
+                          *NUMERIC["verify-identity-30"]], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    assert out == (GOLDEN / "verify-identity-30.out").read_text()
+
+
+def _fields(text: str) -> dict:
+    """{"claim_id.field": value} of a JSON report, {"line n": line} of any
+    other output."""
+    try:
+        reports = json.loads(text)["reports"]
+    except ValueError:
+        return {f"line {i}": line
+                for i, line in enumerate(text.splitlines(), 1)}
+    return {f"{r['claim_id']}.{key}": value
+            for r in reports for key, value in r.items() if key != "claim_id"}
+
+
+def regen():
+    """Rewrite each golden file whose output moved; print the moved fields."""
     GOLDEN.mkdir(exist_ok=True)
     for name in NAMES:
-        (GOLDEN / f"{name}.out").write_text(produce(name))
+        path = GOLDEN / f"{name}.out"
+        new = produce(name)
+        old = path.read_text() if path.exists() else ""
+        if new == old:
+            continue
+        before, after = _fields(old), _fields(new)
+        for key in dict.fromkeys([*before, *after]):
+            if before.get(key) != after.get(key):
+                print(f"{path.name}: {key} {before.get(key)} → "
+                      f"{after.get(key)}")
+        path.write_text(new)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    regen()

@@ -1,10 +1,13 @@
 """Dirichlet coefficients and L-values, cross-checked between pipelines."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from ellhyp import hecke
 from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _mul, _units,
                           afe_n_max, ap_pointcount, build_coeffs, curve,
                           l_two, lstar_zero, read_coeff_file, residue)
@@ -207,19 +210,45 @@ def test_lstar_zero_values():
         assert abs(v64.val - mpmath.mpf("1.658664498381914089049496")) < 1e-20
 
 
+def _afe_oracle(c, digits):
+    """L(E, 2) from the AFE at digits + 60 with mpmath.expint, the terms to
+    the truncation point of digits + 60 (so it also checks the truncation
+    bound of the digits-sum)."""
+    ref_ctx = PrecisionContext(digits=digits + 60)
+    tbl = build_coeffs(c, afe_n_max(c, ref_ctx), "cm")
+    with ref_ctx.workprec():
+        kappa = 2 * mpmath.pi / mpmath.sqrt(c.N)
+        return mpmath.fsum(
+            an * (mpmath.exp(-n * kappa) * (1 + n * kappa) / n ** 2
+                  + kappa ** 2 * mpmath.expint(1, n * kappa))
+            for n, an in tbl.items() if an)
+
+
 @pytest.mark.parametrize("N", [36, 64])
 def test_l_two_err_bounds_the_error(N):
-    # the same sum at 120 digits is the reference for the 40- and 80-digit
-    # sums; their err must cover the difference and meet the target
+    # every ball holds an oracle that shares no code with l_two (no running
+    # power, no fixed point, and mpmath's E1), and err meets the target
     c = curve(N)
-    ref_ctx = PrecisionContext(digits=120)
-    with ref_ctx.workprec():
-        ref = l_two(c, build_coeffs(c, afe_n_max(c, ref_ctx), "cm"), ref_ctx)
-    for digits in (40, 80):
+    for digits in (30, 60, 100, 152, 200):
         ctx = PrecisionContext(digits=digits)
         with ctx.workprec():
             got = l_two(c, build_coeffs(c, afe_n_max(c, ctx), "cm"), ctx)
-        with ref_ctx.workprec():
-            actual = abs(got.val - ref.val)
-            assert actual <= got.err
-            assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val)
+        ref = _afe_oracle(c, digits)
+        with mpmath.workdps(digits + 60):
+            assert abs(got.val - ref) <= got.err, digits
+        assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val), digits
+
+
+def test_l_two_loop_reads_no_mpmath():
+    # the sum over n is integer arithmetic: no mpmath name, mpf or ball is
+    # read inside it, and E1 comes from the integer kernel
+    tree = ast.parse(Path(hecke.__file__).read_text())
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "l_two"]
+    (loop,) = [node for node in ast.walk(fn) if isinstance(node, ast.For)
+               and isinstance(node.target, ast.Name) and node.target.id == "n"]
+    names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(loop)
+             if isinstance(node, ast.Attribute)}
+    assert not {"mpmath", "mpf", "ArbReal", "replace"} & names
+    assert attrs == {"e1_fixed"}

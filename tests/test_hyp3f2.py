@@ -243,9 +243,14 @@ def _term_sum(p, dps):
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_large_margin_within_err_of_the_term_sum(digits):
-    # 3F2(1/2, 1/2, 1/2; b, b+1/3; 1) has margin 2b - 7/6; from b = 100 at
-    # 30 digits and b = 180 at 60 the tail's zeta values need a head longer
-    # than 2P
+    # 3F2(1/2, 1/2, 1/2; b, b+1/3; 1) has margin 2b - 7/6; the head is 8P
+    # long, and from b = 720 at 30 digits the tail's zeta values need a
+    # longer one (their em_start).  mpmath.nsum of the terms holds only
+    # where mpmath.hyp3f2 confirms it: on 50,50,50,75,76 (margin 1, terms
+    # near 1e24) it gives 1.9120e25 where hyp3f2 and f32_unit agree on
+    # 1.9531e25.  On this family hyp3f2 is wrong from b = 20 on (0.875 for
+    # 1.0003), so these sums, fast ones (margin >= 38, terms <= 1), rest on
+    # nsum alone
     ctx = PrecisionContext(digits=digits)
     for b in range(20, 1181, 20):
         p = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),

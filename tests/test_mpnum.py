@@ -1,7 +1,6 @@
 """Numerics kernel against independent mpmath oracles."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -132,13 +131,23 @@ def test_hurwitz_zeta_rejects_bad_arguments():
         mpnum.hurwitz_zeta(2, 1, CTX, 0)
 
 
+# a point of the series and one of the continued fraction next to the
+# crossover of upper_incomplete_gamma, whose W grows with x: x < 0.12 W ln 2
+# ends at 15.8 for 30 digits and at 54.3 for 152
+E1_CROSSOVER = {30: ("15.7", "15.9"), 152: ("54.2", "54.4")}
+
+
 @pytest.mark.parametrize("digits", [30, 152])
-def test_e1_both_sides_of_the_crossover(digits):
-    # the series serves x below (digits+guard) ln 10 / (4e): 8.9 at 30
-    # digits and 34.7 at 152; the continued fraction serves the rest
+def test_e1_both_sides_of_the_crossover(digits, monkeypatch):
     ctx = PrecisionContext(digits=digits)
+    below, above = E1_CROSSOVER[digits]
+    ran = []
+    for name in ("_e1_series", "_e1_fraction"):
+        real = getattr(mpnum, name)
+        monkeypatch.setattr(mpnum, name, lambda *a, real=real, name=name: (
+            ran.append(name), real(*a))[1])
     for x in ("0.001", "0.5", "1", "1.0471975511965976", "5", "8.8", "9",
-              "20", "34.6", "34.8", "60", "200", "400"):
+              below, above, "20", "34.6", "34.8", "60", "200", "400"):
         with ctx.workprec():
             xv = mpmath.mpf(x)
             got = mpnum.upper_incomplete_gamma(xv, ctx)
@@ -147,32 +156,38 @@ def test_e1_both_sides_of_the_crossover(digits):
             actual = abs(got.val - want)
             assert actual <= want * mpmath.mpf(10) ** -digits, x
             assert got.err >= actual, x
+        if x in (below, above):
+            assert ran[-1] == ("_e1_series" if x == below
+                               else "_e1_fraction"), x
 
 
 @pytest.mark.parametrize("digits", [30, 64, 100, 152, 200])
 def test_e1_balls_contain_oracle_at_every_afe_point(digits):
-    # every x_n with a_n != 0 of both AFEs, at the ctx_n that hecke.l_two
-    # passes.  The oracle takes x_n rounded to ctx_n's precision, as the
-    # kernel does: l_two's separate x_ulps term covers that rounding, and
-    # against the unrounded x_n the error reads up to 10x err at the series
-    # points although the kernel is right (0.38x err at worst here)
+    # every x_n with a_n != 0 of both AFEs, as hecke.l_two hands it to the
+    # kernel: X = n K at W = fixed_bits, K = kappa 2^W rounded, and the
+    # kernel picks the precision per point.  The oracle takes x = X 2^-W,
+    # as the kernel does (l_two's own unit per term covers the rounding of
+    # kappa), and e^-x rounded to a unit.  Each ball holds the oracle and is
+    # a few units wide
     ctx = PrecisionContext(digits=digits)
+    W = ctx.fixed_bits
     for N in (36, 64):
         c = hecke.curve(N)
         needed = hecke.afe_n_max(c, ctx)
         tbl = hecke.build_coeffs(c, needed, "cm")
-        with ctx.workprec():
-            xs = [2 * mpmath.pi * n / mpmath.sqrt(N)
-                  for n in range(1, needed + 1) if tbl[n] != 0]
-        for x in xs:
-            ctx_n = replace(ctx, digits=max(digits - int(x / math.log(10)),
-                                            10))
-            with ctx_n.workprec():
-                got = mpnum.upper_incomplete_gamma(x, ctx_n)
-                x_n = mpmath.mpf(x)
-            with mpmath.workdps(ctx_n.digits + 60):
-                actual = abs(got.val - mpmath.e1(x_n))
-            assert actual <= got.err, (N, x_n)
+        with mpmath.workprec(W + 16):
+            K = int(mpmath.nint(mpmath.ldexp(2 * mpmath.pi / mpmath.sqrt(N),
+                                             W)))
+        for n in range(1, needed + 1):
+            if tbl[n] == 0:
+                continue
+            with mpmath.workdps(digits + 60):
+                x = mpmath.ldexp(n * K, -W)
+                P = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-x), W)))
+                E, R = mpnum.e1_fixed(n * K, W, (P, 1))
+                actual = abs(E - mpmath.ldexp(mpmath.e1(x), W))
+            assert actual <= R, (N, n)
+            assert R < 16, (N, n, R)
 
 
 def test_agm_real_oracle():
