@@ -6,7 +6,8 @@ x^8 - x^4 + 1, and ``den`` is a positive int with
 ``gcd(num[0], ..., num[7], den) = 1``.  This is the usual number-field
 representation (Cohen, GTM 138, Sec. 4.2).  The form is canonical, so
 equality is tuple equality; each operation works on integers and ends in
-one gcd normalisation.
+one gcd normalisation: for two rational operands (``num[1:]`` zero, the
+common case downstream) a few integer products and one 2-argument gcd.
 
 The power basis is an integral basis of Z[zeta_24], so each automorphism
 zeta |-> zeta^k maps an integer vector to one of the same content, and
@@ -33,12 +34,14 @@ from fractions import Fraction
 
 DEGREE = 8
 ORDER = 24
-_ZEROS = (0,) * DEGREE
+# num[1:] of a rational element; a test reads num[4] first, as most
+# irrational elements downstream have a z^4 term (zeta_3 = z^4 - 1)
+_TAIL = (0,) * (DEGREE - 1)
 
 
 def _zeta_vectors():
     """The integer vectors of zeta^m, m = 0 .. 23, using z^8 = z^4 - 1."""
-    vec = (1,) + _ZEROS[1:]
+    vec = (1,) + _TAIL
     out = []
     for _ in range(ORDER):
         out.append(vec)
@@ -83,7 +86,7 @@ class CycloNum:
     @staticmethod
     def from_rational(q) -> "CycloNum":
         q = Fraction(q)
-        return CycloNum._raw((q.numerator,) + _ZEROS[1:], q.denominator)
+        return CycloNum._raw((q.numerator,) + _TAIL, q.denominator)
 
     @staticmethod
     def zeta_pow(k: int) -> "CycloNum":
@@ -124,7 +127,7 @@ class CycloNum:
         return hash((self.num, self.den))
 
     def __eq__(self, other):
-        other = _coerce(other)
+        other = other if type(other) is CycloNum else _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.den == other.den and self.num == other.num
@@ -133,14 +136,16 @@ class CycloNum:
         return any(self.num)
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CycloNum else _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        da, db = self.den, o.den
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if not a[4] and a[1:] == _TAIL == b[1:]:
+            return _rational(a[0] * db + b[0] * da, da * db)
         if da == db:
-            return CycloNum._make([a + b for a, b in zip(self.num, o.num)], da)
-        return CycloNum._make([a * db + b * da
-                               for a, b in zip(self.num, o.num)], da * db)
+            return CycloNum._make([x + y for x, y in zip(a, b)], da)
+        return CycloNum._make([x * db + y * da for x, y in zip(a, b)],
+                              da * db)
 
     __radd__ = __add__
 
@@ -148,19 +153,33 @@ class CycloNum:
         return CycloNum._raw(tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CycloNum else _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if not a[4] and a[1:] == _TAIL == b[1:]:
+            return _rational(a[0] * db - b[0] * da, da * db)
+        if da == db:
+            return CycloNum._make([x - y for x, y in zip(a, b)], da)
+        return CycloNum._make([x * db - y * da for x, y in zip(a, b)],
+                              da * db)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = _coerce(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CycloNum else _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloNum._make(_convolve(self.num, o.num), self.den * o.den)
+        a, b, d = self.num, o.num, self.den * o.den
+        ra, rb = not a[4] and a[1:] == _TAIL, not b[4] and b[1:] == _TAIL
+        if ra or rb:  # a rational factor scales the other's vector
+            if ra and rb:
+                return _rational(a[0] * b[0], d)
+            c, v = (a[0], b) if ra else (b[0], a)
+            return CycloNum._make([c * x for x in v], d)
+        return CycloNum._make(_convolve(a, b), d)
 
     __rmul__ = __mul__
 
@@ -168,8 +187,8 @@ class CycloNum:
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
         num = self.num
-        if not any(num[1:]):
-            return CycloNum._make((self.den,) + _ZEROS[1:], num[0])
+        if num[1:] == _TAIL:
+            return CycloNum._make((self.den,) + _TAIL, num[0])
         # Gal = <5, 7, 13>.  Along the tower of fixed fields,
         # y <- y sigma_k(y) ends at N(x) and p collects sigma_k(y), so p is
         # the product of the seven conjugates sigma_k(x), k != 1.
@@ -184,14 +203,14 @@ class CycloNum:
         return CycloNum._make([c * self.den for c in p], y[0])
 
     def __truediv__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CycloNum else _coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self * o.inv()
 
     def __rtruediv__(self, other):
         o = _coerce(other)
-        return o * self.inv()
+        return o if o is NotImplemented else o * self.inv()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -229,6 +248,12 @@ def _normal(num, den: int):
     if g == 1:
         return tuple(num), den
     return tuple(n // g for n in num), den // g
+
+
+def _rational(n: int, d: int) -> CycloNum:
+    """The canonical n / d of Q, d > 0, by one 2-argument gcd."""
+    g = math.gcd(n, d)
+    return CycloNum._raw((n // g,) + _TAIL, d // g)
 
 
 def _convolve(a, b) -> list:

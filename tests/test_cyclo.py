@@ -1,14 +1,16 @@
 """Exact arithmetic in Q(zeta_24)."""
 
 import math
+import operator
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellhyp.cyclo import (CycloNum, I, SQRT2, SQRT3, SQRT_MINUS3, ZETA3,
-                          ZETA6, ZETA8, ZETA24, one, parse_cyclo, zero)
+from ellhyp.cyclo import (DEGREE, CycloNum, I, SQRT2, SQRT3, SQRT_MINUS3,
+                          ZETA3, ZETA6, ZETA8, ZETA24, one, parse_cyclo, zero)
 
 zeta_pow = CycloNum.zeta_pow
 from ellhyp.ellper import _embed
@@ -172,6 +174,18 @@ def _euclid_inverse(coeffs):
 wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                     max_denominator=10 ** 4)
 wide_cyclos = st.builds(CycloNum, st.lists(wide, min_size=0, max_size=8))
+# the integer path of a sum or product wants rational operands, which dense
+# draws almost never give: mix in rationals and c * z^k, 0 <= k < 8 (one
+# nonzero coefficient, rational only for k = 0)
+rationals = st.builds(CycloNum.from_rational, wide)
+monomials = st.builds(lambda c, k: CycloNum([0] * k + [c]), wide,
+                      st.integers(0, DEGREE - 1))
+mixed = st.one_of(rationals, monomials, wide_cyclos, cyclos)
+
+
+def _assert_canonical(x):
+    assert len(x.num) == 8 and x.den > 0
+    assert math.gcd(*x.num, x.den) == 1
 
 
 @given(st.one_of(cyclos, wide_cyclos))
@@ -181,12 +195,11 @@ def test_inverse_matches_euclid_oracle(a):
         assert list(a.inv().coeffs) == _euclid_inverse(a.coeffs)
 
 
-@given(wide_cyclos, wide_cyclos)
+@given(mixed, mixed)
 @settings(max_examples=60, deadline=None)
 def test_canonical_form(a, b):
     for x in (a, b, a + b, a - b, a * b, -a, a.conj(), a.galois(5)):
-        assert len(x.num) == 8 and x.den > 0
-        assert math.gcd(*x.num, x.den) == 1
+        _assert_canonical(x)
     assert (zero().num, zero().den) == ((0,) * 8, 1)
     assert ((a - a).num, (a - a).den) == ((0,) * 8, 1)
     if b:
@@ -226,3 +239,59 @@ def test_galois_table_matches_powers():
         assert x.galois(k) == want
     with pytest.raises(ValueError):
         x.galois(3)
+
+
+# --- rational operands: the integer path ----------------------------------
+
+@given(wide, wide)
+@settings(max_examples=80, deadline=None)
+def test_rational_results_equal_fractions(p, q):
+    a, b = CycloNum.from_rational(p), CycloNum.from_rational(q)
+    results = [(a + b, p + q), (a - b, p - q), (a * b, p * q)]
+    if q:
+        results.append((a / b, p / q))
+    for x, f in results:
+        assert (x.num, x.den) == ((f.numerator,) + (0,) * 7, f.denominator)
+
+
+def _reduced(poly):
+    """A Fraction list reduced modulo Phi_24, as 8 coefficients."""
+    r = _polydivmod(poly, _PHI)[1]
+    return tuple(r + [Fraction(0)] * (8 - len(r)))
+
+
+@given(mixed, mixed)
+@settings(max_examples=80, deadline=None)
+def test_mixed_results_equal_fraction_polynomials(a, b):
+    ca, cb = a.coeffs, b.coeffs
+    assert (a * b).coeffs == _reduced(_polymul(ca, cb))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    for x in (a + b, a - b, a * b, b - a):
+        _assert_canonical(x)
+
+
+@given(mixed, wide)
+@settings(max_examples=40, deadline=None)
+def test_int_and_fraction_operands_coerce(a, q):
+    r = CycloNum.from_rational(q)
+    assert a + q == q + a == a + r
+    assert a - q == a - r and q - a == r - a
+    assert a * q == q * a == a * r
+    if a:
+        assert q / a == r / a
+    n = q.numerator
+    assert n - a == CycloNum.from_rational(n) - a
+
+
+@pytest.mark.parametrize("op, symbol", [(operator.sub, "-"),
+                                        (operator.truediv, "/"),
+                                        (operator.add, "+"),
+                                        (operator.mul, "*")])
+@pytest.mark.parametrize("x", [zero(), one(), ZETA24 + 2])
+def test_foreign_left_operand_raises_type_error(op, symbol, x):
+    for left in (1.5, 1j, None):
+        with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+            op(left, x)
+        with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+            op(x, left)
