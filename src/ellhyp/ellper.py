@@ -10,17 +10,21 @@ is labelled by w = z_E conj(nu) / Omega = o (h conj(nu)) z / omega1, so c
 cancels: omega1, one AGM, is the only transcendental input, and h conj(nu)
 is exact.  By Chowla-Selberg omega1 is also a Beta value, the form
 verify-periods checks it against.
+
+Elliptic logs and the embedding of Q(zeta_24) run on Gaussian fixed-point
+ints; lattice and torsion_label work on the mpc values _embed rounds them to.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import mpmath
 from mpmath import mpc, mpf
 
 from . import hecke, mpnum
-from .cyclo import ORDER, CycloNum
+from .cyclo import DEGREE, CycloNum
 from .ecdiv import CurvePoint, law
 from .mpnum import ArbReal, PrecisionContext
 
@@ -73,17 +77,78 @@ def ok_pair(N: int, x: CycloNum):
     return a, b
 
 
+# Fixed point: a complex number is a pair (re, im) of ints in units of 2^-W,
+# W = ctx.prec_bits + _GUARD; each product, quotient or root floors once.
+_GUARD = 32
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _half(x):
+    return x[0] >> 1, x[1] >> 1
+
+
+def _mul(x, y, W: int):
+    return (x[0] * y[0] - x[1] * y[1]) >> W, (x[0] * y[1] + x[1] * y[0]) >> W
+
+
+def _div(x, y, W: int):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (((x[0] * y[0] + x[1] * y[1]) << W) // n,
+            ((x[1] * y[0] - x[0] * y[1]) << W) // n)
+
+
+def _sqrt(x, W: int):
+    """The principal root, as mpmath.sqrt: the larger of |Re| and |Im| is
+    isqrt((|x| +- Re x) / 2) and the other Im x / 2 over it."""
+    re, im = x
+    rho = math.isqrt(re * re + im * im)
+    if re >= 0:
+        p = math.isqrt((rho + re) << (W - 1))
+        return (p, (im << W) // (2 * p)) if p else (0, 0)
+    q = math.isqrt((rho - re) << (W - 1))
+    return (abs(im) << W) // (2 * q), (q if im >= 0 else -q)
+
+
+def _near_root(x, near, W: int):
+    """The root of x nearer `near`: |r - n|^2 - |r + n|^2 = -4 Re(r conj n)."""
+    r = _sqrt(x, W)
+    return r if r[0] * near[0] + r[1] * near[1] >= 0 else (-r[0], -r[1])
+
+
+def _to_mpc(x, W: int) -> mpc:
+    """x at the current mpmath precision, rounded once per component."""
+    return mpc(mpf((x[0], -W)), mpf((x[1], -W)))
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_powers(W: int) -> tuple:
+    """zeta_24^j for j < 8 within 2 units each, from zeta_24 = ((sqrt 6 +
+    sqrt 2) + i (sqrt 6 - sqrt 2)) / 4, the powers formed 8 bits finer."""
+    s6, s2 = math.isqrt(6 << 2 * W + 16), math.isqrt(2 << 2 * W + 16)
+    z, p, out = ((s6 + s2) >> 2, (s6 - s2) >> 2), (1 << W + 8, 0), []
+    for _ in range(DEGREE):
+        out.append((p[0] >> 8, p[1] >> 8))
+        p = _mul(p, z, W + 8)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed(x: CycloNum, W: int):
+    """x at zeta_24, sum num_j Z_j // den, within 2 sum |num_j| / den + 1."""
+    zs = _zeta_powers(W)
+    return tuple(sum(n * z[k] for n, z in zip(x.num, zs)) // x.den
+                 for k in (0, 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
-    """The value of x at zeta_24 = exp(2 pi i / 24) at working precision,
-    built once per (x, ctx)."""
+    """The value of x at zeta_24 = exp(2 pi i / 24) at working precision."""
+    W = ctx.prec_bits + _GUARD
     with ctx.workprec():
-        z = mpmath.expjpi(mpf(2) / ORDER)
-        acc = mpc(0)
-        # Horner, fixed order
-        for c in reversed(x.coeffs):
-            acc = acc * z + mpf(c.numerator) / c.denominator
-        return acc
+        return _to_mpc(_fixed(x, W), W)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,12 +176,6 @@ def h_nu_bar(N: int) -> CycloNum:
 
 # elliptic logarithms ---------------------------------------------------------
 
-def _near_root(x: mpc, near: mpc) -> mpc:
-    """The square root of x nearer `near`."""
-    r = mpmath.sqrt(x)
-    return r if abs(r - near) <= abs(r + near) else -r
-
-
 @functools.lru_cache(maxsize=None)
 def _agm_log(roots: tuple, u: CycloNum, ctx: PrecisionContext):
     """(z, w) with z = int_P^inf du/(2v) for the point P = (u, w).
@@ -129,39 +188,47 @@ def _agm_log(roots: tuple, u: CycloNum, ctx: PrecisionContext):
     asin(m / c) / m.  D = c^2 - a^2 and s^2 = D + b^2 start from the exact
     u - e1 and u - e2, and v = c s sqrt(D) is tracked along the way, so
     the chain also says which of the two points with this u it integrated
-    from.  It depends only on u, so P and -P share one chain."""
-    with ctx.workprec():
-        e1, e2, e3 = (_embed(r, ctx) for r in roots)
-        a = mpmath.sqrt(e1 - e3)
-        b = _near_root(e1 - e2, a)
-        c = c0 = mpmath.sqrt(_embed(u - roots[2], ctx))
-        d = _embed(u - roots[0], ctx)
-        s2 = _embed(u - roots[1], ctx)
-        dv = mpf(1)
-        for _ in range(64):  # quadratic convergence needs about 10
-            if abs(a - b) <= ctx.eps * abs(a):
-                break
-            s = _near_root(s2, c)
-            cs, ab = c * s, a * b
-            if abs(cs + ab) >= abs(cs - ab):
-                # cs - ab = (c^2 s^2 - a^2 b^2) / (cs + ab) without the
-                # cancellation; at u = e1 it keeps D exactly 0
-                d = (d + d * (a * a + b * b + d) / (cs + ab)) / 2
-            else:
-                d = (d + cs - ab) / 2
-            c_next = (c + s) / 2
-            dv *= s / c_next
-            c = c_next
-            a, b = (a + b) / 2, _near_root(a * b, (a + b) / 2)
-            s2 = d + b * b
+    from.  It depends only on u, so P and -P share one chain.
+
+    The chain runs on fixed-point ints, W = ctx.prec_bits + 32: each
+    product, quotient and root floors once, under a unit per component, a
+    few units per step against 32 guard bits; each choice of root or
+    formula is a sign test.  mpmath only takes the closing log."""
+    W = ctx.prec_bits + _GUARD
+    a = _sqrt(_fixed(roots[0] - roots[2], W), W)
+    b = _near_root(_fixed(roots[0] - roots[1], W), a, W)
+    c = c0 = _sqrt(_fixed(u - roots[2], W), W)
+    d = _fixed(u - roots[0], W)
+    s2 = _fixed(u - roots[1], W)
+    dv = (1 << W, 0)
+    for _ in range(64):  # quadratic convergence needs about 10
+        q = (a[0] - b[0], a[1] - b[1])  # stop at |a - b| <= 2^-prec_bits |a|
+        if (q[0] * q[0] + q[1] * q[1]) << 2 * ctx.prec_bits \
+                <= a[0] * a[0] + a[1] * a[1]:
+            break
+        s = _near_root(s2, c, W)
+        cs, ab = _mul(c, s, W), _mul(a, b, W)
+        if cs[0] * ab[0] + cs[1] * ab[1] >= 0:  # |cs + ab| >= |cs - ab|
+            # cs - ab = (c^2 s^2 - a^2 b^2) / (cs + ab) without the
+            # cancellation; at u = e1 it keeps D exactly 0
+            t = _add(_add(_mul(a, a, W), _mul(b, b, W)), d)
+            d = _half(_add(d, _div(_mul(d, t, W), _add(cs, ab), W)))
         else:
-            raise PeriodError("Landen chain failed to converge")
-        m = (a + b) / 2
-        r = mpmath.sqrt(d)
-        # asin(m/c)/m; asin itself takes the wrong sheet where m/c is real
-        # and above 1 (conductor 36 at (0, +-1))
-        z = -1j * mpmath.log((r + 1j * m) / c) / m
-        return z, c0 * dv * c * r
+            d = _half((d[0] + cs[0] - ab[0], d[1] + cs[1] - ab[1]))
+        c = _half(_add(c, s))
+        dv = _div(_mul(dv, s, W), c, W)
+        a = _half(_add(a, b))
+        b = _near_root(ab, a, W)
+        s2 = _add(d, _mul(b, b, W))
+    else:
+        raise PeriodError("Landen chain failed to converge")
+    m = _half(_add(a, b))
+    r, im = _sqrt(d, W), (-m[1], m[0])
+    with ctx.workprec():
+        # asin(m/c)/m = log((r + i m) / c) / (i m); asin itself takes the
+        # wrong sheet where m/c is real and above 1 (conductor 36 at (0, +-1))
+        z = mpmath.log(_to_mpc(_div(_add(r, im), c, W), W)) / _to_mpc(im, W)
+        return z, _to_mpc(_mul(_mul(_mul(c0, dv, W), c, W), r, W), W)
 
 
 def _std_log(roots: tuple, p: CurvePoint, ctx: PrecisionContext) -> mpc:

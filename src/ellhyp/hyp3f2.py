@@ -79,12 +79,6 @@ class HypParams:
     def terminates(self) -> bool:
         return any(_is_nonpositive_integer(a) for a in (self.a1, self.a2, self.a3))
 
-    def term_ratio(self, n: int) -> Fraction:
-        """t_{n+1} / t_n, exactly."""
-        num = (self.a1 + n) * (self.a2 + n) * (self.a3 + n)
-        den = (self.b1 + n) * (self.b2 + n) * (1 + n)
-        return Fraction(num) / Fraction(den)
-
 
 def _scaled_params(p: HypParams) -> tuple:
     """(D, ups, downs): D the lcm of the parameter denominators, ups the

@@ -26,6 +26,8 @@ _ONE = cy_one()
 
 def _coeff(c):
     """A coefficient as stored: literal ints and Fractions become CycloNum."""
+    if type(c) is CycloNum:  # the common case; isinstance on Fraction is slow
+        return c
     if isinstance(c, (int, Fraction)):
         return CycloNum.from_rational(c)
     return c

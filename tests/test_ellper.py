@@ -2,7 +2,7 @@
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellhyp import claims, ellper, hecke
 from ellhyp.cyclo import I, ZETA3, parse_cyclo
@@ -223,7 +223,7 @@ def _carlson_log(N, p, ctx):
         return sign * m
 
 
-@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("digits", [30, 45, 60, 100, 200])
 def test_agm_log_matches_carlson_oracle(digits):
     ctx = PrecisionContext(digits=digits)
     for N in (36, 64):
@@ -251,6 +251,66 @@ def test_two_torsion_log_is_a_half_period(digits):
                 z = ellper._std_log(curve.roots, p, ctx)
                 assert _off_lattice(2 * z, N, ctx) < \
                     mpmath.mpf(10) ** -(digits - 5), (N, p)
+
+
+def _oracle_root(x, W):
+    """mpmath's principal root of the fixed-point pair x, at 3W bits."""
+    with mpmath.workprec(3 * W):
+        return mpmath.sqrt(mpmath.mpc(mpmath.mpf((x[0], -W)),
+                                      mpmath.mpf((x[1], -W))))
+
+
+fixed_parts = st.one_of(st.integers(-2 ** 140, 2 ** 140), st.integers(-3, 3))
+
+
+@given(st.sampled_from([40, 100, 200]), fixed_parts, fixed_parts,
+       fixed_parts, fixed_parts)
+@example(100, -(5 << 100), 0, 1 << 100, 0)       # the negative real axis
+@example(100, -(5 << 100), 1, 0, 1 << 100)       # just above it
+@example(100, -(5 << 100), -1, 0, -(1 << 100))   # just below it
+@example(100, 7 << 100, 0, 0, 1 << 100)          # Y = 0, a tie
+@example(40, 0, 0, 1, 1)
+@settings(max_examples=300, deadline=None)
+def test_fixed_sqrt_matches_mpmath(W, x, y, nx, ny):
+    # the principal root within a few units of 2^-W, and the root nearer
+    # `near` the one the abs-based choice takes wherever the two are apart
+    # by more than the rounding
+    got = ellper._sqrt((x, y), W)
+    want = _oracle_root((x, y), W)
+    unit = mpmath.mpf(2) ** -W
+    with mpmath.workprec(3 * W):
+        tol = unit * (4 + 1 / abs(want)) if want else unit
+        assert abs(ellper._to_mpc(got, W) - want) <= tol, (x, y, got)
+        near = ellper._to_mpc((nx, ny), W)
+        pick = want if abs(want - near) <= abs(want + near) else -want
+        gap = abs(abs(want - near) - abs(want + near))
+        got_near = ellper._to_mpc(ellper._near_root((x, y), (nx, ny), W), W)
+        if gap > 2 * tol:
+            assert abs(got_near - pick) <= tol, (x, y, nx, ny)
+        else:
+            assert min(abs(got_near - want), abs(got_near + want)) <= tol
+
+
+@pytest.mark.parametrize("digits", [30, 45, 60, 100, 200])
+def test_fixed_embedding_matches_mpmath_horner(digits):
+    # every coordinate of every point of E_f, within 2^-prec_bits relative of
+    # a Horner evaluation at zeta_24 with 64 more bits; _embed then rounds
+    # each component once more
+    ctx = PrecisionContext(digits=digits)
+    P = ctx.prec_bits
+    W = P + ellper._GUARD
+    coords = {x for N in (36, 64) for p in torsion_Ef(N) if not p.infinite
+              for x in (p.u, p.v)}
+    for x in coords:
+        with mpmath.workprec(W + 64):
+            z = mpmath.expjpi(mpmath.mpf(2) / 24)
+            want = mpmath.mpc(0)
+            for c in reversed(x.coeffs):
+                want = want * z + mpmath.mpf(c.numerator) / c.denominator
+            got = ellper._to_mpc(ellper._fixed(x, W), W)
+            assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -P, x
+            assert abs(ellper._embed(x, ctx) - want) \
+                <= abs(want) * mpmath.mpf(2) ** (1 - P), x
 
 
 @pytest.mark.parametrize("N, chains", [(36, 7), (64, 9)])
