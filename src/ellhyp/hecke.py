@@ -272,63 +272,99 @@ def _check_file_consistency(a: dict):
         m += 1
 
 
+# Dokchitser's free cut-off (math/0207280, section 3): l_two splits the AFE
+# at t = 1/AFE_CUT, which moves its terms from E1 to Gamma(2, y) = e^-y (1+y)
+# for AFE_CUT times as many coefficients.  Timed in process at 152 digits on
+# a 2-vCPU VM (both curves, the table and the sum, min of 15), T = 1/2/3/4/
+# 5/6/8 took 35/21/17/15/15/15/17 ms, with 133/72/52/41/34/29/23 E1 calls:
+# the cost is flat from 4 to 6, and 4 needs the fewest coefficients there.
+AFE_CUT = 4
+
+
+def _afe_count(c: CurveId, ctx: PrecisionContext, scale) -> int:
+    """The terms of an AFE half whose points are n kappa scale, kappa =
+    2 pi / sqrt(N): through the point past (digits + GUARD) ln 10 + 10, plus
+    ten."""
+    return math.ceil(math.sqrt(c.N) / (2 * math.pi * scale)
+                     * ((ctx.digits + mpnum.GUARD) * math.log(10) + 10)) + 10
+
+
 def afe_n_max(c: CurveId, ctx: PrecisionContext) -> int:
-    """Coefficient count needed by the approximate functional equation."""
-    sqrtN = math.sqrt(c.N)
-    return math.ceil(sqrtN / (2 * math.pi) * ((ctx.digits + mpnum.GUARD) * math.log(10) + 10)) + 10
+    """Coefficient count needed by the approximate functional equation: the
+    terms of its Gamma(2) half, at the points n kappa / AFE_CUT."""
+    return _afe_count(c, ctx, 1 / AFE_CUT)
 
 
 def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
     """L(E, 2) by the incomplete-gamma approximate functional equation, from
     the coefficient table tbl = {n: a_n}, n = 1..len(tbl), with root number
-    w = +1:
+    w = +1.  Lambda(2) = N int_0^inf f(iy) y dy, split at y = 1/(T sqrt N),
+    T = AFE_CUT, with f(i/(N y)) = w N y^2 f(iy) on the part below, is
 
-        L(2) = sum_n a_n [e^-x_n (1 + x_n) / n^2 + kappa^2 E1(x_n)],
-        x_n = n kappa,  kappa = 2 pi / sqrt(N).
+        L(2) = sum_{n <= n_G} a_n e^-y_n (1 + y_n) / n^2
+               + kappa^2 sum_{n <= n_E} a_n E1(x_n),
 
-    One integer sum in units of 2^-W, W = ctx.fixed_bits, rounded once to
-    mpf: kappa, kappa^2 and e^-kappa are rounded once each, e^-x_n = P_n is
-    one running power of e^-kappa, and E1(x_n) is `mpnum.e1_fixed` at
-    X = n K.  X is off by n units or less, which moves e^-x by under
-    n e^-x_n < 1 unit and E1 by under e^-x_n / kappa < 1.  The sum is
-    A1 + kappa A2 + kappa^2 A3 with A1 = sum a_n P_n // n^2,
-    A2 = sum a_n P_n // n and A3 = sum a_n E_n.
+        y_n = n kappa / T,  x_n = n kappa T,  kappa = 2 pi / sqrt(N),
+
+    n_G = afe_n_max and n_E its count at x_n (`_afe_count`).  One integer
+    sum in units of 2^-W, W = ctx.fixed_bits, rounded once to mpf: kappa/T,
+    kappa T, kappa^2, e^-kappa/T and e^-kappa T are rounded once each, and
+    e^-y_n = G_n and e^-x_n = P_n are running powers of the last two.
+    E1(x_n) is `mpnum.e1_fixed` at X = n K, K = kappa T 2^W rounded: X is
+    off by n units or less, which moves e^-x by under n e^-x_n < 1 unit and
+    E1 by under e^-x_n / (kappa T) < 1, as kappa T > 3/4.  The sum is
+    A1 + (kappa/T) A2 + kappa^2 A3 with A1 = sum a_n G_n // n^2,
+    A2 = sum a_n G_n // n and A3 = sum a_n E_n.
     """
-    needed = afe_n_max(c, ctx)
-    if len(tbl) < needed:
+    n_gamma = afe_n_max(c, ctx)
+    n_e1 = _afe_count(c, ctx, AFE_CUT)
+    if len(tbl) < n_gamma:
         raise HeckeError(
-            f"need at least {needed} coefficients for digits={ctx.digits}, "
+            f"need at least {n_gamma} coefficients for digits={ctx.digits}, "
             f"got {len(tbl)}")
     W = ctx.fixed_bits
     with mpmath.workprec(W + 16):
         kappa = 2 * mpmath.pi / mpmath.sqrt(c.N)
-        # each within one unit of 2^-W; e^-kappa < 1, so Q < 2^W
-        K, K2, Q = (int(mpmath.nint(mpmath.ldexp(v, W)))
-                    for v in (kappa, kappa ** 2, mpmath.exp(-kappa)))
-        # truncation: |a_n| <= d(n) sqrt(n) <= 2n (Dokchitser, math/0207280),
-        # and for x >= 1 the summand is below 3|a_n| kappa^2 e^{-x}/x with
-        # n/x_n = 1/kappa, so the tail is at most
-        # 6 kappa sum_{n>needed} e^{-x_n}, a geometric series
-        x_tail = kappa * (needed + 1)
-        trunc = 6 * kappa * mpmath.exp(-x_tail) / (1 - mpmath.exp(-kappa))
-    P = 1 << W
-    A1 = A2 = A3 = A_rad = A3_rad = 0
-    for n in range(1, needed + 1):
-        # P_n is off by under 2n units: each step adds P_{n-1} 2^-W < 1 for
-        # Q's rounding, one for the floor, and Q 2^-W < 1 times the last
-        P = P * Q >> W
+        # each within one unit of 2^-W; e^-kappa/T, e^-kappa T < 1, so Q_G,
+        # Q_E < 2^W
+        KG, KE, K2, QG, QE = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (
+            kappa / AFE_CUT, kappa * AFE_CUT, kappa ** 2,
+            mpmath.exp(-kappa / AFE_CUT), mpmath.exp(-kappa * AFE_CUT)))
+        # truncation: |a_n| <= d(n) sqrt(n) <= 2n (Dokchitser, math/0207280).
+        # As n/y_n = T/kappa, a Gamma(2) summand is below 2 e^-y (1+y)/n
+        # = 2 (kappa/T) e^-y (1+y)/y <= 4 (kappa/T) e^-y for y >= 1, and as
+        # n/x_n = 1/(kappa T), an E1 one below |a_n| kappa^2 e^-x/x <=
+        # 2 (kappa/T) e^-x: two geometric series, past n_G and past n_E
+        step_g, step_e = kappa / AFE_CUT, kappa * AFE_CUT
+        trunc = (4 * step_g * mpmath.exp(-step_g * (n_gamma + 1))
+                 / (1 - mpmath.exp(-step_g))
+                 + 2 * step_g * mpmath.exp(-step_e * (n_e1 + 1))
+                 / (1 - mpmath.exp(-step_e)))
+    # G_n and P_n are off by under 2n units: each step adds G_{n-1} 2^-W < 1
+    # for Q's rounding, one for the floor, and Q 2^-W < 1 times the last
+    G = 1 << W
+    A1 = A2 = A_rad = 0
+    for n in range(1, n_gamma + 1):
+        G = G * QG >> W
         an = tbl[n]
         if an == 0:
             continue
-        A1 += an * P // (n * n)
-        A2 += an * P // n
+        A1 += an * G // (n * n)
+        A2 += an * G // n
         A_rad += 2 * abs(an) + 1    # each off by |a_n| 2n/n + 1 at most
-        E, R = mpnum.e1_fixed(n * K, W, (P, 2 * n + 1))
+    P = 1 << W
+    A3 = A3_rad = 0
+    for n in range(1, n_e1 + 1):
+        P = P * QE >> W
+        an = tbl[n]
+        if an == 0:
+            continue
+        E, R = mpnum.e1_fixed(n * KE, W, (P, 2 * n + 1))
         A3 += an * E
         A3_rad += abs(an) * (R + 1)
-    # K and K2 are off by a unit each
-    val = A1 + (K * A2 + K2 * A3 >> W)
-    rad = A_rad + ((abs(A2) + (K + 1) * A_rad + abs(A3) + (K2 + 1) * A3_rad)
+    # KG and K2 are off by a unit each
+    val = A1 + (KG * A2 + K2 * A3 >> W)
+    rad = A_rad + ((abs(A2) + (KG + 1) * A_rad + abs(A3) + (K2 + 1) * A3_rad)
                    >> W) + 2
     with ctx.workprec():
         val = mpmath.ldexp(val, -W)
@@ -343,12 +379,15 @@ def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
 
 def lstar_zero(c: CurveId, ctx: PrecisionContext,
                tbl: dict | None = None) -> ArbReal:
-    """L*(E, 0) = N / (2 pi)^2 * L(E, 2), positive for both curves."""
+    """L*(E, 0) = N / (2 pi)^2 * L(E, 2), positive for both curves.  The
+    constant takes three roundings within 2^-prec relative each, pi's twice
+    over in the square, so its radius is 2^(3-prec) relative."""
     with ctx.workprec():
         if tbl is None:
             tbl = build_coeffs(c, afe_n_max(c, ctx), "cm")
         l2 = l_two(c, tbl, ctx)
-        res = l2 * ArbReal(mpf(c.N) / (2 * mpmath.pi) ** 2, 0)
+        const = mpf(c.N) / (2 * mpmath.pi) ** 2
+        res = l2 * ArbReal(const, const * mpmath.ldexp(1, 3 - ctx.prec_bits))
         if res.val <= 0:
             raise HeckeError("L*(E, 0) must be positive")
         return res

@@ -189,7 +189,7 @@ def tail_coefficients(p: HypParams, count: int, bits: int,
 
 class Split(NamedTuple):
     """The head/tail split of one sum: the head to n = M, the tail to c_K,
-    the head's balls (S, S_rad, T, T_rad) from `_partial_sum` and the
+    the head's balls (S, S_rad, T, T_rad) from `_partial_sums` and the
     coefficient balls (mids, rads) through c_{K+2}."""
     M: int
     K: int
@@ -216,7 +216,8 @@ def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> Split:
     and the tail to c_K, K from the stop test of `tail_coefficients`, capped
     at P, with the tail's leading term |T| N, N = M+1, as its lead.  If the
     tail terms do not fall below one unit by c_P (a large margin, or terms
-    that grow first), the head doubles, at most HEAD_DOUBLINGS times; then
+    that grow first), the head doubles, resuming where it stopped, at most
+    HEAD_DOUBLINGS times; then
     PrecisionError names M and K.  The tail's zeta values, exponents up to
     1+s+K+2, run Euler-Maclaurin at x = M+1, so M also reaches their
     `mpnum.em_start`."""
@@ -231,11 +232,12 @@ def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> Split:
     start = mpnum.em_start(float(s_max), ctx.prec_bits)
     M = max(HEAD_PER_DIGIT * P, ceil(start))
     longest = M << HEAD_DOUBLINGS
+    heads = _partial_sums(p, M, W)
     while True:
         if M > mpnum.MAX_TERMS:
             raise mpnum.PrecisionError(
                 f"the head needs {M} terms, past {mpnum.MAX_TERMS}")
-        head = _partial_sum(p, M, W)
+        head = next(heads)
         try:
             mids, rads = tail_coefficients(p, P + 3, W,
                                            (M + 1, abs(head[2]) * (M + 1)))
@@ -254,7 +256,8 @@ def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
 
     `rhs_main` hands in each term's split and one zeta batch for all its
     terms; otherwise the split comes from `head_tail_sizes` and the batch,
-    S(1+s+i, M+1) for i <= K+2, from one `mpnum.hurwitz_zeta` call."""
+    S(1+s+i, M+1) for i <= K+2, from one `mpnum.hurwitz_zeta` call weighted
+    by its own coefficients."""
     if not p.terminates and p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
     with ctx.workprec():
@@ -264,7 +267,8 @@ def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
             return ArbReal(v, mpnum.ulp(v))
         M, K, (S, S_rad, T, T_rad), coeffs = split or head_tail_sizes(p, ctx)
         if zetas is None:
-            zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, K + 3)
+            zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, K + 3,
+                                       _zeta_weights([coeffs]))
         W = ctx.fixed_bits
         tail, tail_rad = accelerated_tail(M, K, ctx, (T, T_rad), coeffs,
                                           zetas)
@@ -280,10 +284,10 @@ def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
         return ArbReal(val, err)
 
 
-def _partial_sum(p: HypParams, M: int, bits: int) -> tuple:
-    """(S, S_rad, T, T_rad): S = sum_{n=0}^{M} t_n and T = t_{M+1} in fixed
-    point with `bits` fraction bits, each within its radius (in units of
-    2^-bits) of the exact value.
+def _partial_sums(p: HypParams, M: int, bits: int):
+    """(S, S_rad, T, T_rad) for the head to M, then to 2M, 4M, ...: S =
+    sum_{n=0}^{M} t_n and T = t_{M+1} in fixed point with `bits` fraction
+    bits, each within its radius (in units of 2^-bits) of the exact value.
 
     t_{n+1} = t_n r_n, r_n = prod(a_j D + n D) / prod(b_j D + n D)
     (`_scaled_params`), runs on ints with g = bit_length(M) guard bits.
@@ -291,21 +295,27 @@ def _partial_sum(p: HypParams, M: int, bits: int) -> tuple:
     scales the error carried so far, so t_{n+1} is off by under
     |r_n| e_n + 1 <= e_{n+1} = ceil(e_n |r_n|) + 1, whether the terms shrink
     or grow.  S is off by sum e_n and T by e_{M+1}, plus a unit each for the
-    final shift; while every |r_n| <= 1, e_n <= n."""
+    final shift; while every |r_n| <= 1, e_n <= n.  When M doubles, g grows
+    by one: the state, t_{M+1} added to S, shifts up one bit, errors with
+    it, and the recurrence resumes at n = M+1."""
     D, ups, downs = _scaled_params(p)
     g = M.bit_length()
     t = acc = 1 << (bits + g)
     e = acc_rad = 0
-    for n in range(M + 1):
-        nD = n * D
-        num = (ups[0] + nD) * (ups[1] + nD) * (ups[2] + nD)
-        den = (downs[0] + nD) * (downs[1] + nD) * (downs[2] + nD)
-        t = t * num // den
-        e = -(-e * abs(num) // abs(den)) + 1
-        if n < M:
-            acc += t
-            acc_rad += e
-    return acc >> g, (acc_rad >> g) + 2, t >> g, (e >> g) + 2
+    lo = 0
+    while True:
+        for n in range(lo, M + 1):
+            nD = n * D
+            num = (ups[0] + nD) * (ups[1] + nD) * (ups[2] + nD)
+            den = (downs[0] + nD) * (downs[1] + nD) * (downs[2] + nD)
+            t = t * num // den
+            e = -(-e * abs(num) // abs(den)) + 1
+            if n < M:
+                acc += t
+                acc_rad += e
+        yield acc >> g, (acc_rad >> g) + 2, t >> g, (e >> g) + 2
+        t, e, acc, acc_rad = t << 1, e << 1, acc + t << 1, acc_rad + e << 1
+        lo, M, g = M + 1, 2 * M, g + 1
 
 
 # the most terms a terminating sum may have: 10^4 of -A,1/3,1/7,2/5,3/11
@@ -317,7 +327,7 @@ def _terminating_sum(p: HypParams) -> tuple:
     """(num, den), integers whose quotient is the exact sum of a terminating
     series, t_0 .. t_L with -L the largest nonpositive integer a_j: one
     backward Horner pass on ints over r_n = A_n / B_n, the factors of
-    `_partial_sum`, num/den -> (den B_n + A_n num) / (den B_n), no gcd."""
+    `_partial_sums`, num/den -> (den B_n + A_n num) / (den B_n), no gcd."""
     L = int(min(-a for a in (p.a1, p.a2, p.a3) if _is_nonpositive_integer(a)))
     if L + 1 > TERMINATING_MAX_TERMS:
         raise mpnum.PrecisionError(
@@ -378,6 +388,15 @@ def accelerated_tail(M: int, K: int, ctx: PrecisionContext, t_next: tuple,
                    + (abs(tail) + 1) * U_rad) // abs(U) + 2)
 
 
+def _zeta_weights(coeffs: list) -> list:
+    """w_i = max(|C_i| + E_i) over the coefficient balls (mids, rads) of the
+    tails that read S_i, as `accelerated_tail` does, for i below the
+    longest: the weights of `mpnum.hurwitz_zeta`."""
+    return [max(abs(mids[i]) + rads[i] for mids, rads in coeffs
+                if i < len(mids))
+            for i in range(max(len(mids) for mids, _ in coeffs))]
+
+
 def _ftilde_params(a: Fraction, b: Fraction) -> HypParams:
     """The parameters (a, b, a+b-1; a+b, a+b) of F~(a, b); margin 1."""
     return HypParams(a, b, a + b - 1, a + b, a + b)
@@ -401,16 +420,18 @@ def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> ArbReal:
 
     Every F~ has margin 1, so each term's tail reads S(2+i, M+1) for its
     own K: one `mpnum.hurwitz_zeta` batch per head length M, the largest K
-    of its terms + 3 long, serves them all (one batch when, as for the
-    published identities, every term keeps the cost rule's M)."""
+    of its terms + 3 long and weighted by all their coefficients, serves
+    them all (one batch when, as for the published identities, every term
+    keeps the cost rule's M)."""
     k, d, terms = identity
     with ctx.workprec():
         pref = 1 / (k * mpnum.rounded(mpmath.sqrt(d)) * mpnum.rounded(mpmath.pi))
         splits = [head_tail_sizes(_ftilde_params(a, b), ctx)
                   for _, a, b in terms]
-        zetas = {M: mpnum.hurwitz_zeta(
-                     2, M + 1, ctx, 3 + max(sp.K for sp in splits if sp.M == M))
-                 for M in {sp.M for sp in splits}}
+        zetas = {}
+        for M in {sp.M for sp in splits}:
+            weights = _zeta_weights([sp.coeffs for sp in splits if sp.M == M])
+            zetas[M] = mpnum.hurwitz_zeta(2, M + 1, ctx, len(weights), weights)
         values = [ftilde(a, b, ctx, split, zetas[split.M])
                   for (_, a, b), split in zip(terms, splits)]
         first, *rest = [v if sign > 0 else -v

@@ -33,6 +33,10 @@ class PrecisionError(MpnumError):
 # guard digits carried beyond ctx.digits, and the cap on any series length
 GUARD = 12
 MAX_TERMS = 10 ** 6
+# the most Euler-Maclaurin corrections a Hurwitz zeta value may take: each
+# new one costs a Bernoulli number (mpmath.bernfrac), and on a 2-vCPU VM the
+# first 500 / 700 / 1000 take 0.9 / 1.9 / 7.7 s
+EM_MAX_CORRECTIONS = 700
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ class ArbReal:
 
 # The E1 series is cheaper than the continued fraction below x = 0.12 W ln 2,
 # W the fraction bits of the result: timed on both at W = prec + 16, the
-# cost ratio crosses 1 at 0.115-0.125 W ln 2 from 30 to 200 digits.
+# cost ratio crosses 1 at 0.11-0.125 W ln 2 from 30 to 200 digits (checked
+# again with the AFE cut at 1/4, whose E1 points start at 3.1).
 E1_SERIES_SHARE = 0.12
 
 
@@ -276,16 +281,22 @@ def em_start(s_max: float, bits: int) -> float:
 
     The correction ratio is about ((s+2j)/(2 pi x))^2, so with U = 2 pi x the
     corrections shrink by exp(-(U - s - s log(U/s))) in all before turning;
-    U solves U - s - s log(U/s) = L, L = bits ln 2 + ln s_max, whose second
-    term covers the size of the first correction relative to S."""
-    L = bits * math.log(2) + math.log(s_max)
-    U = s_max + L
-    for _ in range(16):
-        U = s_max + L + s_max * math.log(U / s_max)
+    U solves f(U) = U - s - s log(U/s) - L = 0, L = bits ln 2 + ln s_max,
+    whose second term covers the size of the first correction relative to
+    S.  f is convex and increasing past s, so Newton's method from U = s + L
+    steps past the root once and then falls to it."""
+    s, L = s_max, bits * math.log(2) + math.log(s_max)
+    U = s + L
+    for _ in range(100):
+        step = (U - s - s * math.log(U / s) - L) / (1 - s / U)
+        U -= step
+        if abs(step) <= 1e-12 * U:
+            break
     return U / (2 * math.pi) + 1
 
 
-def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
+def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int,
+                 weights: list = None) -> list:
     """[(S_i, R_i) for i < count], integer balls in units of 2^-W,
     W = ctx.fixed_bits, around S(s+i, a) = a^(s+i-1) zeta(s+i, a), where
     zeta(s, x) = sum_{n>=0} (n+x)^{-s}, for rational s > 1 and a > 0.
@@ -297,18 +308,22 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
     For rational s and x every t_j is rational, and t_{j+1} = t_j rho_j
     (s+2j-1)(s+2j) / x^2, so each S runs in fixed point on ints at W + 48
     bits and stops at the first t_J below 2^-prec S.  Because x^{-s} is
-    completely monotone, |t_J| bounds the remainder (Johansson, "Rigorous
-    high-precision computation of the Hurwitz zeta function and its
-    derivatives", arXiv:1309.2877).  Each step rounds by a few dozen units
-    of 2^-(W+48) (|1/rho_j| <= 60 and (s+2j)^2/x^2 < 60 while the terms
-    decrease), and earlier errors shrink with the terms, so
+    completely monotone, |t_J| bounds the remainder at any stop (Johansson,
+    "Rigorous high-precision computation of the Hurwitz zeta function and
+    its derivatives", arXiv:1309.2877).  A caller that reads S_i only as
+    w_i S_i a^-i 2^-W, w_i = weights[i] in units of 2^-W (the 3F2 tail, with
+    w_i = |C_i| + E_i), needs it only to a quarter unit there: S_i stops
+    instead at the first |t_J| <= max(2^-prec S, 2^(W+48) a^i / (4 w_i)).
+    Each step rounds by a few dozen units of 2^-(W+48) (|1/rho_j| <= 60 and
+    (s+2j)^2/x^2 < 60 while the terms decrease), and earlier errors shrink
+    with the terms, so
 
         R_i = ceil((|t_J| + 128 (J+1)^2) 2^-48) + 1,
 
     the last unit for the one shift down to W bits.  S(s+i, a) > 1/(s+i-1),
-    so R_i is relative to its value; the 3F2 tail applies the a^-i itself.
-    Below `em_start(s + count - 1, prec)` the corrections turn before the
-    stop, and a PrecisionError says so.
+    so without weights R_i is relative to its value; the 3F2 tail applies
+    the a^-i itself.  Below `em_start(s + count - 1, prec)` the corrections
+    turn before the stop, and a PrecisionError says so.
     """
     s0, x = Fraction(s), Fraction(a)
     if s0 <= 1:
@@ -320,6 +335,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
     prec = ctx.prec_bits
     wp = ctx.fixed_bits + 48
     xn, xd = x.numerator, x.denominator
+    an, ad = 1 << wp, 4             # 2^(W+48) a^i / 4 = an / ad
     out = []
     for i in range(count):
         si = s0 + i
@@ -327,8 +343,9 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
         S = (q << wp) // (p - q) + (xd << wp) // (2 * xn)
         t = (p * xd * xd << wp) // (12 * q * xn * xn)
         den = q * q * xn * xn
+        loose = an // (ad * max(weights[i], 1)) if weights else 0
         j = 1
-        while abs(t) > S >> prec:
+        while abs(t) > max(S >> prec, loose):
             S += t
             r = (p + (2 * j - 1) * q) * (p + 2 * j * q) * xd * xd
             nxt = ((t * _em_ratio(wp, j)) >> wp) * r // den
@@ -337,9 +354,12 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext, count: int) -> list:
                                      "decreasing before the target")
             t = nxt
             j += 1
-            if 2 * j > MAX_TERMS:
-                raise PrecisionError("max_terms exceeded in hurwitz_zeta")
+            if j > EM_MAX_CORRECTIONS:
+                raise PrecisionError(
+                    f"a Hurwitz zeta value needs over {EM_MAX_CORRECTIONS} "
+                    f"Euler-Maclaurin corrections")
         out.append((S >> 48, -(-(abs(t) + 128 * (j + 1) ** 2) >> 48) + 1))
+        an, ad = an * xn, ad * xd
     return out
 
 

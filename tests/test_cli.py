@@ -222,8 +222,12 @@ def test_coeffs_zero_n_max_is_usage_error(capsys):
 
 def test_failed_verification_exit_code(capsys, tmp_path):
     # E64's coefficients are well formed and multiplicative, so the file is
-    # accepted; the identity for E36 then fails
-    code, out, _ = run(capsys, "coeffs", "--curve", "64", "--n-max", "200")
+    # accepted (it holds the count E36's AFE reads at the default digits);
+    # the identity for E36 then fails
+    n_max = hecke.afe_n_max(hecke.curve(36),
+                            mpnum.PrecisionContext(cli.MIN_DIGITS))
+    code, out, _ = run(capsys, "coeffs", "--curve", "64", "--n-max",
+                       str(n_max))
     assert code == 0
     path = tmp_path / "a64.csv"
     path.write_text(out)
@@ -231,6 +235,26 @@ def test_failed_verification_exit_code(capsys, tmp_path):
                        "--an-file", str(path))
     assert code == 1
     assert out.startswith("[FAIL] identity_L36:")
+
+
+def test_verify_identity_work_at_152_digits(monkeypatch, capsys):
+    # the work the two kernels do, as counts that timing noise cannot hide:
+    # the AFE cut at 1/4 leaves both curves 41 E1 calls (133 at the cut
+    # 1), and the weighted Hurwitz zeta batches take 2240 Euler-Maclaurin
+    # steps (5342 when every value ran to full relative precision)
+    calls = {"e1_fixed": 0, "_em_ratio": 0}
+    for name in calls:
+        real = getattr(mpnum, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mpnum, name, counted)
+    code, _, _ = run(capsys, "verify-identity", "--digits", "152")
+    assert code == 0
+    assert calls["e1_fixed"] <= 45
+    assert calls["_em_ratio"] <= 5342 // 2
 
 
 @pytest.mark.parametrize("command", ["verify-identity", "verify-all"])

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from ellhyp import hecke
+from ellhyp import hecke, mpnum
 from ellhyp.hecke import (BadPrimeError, CoefficientFileError, _mul, _units,
                           afe_n_max, ap_pointcount, build_coeffs, curve,
                           l_two, lstar_zero, read_coeff_file, residue)
@@ -211,11 +211,11 @@ def test_lstar_zero_values():
 
 
 def _afe_oracle(c, digits):
-    """L(E, 2) from the AFE at digits + 60 with mpmath.expint, the terms to
-    the truncation point of digits + 60 (so it also checks the truncation
-    bound of the digits-sum)."""
+    """L(E, 2) from the AFE split at t = 1, whatever l_two's cut, at
+    digits + 60 with mpmath.expint, the terms to the truncation point of
+    digits + 60 (so it also checks the truncation bounds of the digits-sum)."""
     ref_ctx = PrecisionContext(digits=digits + 60)
-    tbl = build_coeffs(c, afe_n_max(c, ref_ctx), "cm")
+    tbl = build_coeffs(c, hecke._afe_count(c, ref_ctx, 1), "cm")
     with ref_ctx.workprec():
         kappa = 2 * mpmath.pi / mpmath.sqrt(c.N)
         return mpmath.fsum(
@@ -227,7 +227,8 @@ def _afe_oracle(c, digits):
 @pytest.mark.parametrize("N", [36, 64])
 def test_l_two_err_bounds_the_error(N):
     # every ball holds an oracle that shares no code with l_two (no running
-    # power, no fixed point, and mpmath's E1), and err meets the target
+    # power, no fixed point, mpmath's E1, and the cut at t = 1), and err
+    # meets the target
     c = curve(N)
     for digits in (30, 60, 100, 152, 200):
         ctx = PrecisionContext(digits=digits)
@@ -239,16 +240,68 @@ def test_l_two_err_bounds_the_error(N):
         assert got.err <= mpmath.mpf(10) ** -digits * abs(got.val), digits
 
 
+CUTS = (1, 2, 4, 6)
+
+
+def _balls_at_every_cut(c, tbl, ctx, monkeypatch):
+    """l_two's (lo, hi) at each cut-off t = 1/T, T in CUTS."""
+    balls = []
+    for T in CUTS:
+        monkeypatch.setattr(hecke, "AFE_CUT", T)
+        with ctx.workprec():
+            got = l_two(c, tbl, ctx)
+            balls.append((got.val - got.err, got.val + got.err))
+    return balls
+
+
+def _flip_first_ap(tbl):
+    """tbl with the sign of a_p flipped at the least prime p >= 5 with
+    a_p != 0 (a_5 on E64; on E36 a_5 = 0, so a_7)."""
+    p = next(p for p in (5, 7, 11, 13) if tbl[p])
+    return {**tbl, p: -tbl[p]}
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("N", [36, 64])
+def test_l_two_is_the_same_ball_at_every_cut(N, digits, monkeypatch):
+    # Dokchitser's check: for the L-function of a weight-2 newform with
+    # root number w the AFE does not depend on its cut-off, so the balls at
+    # t = 1, 1/2, 1/4 and 1/6 share a point; a coefficient with the wrong
+    # sign, or w = -1 (the E1 half negated), breaks the functional equation
+    # and pulls every pair of balls apart
+    c = curve(N)
+    ctx = PrecisionContext(digits=digits)
+    monkeypatch.setattr(hecke, "AFE_CUT", max(CUTS))
+    tbl = build_coeffs(c, afe_n_max(c, ctx), "cm")
+    balls = _balls_at_every_cut(c, tbl, ctx, monkeypatch)
+    assert max(lo for lo, _ in balls) <= min(hi for _, hi in balls)
+
+    def disjoint(balls):
+        return all(hi < lo2 or hi2 < lo for i, (lo, hi) in enumerate(balls)
+                   for lo2, hi2 in balls[i + 1:])
+
+    assert disjoint(_balls_at_every_cut(c, _flip_first_ap(tbl), ctx,
+                                        monkeypatch))
+    real = mpnum.e1_fixed
+    monkeypatch.setattr(mpnum, "e1_fixed",
+                        lambda *args: (lambda E, R: (-E, R))(*real(*args)))
+    assert disjoint(_balls_at_every_cut(c, tbl, ctx, monkeypatch))
+
+
 def test_l_two_loop_reads_no_mpmath():
-    # the sum over n is integer arithmetic: no mpmath name, mpf or ball is
-    # read inside it, and E1 comes from the integer kernel
+    # both sums over n, the Gamma(2) half's and the E1 half's, are integer
+    # arithmetic: no mpmath name, mpf or ball is read inside them, and E1
+    # comes from the integer kernel
     tree = ast.parse(Path(hecke.__file__).read_text())
     (fn,) = [node for node in tree.body
              if isinstance(node, ast.FunctionDef) and node.name == "l_two"]
-    (loop,) = [node for node in ast.walk(fn) if isinstance(node, ast.For)
-               and isinstance(node.target, ast.Name) and node.target.id == "n"]
-    names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
-    attrs = {node.attr for node in ast.walk(loop)
-             if isinstance(node, ast.Attribute)}
-    assert not {"mpmath", "mpf", "ArbReal", "replace"} & names
-    assert attrs == {"e1_fixed"}
+    gamma_loop, e1_loop = [
+        node for node in ast.walk(fn) if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name) and node.target.id == "n"]
+    for loop, want in ((gamma_loop, set()), (e1_loop, {"e1_fixed"})):
+        names = {node.id for node in ast.walk(loop)
+                 if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(loop)
+                 if isinstance(node, ast.Attribute)}
+        assert not {"mpmath", "mpf", "ArbReal", "replace"} & names
+        assert attrs == want

@@ -268,6 +268,29 @@ def test_large_margin_within_err_of_the_term_sum(digits):
             assert abs(got.val - want) <= got.err, b
 
 
+def test_a_margin_past_the_fixed_point_start_sums():
+    # margin 5998.8: 16 fixed-point steps put em_start at 1142 for the true
+    # 1159, so the Euler-Maclaurin corrections turned before their stop and
+    # hyp exited 2; from Newton's start they reach it
+    p = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+                  Fraction(3000), 3000 + Fraction(1, 3))
+    with CTX.workprec():
+        got = hyp3f2.f32_unit(p, CTX)
+    want = _term_sum(p, 50)
+    with mpmath.workdps(50):
+        assert abs(got.val - want) <= got.err
+
+
+def test_a_large_margin_exits_within_the_corrections_cap():
+    # margin 2 10^6: the head (3 10^5 terms) fits under MAX_TERMS, but the
+    # zeta values would need thousands of Bernoulli numbers; the cap stops
+    # them after EM_MAX_CORRECTIONS
+    code, seconds, err = _hyp_subprocess("1/2,1/2,1/2,1000000,3000001/3")
+    assert code == 2, err
+    assert f"over {mpnum.EM_MAX_CORRECTIONS} Euler-Maclaurin" in err
+    assert seconds < 10
+
+
 def test_a_huge_margin_exits_before_its_head():
     # margin 2 10^7: the tail would start past 3 10^6 terms, over MAX_TERMS
     code, seconds, err = _hyp_subprocess("1/2,1/2,1/2,10000000,30000001/3")
@@ -388,7 +411,7 @@ def _check_head(p, ctx):
         t *= _term_ratio(p, n)
         exact += t
     t_next = t * _term_ratio(p, M)
-    head, head_rad, T, T_rad = hyp3f2._partial_sum(p, M, bits)
+    head, head_rad, T, T_rad = next(hyp3f2._partial_sums(p, M, bits))
     assert abs(head - exact * 2 ** bits) <= head_rad
     assert abs(T - t_next * 2 ** bits) <= T_rad
     return head_rad, T_rad
@@ -401,6 +424,29 @@ def test_partial_sum_within_m_plus_one_units(p, digits):
     head_rad, T_rad = _check_head(p, ctx)
     assert head_rad <= hyp3f2.head_tail_sizes(p, ctx).M + 1
     assert T_rad <= 2
+
+
+@pytest.mark.parametrize("p", [TAIL_PARAMS[0], TAIL_PARAMS[4],
+                               HypParams(50, 50, 50, 75, 76)],
+                         ids=["F(1/2,1/3)", "dixon", "grows-first"])
+def test_a_resumed_head_matches_a_fresh_one(p):
+    # a doubled head resumes the last one's state one guard bit up: at 2M
+    # and 4M its balls overlap those of a fresh sum to the same M, and hold
+    # the exact Fraction sum and next term
+    bits, M = CTX.fixed_bits, 8 * hyp3f2.HEAD_PER_DIGIT
+    heads = hyp3f2._partial_sums(p, M, bits)
+    next(heads)
+    t = exact = Fraction(1)
+    for n in range(M << 2):
+        t *= _term_ratio(p, n)
+        exact += t
+        if n + 1 in (M << 1, M << 2):
+            S, S_rad, T, T_rad = next(heads)
+            fresh = next(hyp3f2._partial_sums(p, n + 1, bits))
+            assert abs(S - fresh[0]) <= S_rad + fresh[1], n + 1
+            assert abs(T - fresh[2]) <= T_rad + fresh[3], n + 1
+            assert abs(S - exact * 2 ** bits) <= S_rad, n + 1
+            assert abs(T - t * _term_ratio(p, n + 1) * 2 ** bits) <= T_rad
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -493,7 +539,7 @@ def test_truncation_bound_covers_a_vanishing_coefficient():
     assert _ref_tail_coefficients(p, 3)[1:] == [0, 0]
     W, M, K = CTX.fixed_bits, 704, 1
     coeffs = hyp3f2.tail_coefficients(p, K + 3, W)
-    S, S_rad, T, T_rad = hyp3f2._partial_sum(p, M, W)
+    S, S_rad, T, T_rad = next(hyp3f2._partial_sums(p, M, W))
     zetas = mpnum.hurwitz_zeta(2, M + 1, CTX, K + 3)
     tail, rad = hyp3f2.accelerated_tail(M, K, CTX, (T, T_rad), coeffs, zetas)
     with mpmath.workdps(30):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellhyp import hecke, mpnum
+from ellhyp import claims, hecke, hyp3f2, mpnum
 from ellhyp.mpnum import ArbReal, DomainError, PrecisionContext
 
 CTX = PrecisionContext(digits=30)
@@ -122,6 +122,49 @@ def test_hurwitz_zeta_batch_oracle(s, a, digits, count, stride):
     _check_hurwitz(s, a, digits, count, stride)
 
 
+@pytest.mark.parametrize("digits", [30, 100, 152, 200])
+def test_weighted_hurwitz_batch_of_the_identities(digits):
+    # the batch rhs_main asks for, weighted by the coefficients of the
+    # identities' four F~ tails: each S_i +- R_i holds
+    # zeta(2+i, N) N^(1+i) at 60 more digits, N = M+1 (and (2+i) log10(N)
+    # more, as mpmath.zeta stops on an absolute test), and each value is
+    # either as tight as without weights (the relative stop) or stops where
+    # its error in the tail, w_i R_i N^-i, is a quarter unit of 2^-W, less
+    # the radius's own three units of rounding
+    ctx = PrecisionContext(digits=digits)
+    W, prec = ctx.fixed_bits, ctx.prec_bits
+    splits = [hyp3f2.head_tail_sizes(hyp3f2._ftilde_params(a, b), ctx)
+              for N in (36, 64) for _, a, b in claims.identity(N)[2]]
+    (M,) = {sp.M for sp in splits}
+    weights = hyp3f2._zeta_weights([sp.coeffs for sp in splits])
+    got = mpnum.hurwitz_zeta(2, M + 1, ctx, len(weights), weights)
+    N, loose = M + 1, 0
+    for i, ((S, R), w) in enumerate(zip(got, weights)):
+        with mpmath.workdps(digits + 60 + math.ceil((2 + i) * math.log10(N))):
+            want = mpmath.ldexp(mpmath.zeta(2 + i, N) * mpmath.mpf(N) ** (1 + i),
+                                W)
+            assert abs(S - want) <= R, i
+        assert R <= (S >> prec) + 4 or 4 * w * (R - 3) < N ** i << W, i
+        loose += R > (S >> prec) + 4
+    # the weights loosen the stop of most values
+    assert loose > len(got) // 2
+
+
+def test_em_start_solves_its_equation():
+    # Newton's method meets U - s - s log(U/s) = bits ln 2 + ln s, U =
+    # 2 pi (x - 1), where 16 fixed-point steps fell short by up to 27 at
+    # s = 8000 and 147 bits (1470.9 for 1498.1)
+    for s_max, want in ((2400, 510.4), (4000, 799.0), (8000, 1498.1),
+                        (2 * 10 ** 7, None)):
+        x = mpnum.em_start(s_max, 147)
+        U = 2 * math.pi * (x - 1)
+        residual = U - s_max - s_max * math.log(U / s_max) \
+            - 147 * math.log(2) - math.log(s_max)
+        assert abs(residual) <= 1e-9 * U, s_max
+        if want is not None:
+            assert round(x, 1) == want, s_max
+
+
 def test_hurwitz_zeta_rejects_bad_arguments():
     with pytest.raises(DomainError):
         mpnum.hurwitz_zeta(1, 2, CTX, 1)
@@ -163,22 +206,21 @@ def test_e1_both_sides_of_the_crossover(digits, monkeypatch):
 
 @pytest.mark.parametrize("digits", [30, 64, 100, 152, 200])
 def test_e1_balls_contain_oracle_at_every_afe_point(digits):
-    # every x_n with a_n != 0 of both AFEs, as hecke.l_two hands it to the
-    # kernel: X = n K at W = fixed_bits, K = kappa 2^W rounded, and the
-    # kernel picks the precision per point.  The oracle takes x = X 2^-W,
-    # as the kernel does (l_two's own unit per term covers the rounding of
-    # kappa), and e^-x rounded to a unit.  Each ball holds the oracle and is
-    # a few units wide
+    # every x_n = n kappa T with a_n != 0 of both AFEs' E1 halves, T the
+    # cut hecke.AFE_CUT, as hecke.l_two hands it to the kernel: X = n K at
+    # W = fixed_bits, K = kappa T 2^W rounded, and the kernel picks the
+    # precision per point.  The oracle takes x = X 2^-W, as the kernel does
+    # (l_two's own unit per term covers the rounding of kappa T), and e^-x
+    # rounded to a unit.  Each ball holds the oracle and is a few units wide
     ctx = PrecisionContext(digits=digits)
     W = ctx.fixed_bits
     for N in (36, 64):
         c = hecke.curve(N)
-        needed = hecke.afe_n_max(c, ctx)
-        tbl = hecke.build_coeffs(c, needed, "cm")
+        tbl = hecke.build_coeffs(c, hecke.afe_n_max(c, ctx), "cm")
         with mpmath.workprec(W + 16):
-            K = int(mpmath.nint(mpmath.ldexp(2 * mpmath.pi / mpmath.sqrt(N),
-                                             W)))
-        for n in range(1, needed + 1):
+            K = int(mpmath.nint(mpmath.ldexp(
+                2 * mpmath.pi / mpmath.sqrt(N) * hecke.AFE_CUT, W)))
+        for n in range(1, hecke._afe_count(c, ctx, hecke.AFE_CUT) + 1):
             if tbl[n] == 0:
                 continue
             with mpmath.workdps(digits + 60):
