@@ -62,22 +62,21 @@ def _exact(claim_id, lhs, rhs, ok, notes="", t=None):
 
 
 def _numeric(claim_id, lhs, rhs, notes="", t=None):
-    """A numeric report on two balls, run at working precision.  Each side's
-    err bounds its own error, so the sides must agree within the sum of the
-    two; sides equal to the last bit agree to the working precision."""
-    diff = abs(lhs.val - rhs.val)
-    tol = lhs.err + rhs.err
-    resolution = mpmath.ldexp(abs(lhs.val), -mpmath.mp.prec)
-    ok = diff <= tol
-    digits = None
-    if max(diff, resolution) > 0:
-        digits = int(mpmath.floor(-mpmath.log10(max(diff, resolution))))
+    """A numeric report on two balls at one W.  Each side's radius bounds
+    its own error, so the sides must agree within the sum of the two, the
+    radius of lhs - rhs.  digits_agreed is floor(-log10 |lhs - rhs|), with a
+    unit of 2^-W as its resolution: with d = max(|mid|, 1) units, the digits
+    of 2^W // d less one, or -ceil(log10(d 2^-W)) for d past 2^W."""
+    gap = lhs - rhs
+    d = max(abs(gap.mid), 1)
+    digits = (len(str((1 << gap.W) // d)) - 1 if d <= 1 << gap.W
+              else -len(str(-(-d >> gap.W) - 1)))
     return VerificationReport(
         claim_id, "numeric", mpmath.nstr(lhs.val, 25),
         mpmath.nstr(rhs.val, 25),
-        "pass" if ok else "fail", abs_err=mpmath.nstr(diff, 5),
-        digits_agreed=digits, tolerance=mpmath.nstr(tol, 5), notes=notes,
-        timing=t)
+        "pass" if abs(gap.mid) <= gap.rad else "fail",
+        abs_err=mpmath.nstr(abs(gap.val), 5), digits_agreed=digits,
+        tolerance=mpmath.nstr(gap.err, 5), notes=notes, timing=t)
 
 
 def _ctx(args) -> PrecisionContext:
@@ -107,13 +106,12 @@ def cmd_verify_identity(args) -> list:
         tbl = None
         if an_file:
             tbl = _file_coeffs(hecke.afe_n_max(c, ctx), an_file)
-        with ctx.workprec():
-            lhs = hecke.lstar_zero(c, ctx, tbl)
-            rhs = hyp3f2.rhs_main(N, ctx, claims.identity(N))
-            out.append(_numeric(
-                f"identity_L{N}", lhs, rhs,
-                notes="L*(E,0) from the Hecke L-series vs the "
-                      "hypergeometric combination", t=time.monotonic() - t0))
+        lhs = hecke.lstar_zero(c, ctx, tbl)
+        rhs = hyp3f2.rhs_main(N, ctx, claims.identity(N))
+        out.append(_numeric(
+            f"identity_L{N}", lhs, rhs,
+            notes="L*(E,0) from the Hecke L-series vs the "
+                  "hypergeometric combination", t=time.monotonic() - t0))
     return out
 
 
@@ -214,13 +212,12 @@ def cmd_verify_periods(args) -> list:
     for N in _curves(args):
         t0 = time.monotonic()
         a, b, q = claims.period_form(N)
-        with ctx.workprec():
-            out.append(_numeric(
-                f"real_period_E{N}", ellper.lattice(N, ctx),
-                q * mpnum.beta(a, b, ctx),
-                notes=f"omega1 = pi / AGM of the root gaps vs its "
-                      f"Chowla-Selberg form {q} * B({a}, {b})",
-                t=time.monotonic() - t0))
+        out.append(_numeric(
+            f"real_period_E{N}", ellper.lattice(N, ctx),
+            q * mpnum.beta(a, b, ctx),
+            notes=f"omega1 = pi / AGM of the root gaps vs its "
+                  f"Chowla-Selberg form {q} * B({a}, {b})",
+            t=time.monotonic() - t0))
     return out
 
 
@@ -304,9 +301,7 @@ def cmd_hyp(args) -> list:
         raise UsageError("--params needs a1,a2,a3,b1,b2")
     try:
         p = hyp3f2.HypParams(*vals)
-        with ctx.workprec():
-            val = hyp3f2.f32_unit(p, ctx)
-            print(mpmath.nstr(val.val, ctx.digits))
+        print(mpmath.nstr(hyp3f2.f32_unit(p, ctx).val, ctx.digits))
     except hyp3f2.DivergenceError as exc:
         raise UsageError(f"bad --params: {exc}") from None
     except PrecisionError as exc:

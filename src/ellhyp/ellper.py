@@ -26,7 +26,7 @@ from mpmath import mpc, mpf
 from . import hecke, mpnum
 from .cyclo import DEGREE, CycloNum
 from .ecdiv import CurvePoint, law
-from .mpnum import ArbReal, PrecisionContext
+from .mpnum import Ball, PrecisionContext
 
 
 class PeriodError(Exception):
@@ -152,10 +152,10 @@ def _embed(x: CycloNum, ctx: PrecisionContext) -> mpc:
 
 
 @functools.lru_cache(maxsize=None)
-def lattice(N: int, ctx: PrecisionContext) -> ArbReal:
+def lattice(N: int, ctx: PrecisionContext) -> Ball:
     """omega1 = pi / agm of the root gaps, the period of du/(2v) over the real
-    component, built once per curve and precision.  The du/(2v)-period
-    lattice is O_K * (omega1 / h)."""
+    component, built once per curve and precision, as a ball at
+    ctx.fixed_bits.  The du/(2v)-period lattice is O_K * (omega1 / h)."""
     with ctx.workprec():
         e1, e2, e3 = (_embed(r, ctx) for r in law(N).curve.roots)
         g, g_err = mpnum.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3), ctx)
@@ -165,7 +165,9 @@ def lattice(N: int, ctx: PrecisionContext) -> ArbReal:
         omega1 = mpmath.re(v)
         if omega1 <= 0:
             raise PeriodError("real period must be positive")
-        return ArbReal(omega1, omega1 * (ctx.eps * 100 + g_err / abs(g)))
+        W = ctx.fixed_bits      # int() drops under a unit from each part
+        return Ball(int(mpmath.ldexp(omega1, W)), int(mpmath.ldexp(
+            omega1 * (ctx.eps * 100 + g_err / abs(g)), W)) + 2, W)
 
 
 def h_nu_bar(N: int) -> CycloNum:

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath
-from mpmath import mpf
 
 from . import mpnum
-from .mpnum import ArbReal, PrecisionContext
+from .mpnum import Ball, PrecisionContext
 
 
 class HeckeError(Exception):
@@ -295,7 +294,7 @@ def afe_n_max(c: CurveId, ctx: PrecisionContext) -> int:
     return _afe_count(c, ctx, 1 / AFE_CUT)
 
 
-def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
+def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> Ball:
     """L(E, 2) by the incomplete-gamma approximate functional equation, from
     the coefficient table tbl = {n: a_n}, n = 1..len(tbl), with root number
     w = +1.  Lambda(2) = N int_0^inf f(iy) y dy, split at y = 1/(T sqrt N),
@@ -307,8 +306,9 @@ def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
         y_n = n kappa / T,  x_n = n kappa T,  kappa = 2 pi / sqrt(N),
 
     n_G = afe_n_max and n_E its count at x_n (`_afe_count`).  One integer
-    sum in units of 2^-W, W = ctx.fixed_bits, rounded once to mpf: kappa/T,
-    kappa T, kappa^2, e^-kappa/T and e^-kappa T are rounded once each, and
+    ball in units of 2^-W, W = ctx.fixed_bits, its radius with the
+    truncation bound rounded up to a unit: kappa/T, kappa T, kappa^2,
+    e^-kappa/T and e^-kappa T are rounded once each, and
     e^-y_n = G_n and e^-x_n = P_n are running powers of the last two.
     E1(x_n) is `mpnum.e1_fixed` at X = n K, K = kappa T 2^W rounded: X is
     off by n units or less, which moves e^-x by under n e^-x_n < 1 unit and
@@ -334,12 +334,14 @@ def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
         # As n/y_n = T/kappa, a Gamma(2) summand is below 2 e^-y (1+y)/n
         # = 2 (kappa/T) e^-y (1+y)/y <= 4 (kappa/T) e^-y for y >= 1, and as
         # n/x_n = 1/(kappa T), an E1 one below |a_n| kappa^2 e^-x/x <=
-        # 2 (kappa/T) e^-x: two geometric series, past n_G and past n_E
+        # 2 (kappa/T) e^-x: two geometric series, past n_G and past n_E,
+        # in units of 2^-W rounded up
         step_g, step_e = kappa / AFE_CUT, kappa * AFE_CUT
-        trunc = (4 * step_g * mpmath.exp(-step_g * (n_gamma + 1))
-                 / (1 - mpmath.exp(-step_g))
-                 + 2 * step_g * mpmath.exp(-step_e * (n_e1 + 1))
-                 / (1 - mpmath.exp(-step_e)))
+        trunc = int(mpmath.ldexp(
+            4 * step_g * mpmath.exp(-step_g * (n_gamma + 1))
+            / (1 - mpmath.exp(-step_g))
+            + 2 * step_g * mpmath.exp(-step_e * (n_e1 + 1))
+            / (1 - mpmath.exp(-step_e)), W)) + 1
     # G_n and P_n are off by under 2n units: each step adds G_{n-1} 2^-W < 1
     # for Q's rounding, one for the floor, and Q 2^-W < 1 times the last
     G = 1 << W
@@ -364,30 +366,23 @@ def l_two(c: CurveId, tbl: dict, ctx: PrecisionContext) -> ArbReal:
         A3_rad += abs(an) * (R + 1)
     # KG and K2 are off by a unit each
     val = A1 + (KG * A2 + K2 * A3 >> W)
-    rad = A_rad + ((abs(A2) + (KG + 1) * A_rad + abs(A3) + (K2 + 1) * A3_rad)
-                   >> W) + 2
-    with ctx.workprec():
-        val = mpmath.ldexp(val, -W)
-        err = (mpmath.ldexp(rad, -W) + trunc
-               + abs(val) * mpmath.ldexp(1, 1 - ctx.prec_bits))
-        if err > ctx.target_eps * max(abs(val), 1):
-            raise mpnum.PrecisionError(
-                "the approximate functional equation did not reach the "
-                "requested precision")
-        return ArbReal(val, err)
+    rad = (A_rad + ((abs(A2) + (KG + 1) * A_rad + abs(A3) + (K2 + 1) * A3_rad)
+                    >> W) + 2 + trunc)
+    if rad * 10 ** ctx.digits > max(abs(val), 1 << W):
+        raise mpnum.PrecisionError(
+            "the approximate functional equation did not reach the "
+            "requested precision")
+    return Ball(val, rad, W)
 
 
 def lstar_zero(c: CurveId, ctx: PrecisionContext,
-               tbl: dict | None = None) -> ArbReal:
-    """L*(E, 0) = N / (2 pi)^2 * L(E, 2), positive for both curves.  The
-    constant takes three roundings within 2^-prec relative each, pi's twice
-    over in the square, so its radius is 2^(3-prec) relative."""
-    with ctx.workprec():
-        if tbl is None:
-            tbl = build_coeffs(c, afe_n_max(c, ctx), "cm")
-        l2 = l_two(c, tbl, ctx)
-        const = mpf(c.N) / (2 * mpmath.pi) ** 2
-        res = l2 * ArbReal(const, const * mpmath.ldexp(1, 3 - ctx.prec_bits))
-        if res.val <= 0:
-            raise HeckeError("L*(E, 0) must be positive")
-        return res
+               tbl: dict | None = None) -> Ball:
+    """L*(E, 0) = N / (2 pi)^2 * L(E, 2), positive for both curves, with the
+    constant a product of balls."""
+    if tbl is None:
+        tbl = build_coeffs(c, afe_n_max(c, ctx), "cm")
+    two_pi = Ball.pi(ctx.fixed_bits) * 2
+    res = l_two(c, tbl, ctx) * c.N / (two_pi * two_pi)
+    if res.mid <= res.rad:
+        raise HeckeError("L*(E, 0) must be positive")
+    return res

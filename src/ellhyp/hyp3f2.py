@@ -22,8 +22,8 @@ in units of 2^-W, W = prec + 16 (Johansson, "Arb: efficient
 arbitrary-precision midpoint-radius interval arithmetic", arXiv:1611.02831):
 the head, t_{M+1}, the c_i, the zeta values and the tail.  A product of
 balls adds |x| rad(y) + rad(x) (|y| + rad(y)), and each floor division one
-unit; the docstrings below give each recurrence.  `f32_unit` adds head and
-tail as ints and rounds once, to mpf.
+unit; the docstrings below give each recurrence.  `f32_unit` returns head
+plus tail as one `mpnum.Ball`.
 
 The split moves the work into the cheap integer head: M = 8P head terms
 (`head_tail_sizes`, a measured cost rule), and a tail that stops at the
@@ -42,10 +42,9 @@ from operator import mul
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpf
 
 from . import mpnum
-from .mpnum import ArbReal, PrecisionContext
+from .mpnum import Ball, PrecisionContext
 
 
 class DivergenceError(Exception):
@@ -225,7 +224,7 @@ def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> Split:
     W = ctx.fixed_bits
     s_max = 3 + p.margin + P
     if s_max > 2 * pi * mpnum.MAX_TERMS:    # em_start exceeds s_max / (2 pi)
-        s = mpf(p.margin.numerator) / p.margin.denominator
+        s = mpmath.mpf(p.margin.numerator) / p.margin.denominator
         raise mpnum.PrecisionError(
             f"the head needs over {mpnum.MAX_TERMS} terms at the convergence "
             f"margin {mpmath.nstr(s, 5)}")
@@ -251,7 +250,7 @@ def head_tail_sizes(p: HypParams, ctx: PrecisionContext) -> Split:
 
 
 def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
-             zetas: list = None) -> ArbReal:
+             zetas: list = None) -> Ball:
     """3F2(a1,a2,a3; b1,b2; 1) to ctx.digits, real rational parameters.
 
     `rhs_main` hands in each term's split and one zeta batch for all its
@@ -260,28 +259,22 @@ def f32_unit(p: HypParams, ctx: PrecisionContext, split: Split = None,
     by its own coefficients."""
     if not p.terminates and p.margin <= 0:
         raise DivergenceError(f"convergence margin {p.margin} is not positive")
-    with ctx.workprec():
-        if p.terminates:
-            num, den = _terminating_sum(p)
-            v = mpf(num) / den
-            return ArbReal(v, mpnum.ulp(v))
-        M, K, (S, S_rad, T, T_rad), coeffs = split or head_tail_sizes(p, ctx)
-        if zetas is None:
-            zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, K + 3,
-                                       _zeta_weights([coeffs]))
-        W = ctx.fixed_bits
-        tail, tail_rad = accelerated_tail(M, K, ctx, (T, T_rad), coeffs,
-                                          zetas)
-        # head and tail as one integer ball, and its one rounding to mpf
-        val = mpmath.ldexp(S + tail, -W)
-        err = (mpmath.ldexp(S_rad + tail_rad, -W)
-               + abs(val) * mpmath.ldexp(1, 1 - ctx.prec_bits))
-        if err > ctx.target_eps * max(abs(val), mpf(1)):
-            raise mpnum.PrecisionError(
-                f"the tail expansion after M = {M} head terms and K = {K} "
-                f"coefficients reaches an error of {mpmath.nstr(err, 3)}, "
-                f"not 10^-{ctx.digits}")
-        return ArbReal(val, err)
+    W = ctx.fixed_bits
+    if p.terminates:
+        num, den = _terminating_sum(p)
+        return Ball.exact(num, W) / den
+    M, K, (S, S_rad, T, T_rad), coeffs = split or head_tail_sizes(p, ctx)
+    if zetas is None:
+        zetas = mpnum.hurwitz_zeta(1 + p.margin, M + 1, ctx, K + 3,
+                                   _zeta_weights([coeffs]))
+    tail, tail_rad = accelerated_tail(M, K, ctx, (T, T_rad), coeffs, zetas)
+    res = Ball(S + tail, S_rad + tail_rad, W)
+    if res.rad * 10 ** ctx.digits > max(abs(res.mid), 1 << W):
+        raise mpnum.PrecisionError(
+            f"the tail expansion after M = {M} head terms and K = {K} "
+            f"coefficients reaches an error of {mpmath.nstr(res.err, 3)}, "
+            f"not 10^-{ctx.digits}")
+    return res
 
 
 def _partial_sums(p: HypParams, M: int, bits: int):
@@ -403,16 +396,15 @@ def _ftilde_params(a: Fraction, b: Fraction) -> HypParams:
 
 
 def ftilde(a: Fraction, b: Fraction, ctx: PrecisionContext,
-           split: Split = None, zetas: list = None) -> ArbReal:
+           split: Split = None, zetas: list = None) -> Ball:
     """B(a, b)^2 * 3F2(a, b, a+b-1; a+b, a+b; 1) for rationals a, b, with
     the Beta value in closed form (`mpnum.beta`); split and zetas go to
     `f32_unit`."""
-    with ctx.workprec():
-        pre = mpnum.beta(a, b, ctx)
-        return pre * pre * f32_unit(_ftilde_params(a, b), ctx, split, zetas)
+    pre = mpnum.beta(a, b, ctx)
+    return pre * pre * f32_unit(_ftilde_params(a, b), ctx, split, zetas)
 
 
-def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> ArbReal:
+def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> Ball:
     """Hypergeometric side of curve `curve_id`'s L-value identity, from its
     data (k, d, terms): sum sign F~(a, b) / (k sqrt(d) pi) over the terms
     (sign, a, b).  The prefactor is a product of balls, so its radius
@@ -424,16 +416,15 @@ def rhs_main(curve_id: int, ctx: PrecisionContext, identity) -> ArbReal:
     them all (one batch when, as for the published identities, every term
     keeps the cost rule's M)."""
     k, d, terms = identity
-    with ctx.workprec():
-        pref = 1 / (k * mpnum.rounded(mpmath.sqrt(d)) * mpnum.rounded(mpmath.pi))
-        splits = [head_tail_sizes(_ftilde_params(a, b), ctx)
-                  for _, a, b in terms]
-        zetas = {}
-        for M in {sp.M for sp in splits}:
-            weights = _zeta_weights([sp.coeffs for sp in splits if sp.M == M])
-            zetas[M] = mpnum.hurwitz_zeta(2, M + 1, ctx, len(weights), weights)
-        values = [ftilde(a, b, ctx, split, zetas[split.M])
-                  for (_, a, b), split in zip(terms, splits)]
-        first, *rest = [v if sign > 0 else -v
-                        for (sign, _, _), v in zip(terms, values)]
-        return pref * sum(rest, first)
+    W = ctx.fixed_bits
+    pref = 1 / (k * Ball.exact(d, W).root(2) * Ball.pi(W))
+    splits = [head_tail_sizes(_ftilde_params(a, b), ctx) for _, a, b in terms]
+    zetas = {}
+    for M in {sp.M for sp in splits}:
+        weights = _zeta_weights([sp.coeffs for sp in splits if sp.M == M])
+        zetas[M] = mpnum.hurwitz_zeta(2, M + 1, ctx, len(weights), weights)
+    values = [ftilde(a, b, ctx, split, zetas[split.M])
+              for (_, a, b), split in zip(terms, splits)]
+    first, *rest = [v if sign > 0 else -v
+                    for (sign, _, _), v in zip(terms, values)]
+    return pref * sum(rest, first)

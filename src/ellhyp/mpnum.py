@@ -1,10 +1,10 @@
-"""Arbitrary-precision real/complex kernel with conservative error tracking.
-
-Backed by mpmath's mpf/mpc for raw arithmetic and elementary functions; the
-special functions here (incomplete gamma, Hurwitz zeta, AGM, and Gamma at
-rationals with denominator 1, 2, 3, 4 or 6 from closed forms in pi and one
-AGM) are computed by our own series/iterations so that mpmath's
-implementations stay available as independent oracles in the tests.
+"""Real numerics on Python ints: `Ball`, an integer midpoint and radius in
+units of 2^-W, and the kernels E1, Hurwitz zeta, the real AGM and Gamma at
+rationals with denominator 1, 2, 3, 4 or 6 (closed forms in pi and one AGM),
+each with a radius derived from its operations, so that mpmath's own special
+functions stay independent oracles in the tests.  mpmath supplies pi, the
+constants of the E1 series, e^-x, the Bernoulli numbers and the complex AGM
+of the period lattice.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class PrecisionContext:
 
     @property
     def fixed_bits(self) -> int:
-        """Fraction bits of the fixed-point integer balls: the 3F2 tail's and
-        the AFE sum's."""
+        """W, the fraction bits of every `Ball` and integer kernel."""
         return self.prec_bits + 16
 
     def workprec(self):
@@ -61,88 +60,103 @@ class PrecisionContext:
     def eps(self) -> mpf:
         return mpf(10) ** (-(self.digits + GUARD))
 
+
+class Ball:
+    """The real interval (mid +- rad) 2^-W, mid and rad ints, rad >= 0.
+
+    Each operation floors its midpoint once and adds that unit to a radius
+    that bounds, from the operands' radii, every value the operands' balls
+    allow, so a ball holds the exact value of what it computes.  Balls
+    combine only at one W; an int or a Fraction enters as its floor, with a
+    unit of radius unless that is exact.  The one assumption is `pi`'s:
+    mpmath's pi at W + 8 bits is within 2 ulps (Johansson, "Arb: efficient
+    arbitrary-precision midpoint-radius interval arithmetic",
+    arXiv:1611.02831), so its nearest int is within one unit."""
+
+    __slots__ = ("mid", "rad", "W")
+
+    def __init__(self, mid: int, rad: int, W: int):
+        self.mid, self.rad, self.W = mid, rad, W
+
+    @classmethod
+    def exact(cls, q, W: int) -> Ball:
+        q = Fraction(q)
+        mid, rest = divmod(q.numerator << W, q.denominator)
+        return cls(mid, 1 if rest else 0, W)
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def pi(cls, W: int) -> Ball:
+        with mpmath.workprec(W + 8):
+            return cls(int(mpmath.nint(mpmath.ldexp(mpmath.pi, W))), 1, W)
+
     @property
-    def target_eps(self) -> mpf:
-        return mpf(10) ** (-self.digits)
+    def val(self) -> mpf:
+        """The midpoint, an exact mpf."""
+        return mpf((self.mid, -self.W), prec=0)
 
-
-def ulp(v) -> mpf:
-    """A bound on the rounding error of one mpmath operation with result v."""
-    return abs(mpf(2)) ** (-mpmath.mp.prec + 4) * (abs(v) + 1)
-
-
-class ArbReal:
-    """Real number with an absolute error estimate (not a certified bound)."""
-
-    __slots__ = ("val", "err")
-
-    def __init__(self, val, err=0):
-        if isinstance(val, Fraction):
-            val = mpf(val.numerator) / val.denominator
-        self.val = mpf(val)
-        self.err = mpf(err)
-        if not mpmath.isfinite(self.err) or self.err < 0:
-            raise ValueError("error estimate must be finite and nonnegative")
+    @property
+    def err(self) -> mpf:
+        """The radius, an exact mpf."""
+        return mpf((self.rad, -self.W), prec=0)
 
     def __repr__(self):
-        return f"ArbReal({self.val!r}, err={self.err!r})"
+        return f"Ball({self.mid}, {self.rad}, {self.W})"
 
-    def _coerce(self, other):
-        if isinstance(other, ArbReal):
-            return other
-        if isinstance(other, (int, Fraction)) or isinstance(other, mpf):
-            return ArbReal(other)
-        if isinstance(other, float):
-            return ArbReal(mpf(other))
-        return NotImplemented
+    def _coerce(self, o) -> Ball:
+        if isinstance(o, (int, Fraction)):
+            return Ball.exact(o, self.W)
+        if not isinstance(o, Ball) or o.W != self.W:
+            raise TypeError(f"a ball at W = {self.W} meets {o!r}")
+        return o
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        v = self.val + o.val
-        return ArbReal(v, self.err + o.err + ulp(v))
+        return Ball(self.mid + o.mid, self.rad + o.rad, self.W)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ArbReal(-self.val, self.err)
+        return Ball(-self.mid, self.rad, self.W)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
+        """|xy - mn| <= |m| s + r |n| + r s, over 2^W, plus the floor."""
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        v = self.val * o.val
-        err = (abs(self.val) * o.err + abs(o.val) * self.err
-               + self.err * o.err + ulp(v))
-        return ArbReal(v, err)
+        m, r, n, s, W = self.mid, self.rad, o.mid, o.rad, self.W
+        return Ball(m * n >> W, -(-(abs(m) * s + r * abs(n) + r * s) >> W)
+                    + 1, W)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """|x/y - m/n| <= (r |n| + |m| s) / (|n| (|n| - s)), times 2^W,
+        plus the floor; a divisor ball that holds 0 raises."""
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("ArbReal division by zero")
-        v = self.val / o.val
-        err = (self.err / abs(o.val)
-               + abs(self.val) * o.err / (o.val * o.val)
-               + ulp(v))
-        return ArbReal(v, err)
+        m, r, n, s, W = self.mid, self.rad, o.mid, o.rad, self.W
+        if abs(n) <= s:
+            raise ZeroDivisionError("the divisor's ball holds 0")
+        return Ball((m << W) // n, -(-((r * abs(n) + abs(m) * s) << W)
+                                     // (abs(n) * (abs(n) - s))) + 1, W)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
+        return self._coerce(other) / self
+
+    def root(self, k: int) -> Ball:
+        """x^(1/k) for a ball x > 0: v = floor((m 2^((k-1)W))^(1/k)) by
+        math.isqrt or by integer Newton from above, which stops at the
+        floor; |(1+r)^(1/k) - 1| <= |r| for r > -1 bounds the rest by
+        (v + 1) rad / mid."""
+        m, r, W = self.mid, self.rad, self.W
+        if m <= r:
+            raise DomainError("a root needs a ball above 0")
+        n = m << (k - 1) * W
+        v = math.isqrt(n) if k == 2 else 1 << -(-n.bit_length() // k)
+        while k > 2 and (x := ((k - 1) * v + n // v ** (k - 1)) // k) < v:
+            v = x
+        return Ball(v, -(-(v + 1) * r // m) + 1, W)
 
 
 # The E1 series is cheaper than the continued fraction below x = 0.12 W ln 2,
@@ -152,7 +166,7 @@ class ArbReal:
 E1_SERIES_SHARE = 0.12
 
 
-def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
+def upper_incomplete_gamma(x, ctx: PrecisionContext) -> Ball:
     """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0, the kernel of
     the approximate functional equation that needs more than exp (its
     Gamma(2, x) = e^-x (1 + x) is written out in ``hecke.l_two``): the ball
@@ -171,11 +185,7 @@ def upper_incomplete_gamma(x, ctx: PrecisionContext) -> ArbReal:
         X = int(mpmath.ldexp(xv, W))
     with mpmath.workprec(W - int(xf / math.log(2)) + 16):   # P's bits + 15
         P = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-xv), W)))
-    E, R = e1_fixed(X, W, (P, 1))
-    with ctx.workprec():
-        v = mpmath.ldexp(E, -W)
-        return ArbReal(v, mpmath.ldexp(R, -W)
-                       + abs(v) * mpmath.ldexp(1, 1 - ctx.prec_bits))
+    return Ball(*e1_fixed(X, W, (P, 1)), W)
 
 
 def e1_fixed(X: int, W: int, enx: tuple) -> tuple:
@@ -263,15 +273,21 @@ def _e1_fraction(X: int, W: int, x: float, enx: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _bernoulli(j: int) -> tuple:
+    """B_2j as (numerator, denominator) ints, computed once per process."""
+    n, d = mpmath.bernfrac(2 * j)
+    return int(n), int(d)
+
+
+@functools.lru_cache(maxsize=None)
 def _em_ratio(bits: int, j: int) -> int:
     """rho_j = B_{2j+2} (2j)! / (B_{2j} (2j+2)!) with `bits` fraction bits.
 
     The Bernoulli part of the ratio of consecutive Euler-Maclaurin
     corrections; each entry is computed on first use."""
-    n1, d1 = mpmath.bernfrac(2 * j)
-    n2, d2 = mpmath.bernfrac(2 * j + 2)
-    return ((int(n2) * int(d1) << bits)
-            // (int(d2) * int(n1) * (2 * j + 1) * (2 * j + 2)))
+    n1, d1 = _bernoulli(j)
+    n2, d2 = _bernoulli(j + 1)
+    return (n2 * d1 << bits) // (d2 * n1 * (2 * j + 1) * (2 * j + 2))
 
 
 def em_start(s_max: float, bits: int) -> float:
@@ -384,31 +400,32 @@ def agm(a, b, ctx: PrecisionContext) -> tuple:
         else:
             raise PrecisionError("AGM iteration failed to converge")
         v = (av + bv) / 2
-        return v, abs(v) * eps * 10 + ulp(abs(v))
+        return v, abs(v) * eps * 10 + mpmath.ldexp(abs(v) + 1,
+                                                   4 - ctx.prec_bits)
 
 
-def rounded(v) -> ArbReal:
-    """v, the result of one mpmath elementary operation, as a ball."""
-    return ArbReal(v, ulp(v))
+def _real_agm(b: Ball) -> Ball:
+    """AGM(1, b) for a ball b > 0, on ints at b's W.
 
-
-def _root(x: ArbReal, k: int) -> ArbReal:
-    """x^(1/k), x > 0: |(1+r)^(1/k) - 1| <= |r| for r > -1."""
-    v = mpmath.root(x.val, k)
-    return ArbReal(v, v * x.err / x.val + ulp(v))
-
-
-def _agm_one(b: ArbReal, ctx: PrecisionContext) -> ArbReal:
-    """AGM(1, b), b > 0.  M is homogeneous of degree 1 and increasing, so
-    b dM/db <= M, and M/b falls as b grows: err(b) moves M by at most
-    M err(b) / (b - err(b))."""
-    m, err = agm(1, b.val, ctx)
-    v = m.real
-    return ArbReal(v, err + v * b.err / (b.val - b.err))
+    Each step floors both means, so a_n >= b_n after it, and as M(a+1, b+1)
+    <= (1 + 1/min(a, b)) M(a, b), its floors take under max/min units off M.
+    Past the last step b_n <= M(a_n, b_n) <= a_n.  M is homogeneous of
+    degree 1 and increasing, so b dM/db <= M, and M/b falls as b grows: b's
+    radius moves M by at most M r_b / (b - r_b)."""
+    a, g, lost = 1 << b.W, b.mid, 0
+    for _ in range(64):
+        a, g = (a + g) >> 1, math.isqrt(a * g)
+        lost += -(-a // g)
+        if a - g <= 1:
+            break
+    else:
+        raise PrecisionError("AGM iteration failed to converge")
+    top = a + lost
+    return Ball(g, top - g + -(-top * b.rad // (b.mid - b.rad)), b.W)
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_agm(den: int, digits: int) -> ArbReal:
+def _gamma_agm(den: int, digits: int) -> Ball:
     """Gamma(1/4) (den = 4) or Gamma(1/3) (den = 3) from one AGM, once per
     precision (Borwein and Zucker, IMA J. Numer. Anal. 12 (1992) 519-526):
 
@@ -417,19 +434,16 @@ def _gamma_agm(den: int, digits: int) -> ArbReal:
 
     with k' = (sqrt 6 + sqrt 2) / 4 = cos(pi/12): K is the complete elliptic
     integral at the singular value sin(pi/12)."""
-    ctx = PrecisionContext(digits)
-    with ctx.workprec():
-        pi = rounded(mpmath.pi)
-        if den == 4:
-            m = _agm_one(rounded(mpmath.sqrt(2)), ctx)
-            return _root(pi * 2 * _root(pi * 2, 2) / m, 2)
-        k = (rounded(mpmath.sqrt(6)) + rounded(mpmath.sqrt(2))) / 4
-        K = pi / (_agm_one(k, ctx) * 2)
-        return _root(rounded(mpmath.cbrt(128)) * pi * K
-                     / rounded(mpmath.root(3, 4)), 3)
+    W = PrecisionContext(digits).fixed_bits
+    pi, sqrt2 = Ball.pi(W), Ball.exact(2, W).root(2)
+    if den == 4:
+        return (pi * 2 * (pi * 2).root(2) / _real_agm(sqrt2)).root(2)
+    K = pi / (_real_agm((Ball.exact(6, W).root(2) + sqrt2) / 4) * 2)
+    return (Ball.exact(128, W).root(3) * pi * K
+            / Ball.exact(3, W).root(2).root(2)).root(3)
 
 
-def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
+def rational_gamma(q, ctx: PrecisionContext) -> Ball:
     """Gamma(q) for rational q with denominator d = 1, 2, 3, 4 or 6.
 
     q = r + n with r in (0, 1].  Gamma(1) = 1, Gamma(1/2) = sqrt(pi),
@@ -444,26 +458,26 @@ def rational_gamma(q, ctx: PrecisionContext) -> ArbReal:
                           f"1, 2, 3, 4 and 6")
     n = math.ceil(q) - 1
     r = q - n
-    with ctx.workprec():
-        pi = rounded(mpmath.pi)
-        if d == 1:
-            g = ArbReal(1)
-        elif d == 2:
-            g = _root(pi, 2)
-        else:
-            g = _gamma_agm(4 if d == 4 else 3, ctx.digits)
-            if d == 6:
-                g = rounded(mpmath.cbrt(0.5)) * _root(3 / pi, 2) * g * g
-            if r.numerator > 1:
-                g = pi * 2 / (_root(ArbReal(12 // d - 1), 2) * g)
-        if n >= 0:
-            return g * math.prod(r + j for j in range(n))
-        return g / math.prod(r - j for j in range(1, 1 - n))
+    W = ctx.fixed_bits
+    pi = Ball.pi(W)
+    if d == 1:
+        g = Ball.exact(1, W)
+    elif d == 2:
+        g = pi.root(2)
+    else:
+        g = _gamma_agm(4 if d == 4 else 3, ctx.digits)
+        if d == 6:
+            g = (Ball.exact(Fraction(1, 2), W).root(3) * (3 / pi).root(2)
+                 * g * g)
+        if r.numerator > 1:
+            g = pi * 2 / (Ball.exact(12 // d - 1, W).root(2) * g)
+    if n >= 0:
+        return g * math.prod(r + j for j in range(n))
+    return g / math.prod(r - j for j in range(1, 1 - n))
 
 
-def beta(a, b, ctx: PrecisionContext) -> ArbReal:
+def beta(a, b, ctx: PrecisionContext) -> Ball:
     """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for rationals a, b whose
     Gamma values `rational_gamma` takes (it raises at a pole)."""
-    with ctx.workprec():
-        return (rational_gamma(a, ctx) * rational_gamma(b, ctx)
-                / rational_gamma(a + b, ctx))
+    return (rational_gamma(a, ctx) * rational_gamma(b, ctx)
+            / rational_gamma(a + b, ctx))

@@ -388,14 +388,15 @@ def test_torsion_labels_fail_on_a_wrong_h(capsys, monkeypatch):
 
 
 def test_torsion_labels_guard_the_agm(capsys, monkeypatch, fresh_lattice):
-    # both sides of verify-periods go through mpnum.agm (the lattice and the
-    # Gamma values of the Beta form), so a scaled AGM kernel moves them
-    # together; a wrong omega1 still moves every label off O_K
+    # the lattice's omega1 goes through the complex mpnum.agm and the Gamma
+    # values of its Beta form through the integer real AGM, so a scaled
+    # complex AGM kernel fails verify-periods; a wrong omega1 also moves
+    # every label off O_K
     real_agm = mpnum.agm
     monkeypatch.setattr(mpnum, "agm", lambda a, b, ctx: tuple(
         x * mpmath.mpf("1.37") for x in real_agm(a, b, ctx)))
     code, _, _ = run(capsys, "verify-periods")
-    assert code == 0
+    assert code == 1
     code, out, err = run(capsys, "verify-torsion-labels")
     assert code == 1 and err == ""
     assert out.startswith("[FAIL] error_verify_torsion_labels: "

@@ -303,5 +303,5 @@ def test_l_two_loop_reads_no_mpmath():
                  if isinstance(node, ast.Name)}
         attrs = {node.attr for node in ast.walk(loop)
                  if isinstance(node, ast.Attribute)}
-        assert not {"mpmath", "mpf", "ArbReal", "replace"} & names
+        assert not {"mpmath", "mpf", "Ball", "replace"} & names
         assert attrs == want

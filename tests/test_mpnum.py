@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellhyp import claims, hecke, hyp3f2, mpnum
-from ellhyp.mpnum import ArbReal, DomainError, PrecisionContext
+from ellhyp.mpnum import Ball, DomainError, PrecisionContext
 
 CTX = PrecisionContext(digits=30)
 
@@ -18,18 +18,20 @@ def _close(got, want, ctx=CTX, slack=4):
     assert abs(got - want) <= tol, f"{got} vs {want}"
 
 
-# every Gamma argument of the four F~ prefactors, plus a shift up and an
-# integer
-GAMMA_ARGS = ["1/2", "1/3", "2/3", "1/4", "3/4", "5/6", "7/6", "3/2", "7/4",
-              "3"]
+# every Gamma argument with denominator 1, 2, 3, 4 or 6 in (0, 3), which
+# holds those of the four F~ prefactors, and three below 0
+GAMMA_ARGS = sorted({Fraction(n, d) for d in (1, 2, 3, 4, 6)
+                     for n in range(1, 3 * d)}) + [Fraction(-1, 2),
+                                                   Fraction(-5, 3),
+                                                   Fraction(-7, 4)]
 
 
 @pytest.mark.parametrize("digits", [30, 100, 200])
 def test_rational_gamma_balls_contain_oracle(digits):
     ctx = PrecisionContext(digits=digits)
-    for q in map(Fraction, GAMMA_ARGS):
+    for q in GAMMA_ARGS:
         got = mpnum.rational_gamma(q, ctx)
-        with mpmath.workdps(digits + 40):
+        with mpmath.workdps(digits + 60):
             want = mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator)
             assert abs(got.val - want) <= got.err, q
         assert got.err <= abs(want) * mpmath.mpf(10) ** -(digits + 5), q
@@ -253,19 +255,94 @@ def test_agm_scaling_homogeneity():
         _close(lhs, rhs)
 
 
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000),
-       st.integers(1, 1000), st.integers(1, 1000))
-@settings(max_examples=100, deadline=None)
-def test_arbreal_error_propagation(an, bn, ad, bd):
-    with CTX.workprec():
-        a = ArbReal(mpmath.mpf(an) / ad, mpmath.mpf(10) ** -35)
-        b = ArbReal(mpmath.mpf(bn) / bd, mpmath.mpf(10) ** -35)
-        s = a + b
-        assert s.err >= a.err  # intervals only widen
-        p = a * b
-        assert p.err >= 0
-        # true value stays inside the interval when inputs are exact points
-        assert abs(s.val - (a.val + b.val)) <= s.err + mpmath.mpf(10) ** -40
+BALL_W = 40
+
+
+def _ends(b):
+    """The two ends of a ball's interval, as Fractions."""
+    return [Fraction(b.mid + e * b.rad, 1 << b.W) for e in (-1, 1)]
+
+
+def _holds(b, q):
+    return Fraction(b.mid - b.rad, 1 << b.W) <= q <= Fraction(b.mid + b.rad,
+                                                              1 << b.W)
+
+
+_RATIONAL = st.fractions(min_value=-1000, max_value=1000,
+                         max_denominator=10 ** 6)
+_BALL = st.builds(lambda q, r: Ball(Ball.exact(q, BALL_W).mid,
+                                    Ball.exact(q, BALL_W).rad + r, BALL_W),
+                  _RATIONAL | st.integers(-1000, 1000),
+                  st.integers(0, 3) | st.integers(0, 1 << (BALL_W + 4)))
+
+
+@given(_BALL, _BALL)
+@settings(max_examples=300, deadline=None)
+def test_ball_operations_hold_every_value_of_their_operands(x, y):
+    # each operation's ball holds the exact result at both ends of every
+    # operand's interval: the extremes of +, -, x and / on a box lie at its
+    # corners, and those of a root at the ends of its interval
+    assert _holds(Ball.exact(_ends(x)[1], BALL_W), _ends(x)[1])
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        if op == "__truediv__" and abs(y.mid) <= y.rad:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        got = getattr(x, op)(y)
+        for a in _ends(x):
+            for b in _ends(y):
+                assert _holds(got, getattr(a, op)(b)), (op, a, b)
+    for k in (2, 3):
+        if x.mid <= x.rad:
+            with pytest.raises(DomainError):
+                x.root(k)
+            continue
+        got = x.root(k)
+        lo = Fraction(max(got.mid - got.rad, 0), 1 << BALL_W)
+        hi = Fraction(got.mid + got.rad, 1 << BALL_W)
+        for a in _ends(x):
+            assert lo ** k <= max(a, 0) <= hi ** k, (k, a)
+
+
+@pytest.mark.parametrize("W", [8, 13, 21, 34, 55])
+def test_real_agm_ball_holds_the_agm_at_both_ends_of_b(W):
+    # AGM(1, b) at few bits, where the floors of each step and the radius
+    # of b weigh most, against mpmath's AGM at both ends of b's interval
+    for q in (Fraction(1, 3), Fraction(3, 4), Fraction(1), Fraction(7, 5),
+              Fraction(5)):
+        for rad in (0, 1, 5, 1 << (W // 2)):
+            b = Ball(Ball.exact(q, W).mid, rad, W)
+            got = mpnum._real_agm(b)
+            with mpmath.workprec(W + 60):
+                for end in (b.mid - b.rad, b.mid + b.rad):
+                    want = mpmath.agm(1, mpmath.ldexp(end, -W))
+                    assert abs(got.val - want) <= got.err, (q, rad, end)
+
+
+def test_ball_division_by_a_ball_around_0_raises():
+    for divisor in (Ball(0, 0, 8), Ball(5, 5, 8), Ball(-3, 7, 8)):
+        with pytest.raises(ZeroDivisionError):
+            Ball.exact(1, 8) / divisor
+
+
+def test_ball_values_are_exact():
+    b = Ball((1 << 300) + 1, 3, 300)
+    assert b.val - 1 == mpmath.ldexp(1, -300)
+    assert b.err == mpmath.ldexp(3, -300)
+
+
+def test_each_bernoulli_number_is_computed_once(monkeypatch):
+    # two Hurwitz zeta batches at two precisions read B_2j through one
+    # cache keyed on j: mpmath.bernfrac is asked for each index once
+    mpnum._bernoulli.cache_clear()
+    mpnum._em_ratio.cache_clear()
+    calls = []
+    real = mpmath.bernfrac
+    monkeypatch.setattr(mpmath, "bernfrac", lambda n: (calls.append(n),
+                                                       real(n))[1])
+    for digits in (30, 60):
+        mpnum.hurwitz_zeta(2, 400, PrecisionContext(digits=digits), 20)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_precision_context_eps():
