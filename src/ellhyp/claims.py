@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .cyclo import parse_cyclo
+from .cyclo import CycloNum, parse_cyclo
 from .ecdiv import CurvePoint, law, torsion_Ef
 from .ksym.ffield import ELLIPTIC, FFElem, ff_parse
 from .ksym.ratfunc import Poly
@@ -34,12 +34,24 @@ def _function(N: int, text: str) -> FFElem:
     return ff_parse(ELLIPTIC[N], text)
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclo(text: str) -> CycloNum:
+    """A Q(zeta_24) literal, parsed once per process."""
+    return parse_cyclo(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _point(N: int, u: str, v: str) -> CurvePoint:
+    """The point (u, v) of curve N, parsed and checked once per literal."""
+    return law(N).curve.point(_cyclo(u), _cyclo(v))
+
+
 def point(N: int, name: str) -> CurvePoint:
     """The named point; OffCurveError if its coordinates miss the curve."""
     entry = raw()["points"][str(N)][name]
     if entry == "inf":
         return CurvePoint.infinity()
-    return law(N).curve.point(parse_cyclo(entry[0]), parse_cyclo(entry[1]))
+    return _point(N, *entry)
 
 
 def points(N: int) -> dict:
@@ -109,7 +121,7 @@ def pushforward_slots():
 
 
 def torsion_label_claims(N: int) -> dict:
-    return {name: parse_cyclo(text)
+    return {name: _cyclo(text)
             for name, text in raw()["torsion_labels"][str(N)].items()}
 
 

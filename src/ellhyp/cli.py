@@ -21,7 +21,7 @@ import mpmath
 from . import claims, ecdiv, ellper, hecke, hyp3f2, mpnum
 from .cyclo import parse_cyclo_pair
 from .ecdiv import FormalSum, beta_map, b3_reduce, law, torsion_Ef, \
-    torsion_generators
+    torsion_sums
 from .ksym import (ELLIPTIC, MAPS, FieldError, Place, divisor,
                    evaluate_pullback, ff_parse, pushforward_e36, rosset_tate,
                    tame_symbol, verify_annihilation, verify_divisor)
@@ -228,10 +228,9 @@ def cmd_verify_torsion_labels(args) -> list:
     for N in _curves(args):
         t0 = time.monotonic()
         c = hecke.curve(N)
-        lw = law(N)
         pts = claims.points(N)
         tor = torsion_Ef(N)
-        gens = torsion_generators(N)
+        sums = torsion_sums(N)
         labels = {p: ellper.torsion_label(N, p, ctx) for p in tor}
         for name, expected in claims.torsion_label_claims(N).items():
             lab = labels[pts[name]]
@@ -246,11 +245,12 @@ def cmd_verify_torsion_labels(args) -> list:
         # is full additivity: P = base gives label(base) = 0, and if Q is
         # additive, so is Q+g, since label(P+Q+g) = label(P+Q) + label(g)
         # = label(P) + label(Q) + label(g) = label(P) + label(Q+g).  Every
-        # Q in T is the base plus a word in the generators.
+        # Q in T is the base plus a word in the generators.  The sums are
+        # those the closure of torsion_Ef computed, over the same pairs.
         additive = all(
-            labels[lw.add(p, g)] == hecke.residue(
+            labels[s] == hecke.residue(
                 c, (labels[p][0] + labels[g][0], labels[p][1] + labels[g][1]))
-            for p in tor for g in gens)
+            for (p, g), s in sums.items())
         out.append(_exact(f"labels_bijective_E{N}", f"{len(tor)} labels",
                           "pairwise distinct mod nu", bijective))
         out.append(_exact(f"labels_additive_E{N}", "label(P+Q)",

@@ -189,18 +189,20 @@ def torsion_generators(N: int) -> list:
 
 
 @functools.cache
-def torsion_Ef(N: int) -> tuple:
-    """The f-torsion subgroup (12 points for N=36, 16 for N=64), the
-    closure of the origin under adding ``torsion_generators(N)``, sorted;
-    computed once per curve."""
+def _closure(N: int) -> tuple:
+    """(members, sums): the f-torsion subgroup, the closure of the origin
+    under adding ``torsion_generators(N)``, sorted, and the table
+    {(p, g): p (+) g} of every member p and generator g, which the closure
+    fills as it pops each member once; computed once per curve."""
     lw = law(N)
     gens = torsion_generators(N)
     group = {lw.base}
     frontier = [lw.base]
+    sums = {}
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = lw.add(cur, g)
+            nxt = sums[cur, g] = lw.add(cur, g)
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
@@ -216,7 +218,17 @@ def torsion_Ef(N: int) -> tuple:
         for q in members:
             if lw.add(p, q) not in group:
                 raise CurveError("f-torsion not closed under addition")
-    return members
+    return members, sums
+
+
+def torsion_Ef(N: int) -> tuple:
+    """The f-torsion subgroup (12 points for N=36, 16 for N=64), sorted."""
+    return _closure(N)[0]
+
+
+def torsion_sums(N: int) -> dict:
+    """The closure's {(p, g): p (+) g}, g in ``torsion_generators(N)``."""
+    return _closure(N)[1]
 
 
 # formal sums and the Bloch map ---------------------------------------------

@@ -19,7 +19,7 @@ import ellhyp
 from ellhyp import claims, cli, ellper, hecke, hyp3f2, mpnum
 from ellhyp.cli import main, reports_to_json, VerificationReport
 from ellhyp.cyclo import I
-from ellhyp.ecdiv import GroupLaw, law, torsion_Ef
+from ellhyp.ecdiv import GroupLaw, OffCurveError, law, torsion_Ef
 from ellhyp.ksym import E64FF, Poly, ff_parse
 
 
@@ -454,6 +454,33 @@ def test_verify_torsion_labels_curve36(capsys):
     code, out, _ = run(capsys, "verify-torsion-labels", "--curve", "36")
     assert code == 0
     assert "label_P_E36" in out
+
+
+def test_verify_torsion_labels_work_at_a_second_precision(monkeypatch,
+                                                        capsys):
+    # the exact side of the check is built once per process: at a second
+    # precision the additivity sums come from the closure's table, and the
+    # point literals from claims' cache, so neither is computed again
+    assert run(capsys, "verify-torsion-labels", "--digits", "30")[0] == 0
+    calls = []
+    real = GroupLaw.add
+    monkeypatch.setattr(GroupLaw, "add", lambda self, p, q: calls.append(
+        (p, q)) or real(self, p, q))
+    misses = claims._point.cache_info().misses
+    assert run(capsys, "verify-torsion-labels", "--digits", "45")[0] == 0
+    assert calls == []
+    assert claims._point.cache_info().misses == misses
+
+
+def test_point_cache_still_checks_a_changed_literal(capsys, monkeypatch):
+    # the point cache is keyed on the coordinate text, so after a clean run
+    # a changed literal is parsed and checked against the curve
+    assert run(capsys, "verify-torsion-labels")[0] == 0
+    data = copy.deepcopy(claims.raw())
+    data["points"]["36"]["P"] = ["0", "2"]
+    monkeypatch.setattr(claims, "raw", lambda: data)
+    with pytest.raises(OffCurveError):
+        claims.points(36)
 
 
 @pytest.mark.parametrize("N", [36, 64])

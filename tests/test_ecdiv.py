@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ellhyp import claims
 from ellhyp.ecdiv import (CURVE36, CURVE64, CurveError, FormalSum,
-                          OffCurveError, b3_reduce, beta_map, law, torsion_Ef)
+                          OffCurveError, b3_reduce, beta_map, law, torsion_Ef,
+                          torsion_generators, torsion_sums)
 
 
 def test_point_validation():
@@ -69,6 +70,20 @@ def test_torsion_cardinalities_and_closure():
             assert lw.neg(p) in pts
             for q in tor:
                 assert lw.add(p, q) in pts
+
+
+def test_torsion_sums_are_the_group_law():
+    # the table the closure fills holds p (+) g once for every member p and
+    # generator g: 48 sums on E36 and 80 on E64
+    for N, count in ((36, 48), (64, 80)):
+        lw = law(N)
+        tor, gens = torsion_Ef(N), torsion_generators(N)
+        sums = torsion_sums(N)
+        assert len(sums) == len(tor) * len(gens) == count
+        assert set(sums) == {(p, g) for p in tor for g in gens}
+        for (p, g), s in sums.items():
+            assert s == lw.add(p, g)
+            assert s in tor
 
 
 def test_point_orders():
